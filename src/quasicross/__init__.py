@@ -41,6 +41,7 @@ from .splitting import (
     QuasiCrossShape,
     Splitting,
     VerificationResult,
+    check_arms,
     from_json_line,
     interval_multipliers,
     lattice_basis,

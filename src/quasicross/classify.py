@@ -103,10 +103,13 @@ def load_registry(path) -> Registry:
     missing = [k for k in ("k_plus", "k_minus", "dimensions") if k not in obj]
     if missing:
         raise ValueError(f"registry {path}: missing fields: {', '.join(missing)}")
-    dims = obj["dimensions"]
-    if not isinstance(dims, list) or not all(isinstance(d, int) for d in dims):
+    kp, km, dims = obj["k_plus"], obj["k_minus"], obj["dimensions"]
+    # type() rather than isinstance(): JSON true/false must not pass as 1/0.
+    if not (type(kp) is int and type(km) is int):
+        raise ValueError(f"registry {path}: k_plus and k_minus must be integers")
+    if not isinstance(dims, list) or not all(type(d) is int for d in dims):
         raise ValueError(f"registry {path}: dimensions must be a list of integers")
-    return Registry(obj["k_plus"], obj["k_minus"], tuple(dims), obj.get("source", ""))
+    return Registry(kp, km, tuple(dims), obj.get("source", ""))
 
 
 def default_registry_path(k_plus: int, k_minus: int) -> Path | None:

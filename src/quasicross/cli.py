@@ -32,7 +32,7 @@ from .classify import (
 )
 from .criteria import CRITERION_ORDER
 from .search import SearchStatus, find_splitting
-from .splitting import Splitting, interval_multipliers
+from .splitting import Splitting, check_arms, interval_multipliers
 
 
 class _UsageError(Exception):
@@ -126,13 +126,6 @@ def _thread_cap() -> int:
     return cap
 
 
-def _validate_shape(args) -> None:
-    if args.kplus < args.kminus:
-        raise _UsageError(
-            f"arms must satisfy 1 <= kminus <= kplus, got ({args.kplus}, {args.kminus})"
-        )
-
-
 def _resolve_registry(args) -> Registry | None:
     if getattr(args, "no_registry", False):
         return None
@@ -147,8 +140,6 @@ def _resolve_certificates(args):
 
 
 def _cmd_classify(args) -> int:
-    _validate_shape(args)
-    _thread_cap()
     run = classify_range(
         args.kplus, args.kminus, args.max_n,
         registry=_resolve_registry(args),
@@ -160,7 +151,6 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    _validate_shape(args)
     registry = _resolve_registry(args)
     run = classify_range(args.kplus, args.kminus, args.n, registry=registry)
     verdict = run.verdicts[args.n - 1]
@@ -179,7 +169,6 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    _validate_shape(args)
     if args.q <= args.kplus + args.kminus:
         raise _UsageError(f"q must exceed kplus + kminus, got q={args.q}")
     multipliers = interval_multipliers(args.kplus, args.kminus, args.q)
@@ -217,7 +206,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_summarize(args) -> int:
-    _validate_shape(args)
     run = classify_range(
         args.kplus, args.kminus, args.max_n,
         registry=_resolve_registry(args),
@@ -243,6 +231,14 @@ def run(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
         if args.command is None:
             raise _UsageError("a command is required")
+        _thread_cap()
+        if "kplus" in args:
+            try:
+                check_arms(args.kplus, args.kminus)
+            except ValueError:
+                raise _UsageError(
+                    f"arms must satisfy 1 <= kminus <= kplus, got ({args.kplus}, {args.kminus})"
+                ) from None
         return _COMMANDS[args.command](args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

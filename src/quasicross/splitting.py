@@ -22,6 +22,7 @@ __all__ = [
     "QuasiCrossShape",
     "Splitting",
     "VerificationResult",
+    "check_arms",
     "from_json_line",
     "interval_multipliers",
     "lattice_basis",
@@ -31,6 +32,12 @@ __all__ = [
     "verify_cover",
     "verify_splitting",
 ]
+
+
+def check_arms(k_plus: int, k_minus: int) -> None:
+    """Raise ValueError unless the arm lengths satisfy 1 <= k_minus <= k_plus."""
+    if k_minus < 1 or k_plus < k_minus:
+        raise ValueError(f"arms must satisfy 1 <= k_minus <= k_plus, got ({k_plus}, {k_minus})")
 
 
 @dataclass(frozen=True)
@@ -44,10 +51,7 @@ class QuasiCrossShape:
     n: int
 
     def __post_init__(self):
-        if self.k_minus < 1 or self.k_plus < self.k_minus:
-            raise ValueError(
-                f"arms must satisfy 1 <= k_minus <= k_plus, got ({self.k_plus}, {self.k_minus})"
-            )
+        check_arms(self.k_plus, self.k_minus)
         if self.n < 1:
             raise ValueError(f"dimension must be >= 1, got {self.n}")
 
@@ -84,10 +88,7 @@ class MultiplierSet:
 
 def interval_multipliers(k_plus: int, k_minus: int, q: int) -> MultiplierSet:
     """Residues of -k_minus..-1, 1..k_plus reduced mod q, in that order."""
-    if k_minus < 1 or k_plus < k_minus:
-        raise ValueError(
-            f"arms must satisfy 1 <= k_minus <= k_plus, got ({k_plus}, {k_minus})"
-        )
+    check_arms(k_plus, k_minus)
     if q <= k_plus + k_minus:
         raise ValueError(f"q={q} leaves interval multipliers indistinct")
     res = [q + m for m in range(-k_minus, 0)] + list(range(1, k_plus + 1))
@@ -116,10 +117,7 @@ class Splitting:
     splitters: tuple[int, ...]
 
     def __post_init__(self):
-        if self.k_minus < 1 or self.k_plus < self.k_minus:
-            raise ValueError(
-                f"arms must satisfy 1 <= k_minus <= k_plus, got ({self.k_plus}, {self.k_minus})"
-            )
+        check_arms(self.k_plus, self.k_minus)
         if self.q <= self.k_plus + self.k_minus:
             raise ValueError(f"q={self.q} too small for arms ({self.k_plus}, {self.k_minus})")
         ordered = tuple(sorted(self.splitters))
@@ -213,63 +211,42 @@ def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     return a, x0, y0
 
 
-def _hermite_rows(rows: list[list[int]]) -> list[list[int]]:
-    """Row-style Hermite form of a nonsingular square integer matrix."""
-    a = [list(r) for r in rows]
-    n = len(a)
-    for j in range(n):
-        while True:
-            if a[j][j] == 0:
-                nz = [i for i in range(j + 1, n) if a[i][j] != 0]
-                if not nz:
-                    raise ValueError("matrix is singular")
-                a[j], a[nz[0]] = a[nz[0]], a[j]
-            below = [i for i in range(j + 1, n) if a[i][j] != 0]
-            if not below:
-                break
-            for i in below:
-                t = a[i][j] // a[j][j]
-                if t:
-                    a[i] = [x - t * y for x, y in zip(a[i], a[j])]
-            rem = [i for i in range(j + 1, n) if a[i][j] != 0]
-            if not rem:
-                break
-            i_min = min(rem, key=lambda i: abs(a[i][j]))
-            a[j], a[i_min] = a[i_min], a[j]
-        if a[j][j] < 0:
-            a[j] = [-x for x in a[j]]
-        for i in range(j):
-            t = a[i][j] // a[j][j]
-            if t:
-                a[i] = [x - t * y for x, y in zip(a[i], a[j])]
-    return a
-
-
 def phi_kernel_basis(q: int, splitters: Sequence[int]) -> list[list[int]]:
     """Hermite-form basis of {x in Z^n : sum x_i s_i = 0 (mod q)}.
 
     Works for any splitter list, splitting or not; only the homomorphism phi
-    matters.  Column reduction of the row vector (s_1..s_n, q) is tracked on
-    an identity block, whose kernel columns project to the basis.
+    matters.  The basis is written down from the gcd chain
+    g_i = gcd(s_i, ..., s_n, q), with g_{n+1} = q, walking i = n down to 1.
+    Row i has diagonal g_{i+1}/g_i, the least x_i that the columns to its
+    right can cancel, and to its right -(s_i/g_i) times a Bezout vector c
+    with sum_{j>i} c_j s_j = g_{i+1} (mod q).  Each row is then reduced
+    against the rows below it, giving the unique Hermite form: upper
+    triangular, positive diagonal, 0 <= a_ij < a_jj.
     """
     n = len(splitters)
     if n == 0:
         raise ValueError("need at least one splitter")
     if q < 2:
         raise ValueError(f"group order must be >= 2, got {q}")
-    t = [s % q for s in splitters] + [q]
-    cols = [[int(i == j) for i in range(n + 1)] for j in range(n + 1)]
-    for idx in range(1, n + 1):
-        a, b = t[0], t[idx]
-        if b == 0:
-            continue
-        g, x, y = _ext_gcd(a, b)
-        c0, ci = cols[0], cols[idx]
-        cols[0] = [x * u + y * v for u, v in zip(c0, ci)]
-        cols[idx] = [(-(b // g)) * u + (a // g) * v for u, v in zip(c0, ci)]
-        t[0], t[idx] = g, 0
-    basis = [[cols[idx][i] for i in range(n)] for idx in range(1, n + 1)]
-    return _hermite_rows(basis)
+    s = [x % q for x in splitters]
+    rows: list[list[int]] = [[] for _ in range(n)]
+    bezout = [0] * n  # sum bezout_j s_j = g (mod q), supported on columns > i
+    g = q
+    for i in range(n - 1, -1, -1):
+        g_i, x, y = _ext_gcd(s[i], g)
+        row = [0] * n
+        row[i] = g // g_i
+        cofactor = s[i] // g_i
+        row[i + 1:] = [-cofactor * c % q for c in bezout[i + 1:]]
+        for j in range(i + 1, n):
+            t = row[j] // rows[j][j]
+            if t:
+                row[j:] = [a - t * b for a, b in zip(row[j:], rows[j][j:])]
+        rows[i] = row
+        bezout = [y * c % q for c in bezout]
+        bezout[i] = x % q
+        g = g_i
+    return rows
 
 
 def lattice_basis(splitting: Splitting) -> LatticeBasis:
@@ -313,8 +290,9 @@ def from_json_line(line: str) -> Splitting:
     if missing:
         raise ValueError(f"certificate line missing fields: {', '.join(missing)}")
     q, kp, km, spl = obj["q"], obj["k_plus"], obj["k_minus"], obj["splitters"]
-    if not all(isinstance(v, int) for v in (q, kp, km)) or not (
-        isinstance(spl, list) and all(isinstance(s, int) for s in spl)
+    # type() rather than isinstance(): JSON true/false must not pass as 1/0.
+    if not all(type(v) is int for v in (q, kp, km)) or not (
+        isinstance(spl, list) and all(type(s) is int for s in spl)
     ):
         raise ValueError("certificate fields must be integers and a list of integers")
     return Splitting(q, kp, km, tuple(spl))

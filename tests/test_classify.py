@@ -124,6 +124,13 @@ def test_load_registry(tmp_path):
     path.write_text(json.dumps({"k_plus": 3, "dimensions": []}))
     with pytest.raises(ValueError, match="missing fields"):
         load_registry(path)
+    path.write_text(json.dumps({"k_plus": 3, "k_minus": 1, "dimensions": [True, 6]}))
+    with pytest.raises(ValueError, match="dimensions must be a list of integers"):
+        load_registry(path)
+    for kp, km in ((3, True), ("3", 1), (3.0, 1)):
+        path.write_text(json.dumps({"k_plus": kp, "k_minus": km, "dimensions": [1]}))
+        with pytest.raises(ValueError, match="k_plus and k_minus must be integers"):
+            load_registry(path)
 
 
 def test_default_registries_ship():

@@ -135,6 +135,19 @@ def test_verify_mutated_certificate_exits_2(tmp_path, capsys):
     assert "does not verify" in err
 
 
+def test_boolean_integer_fields_exit_2(tmp_path, capsys):
+    store = tmp_path / "certs.jsonl"
+    store.write_text('{"q": 25, "k_plus": 3, "k_minus": true, "splitters": [1, 5, 6, 11, 16, 21]}\n')
+    code, _, err = invoke(capsys, "verify", "--certificates", str(store))
+    assert code == 2
+    assert "integers" in err
+    reg = write_registry(tmp_path, 3, 1, [True, 6])
+    code, out, err = invoke(capsys, "classify", "--kplus", "3", "--kminus", "1",
+                            "--max-n", "6", "--registry", reg)
+    assert code == 2 and out == ""
+    assert "integers" in err
+
+
 def test_usage_errors_exit_1(capsys):
     code, _, err = invoke(capsys, "classify", "--kplus", "3")
     assert code == 1
@@ -155,10 +168,14 @@ def test_qx_threads_validated(tmp_path, capsys, monkeypatch):
                           "--max-n", "5", "--registry", reg)
     assert code == 0
     monkeypatch.setenv("QX_THREADS", "zero")
-    code, _, err = invoke(capsys, "classify", "--kplus", "3", "--kminus", "1",
-                          "--max-n", "5", "--registry", reg)
-    assert code == 1
-    assert "QX_THREADS" in err
+    for argv in (
+        ("classify", "--kplus", "3", "--kminus", "1", "--max-n", "5", "--registry", reg),
+        ("summarize", "--kplus", "3", "--kminus", "1", "--max-n", "7"),
+        ("check", "--kplus", "3", "--kminus", "1", "--n", "6"),
+    ):
+        code, _, err = invoke(capsys, *argv)
+        assert code == 1
+        assert "QX_THREADS" in err
 
 
 def test_module_entry_point(tmp_path):

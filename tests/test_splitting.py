@@ -128,12 +128,20 @@ def test_unit_action_prime_case(u):
 
 
 def _check_basis_postconditions(q, splitters, rows):
+    # Kernel rows of the right index span the kernel; triangular and reduced
+    # then makes them its unique Hermite basis.
     n = len(splitters)
     assert len(rows) == n
     det = sympy.Matrix(rows).det()
-    assert abs(int(det)) == q
+    assert abs(int(det)) == q // math.gcd(q, *splitters)
     for row in rows:
         assert sum(x * s for x, s in zip(row, splitters)) % q == 0
+    for i in range(n):
+        assert rows[i][i] > 0
+        for j in range(i):
+            assert rows[i][j] == 0
+        for j in range(i + 1, n):
+            assert 0 <= rows[i][j] < rows[j][j]
 
 
 def test_lattice_basis_dimension_one():
@@ -154,6 +162,11 @@ def test_phi_kernel_basis_without_splitting():
     # of phi exists regardless.
     rows = phi_kernel_basis(13, (1, 3, 9))
     _check_basis_postconditions(13, (1, 3, 9), rows)
+    # phi not onto: 4*x1 + 6*x2 = 0 (mod 12) has index 6 = 12 / gcd(4, 6, 12).
+    assert phi_kernel_basis(12, (4, 6)) == [[3, 0], [0, 2]]
+    assert phi_kernel_basis(12, (-8, 18)) == [[3, 0], [0, 2]]
+    for q, splitters in ((12, (0, -4, 16, 8, 8)), (30, (0, 0)), (7, (14, -7, 3))):
+        _check_basis_postconditions(q, splitters, phi_kernel_basis(q, splitters))
 
 
 def test_lattice_basis_rejects_unverified():
@@ -188,13 +201,7 @@ def test_lattice_basis_on_search_results_up_to_200():
 
 def test_basis_rows_are_hermite():
     basis = lattice_basis(Splitting(25, 3, 1, Q25_SPLITTERS))
-    n = basis.dimension
-    for i in range(n):
-        assert basis.rows[i][i] > 0
-        for j in range(i):
-            assert basis.rows[i][j] == 0
-        for j in range(i + 1, n):
-            assert 0 <= basis.rows[i][j] < basis.rows[j][j]
+    _check_basis_postconditions(25, Q25_SPLITTERS, [list(r) for r in basis.rows])
 
 
 def test_json_line_roundtrip():
@@ -213,14 +220,17 @@ def test_json_line_errors():
         from_json_line('{"q": 25, "k_plus": 3, "k_minus": 1, "splitters": ["1"]}')
     with pytest.raises(ValueError):
         from_json_line('[1, 2, 3]')
+    with pytest.raises(ValueError, match="integers"):
+        from_json_line('{"q": 25, "k_plus": 3, "k_minus": true, "splitters": [1, 5, 6, 11, 16, 21]}')
+    with pytest.raises(ValueError, match="integers"):
+        from_json_line('{"q": 25, "k_plus": 3, "k_minus": 1, "splitters": [true, 5, 6, 11, 16, 21]}')
 
 
 @settings(deadline=None)
 @given(st.integers(min_value=2, max_value=60), st.data())
 def test_kernel_basis_postconditions_random(q, data):
     n = data.draw(st.integers(min_value=1, max_value=6))
-    splitters = data.draw(st.lists(st.integers(min_value=1, max_value=q - 1), min_size=n, max_size=n))
-    if math.gcd(*splitters, q) != 1:
-        return
+    # Zero, negative, >= q and repeated splitters; phi need not be onto.
+    splitters = data.draw(st.lists(st.integers(min_value=-2 * q, max_value=2 * q), min_size=n, max_size=n))
     rows = phi_kernel_basis(q, splitters)
     _check_basis_postconditions(q, splitters, rows)
