@@ -7,11 +7,12 @@ import argparse
 import sys
 
 from quasicross.classify import classify_range, default_registry, report_text, summarize
+from quasicross.cli import _positive_int
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--max-n", type=int, default=250)
+    parser.add_argument("--max-n", type=_positive_int, default=250)
     parser.add_argument("--table", action="store_true", help="print the full per-dimension table")
     args = parser.parse_args(argv)
 

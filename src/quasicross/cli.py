@@ -11,6 +11,7 @@ identical invocations; diagnostics and timings go to stderr.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from typing import Sequence
@@ -55,6 +56,16 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}") from None
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="quasicross", description=__doc__, add_help=True)
     sub = parser.add_subparsers(dest="command", metavar="command")
@@ -63,7 +74,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--kplus", type=_positive_int, required=True, help="forward arm length")
         p.add_argument("--kminus", type=_positive_int, required=True, help="backward arm length")
 
-    def add_registry(p):
+    def add_evidence(p):
         p.add_argument(
             "--registry",
             help="registry JSON file of known tiling dimensions "
@@ -74,24 +85,28 @@ def _build_parser() -> _Parser:
             action="store_true",
             help="run with an empty registry even when a packaged one exists",
         )
+        p.add_argument(
+            "--certificates", help="JSON-lines certificate store to use as tiling evidence"
+        )
 
     p = sub.add_parser("classify", help="classify every dimension up to --max-n")
     add_shape(p)
     p.add_argument("--max-n", type=_positive_int, required=True, help="largest dimension to classify")
-    add_registry(p)
-    p.add_argument("--certificates", help="JSON-lines certificate store to use as tiling evidence")
+    add_evidence(p)
     p.add_argument("--format", choices=("text", "csv", "json"), default="text")
 
     p = sub.add_parser("check", help="per-criterion outcomes for one dimension")
     add_shape(p)
     p.add_argument("--n", type=_positive_int, required=True, help="dimension to check")
-    add_registry(p)
+    add_evidence(p)
 
     p = sub.add_parser("search", help="search for a splitter set over Z_q")
     add_shape(p)
     p.add_argument("--q", type=_positive_int, required=True, help="group order")
     p.add_argument("--node-budget", type=_positive_int, default=1_000_000)
-    p.add_argument("--time-budget", type=float, default=None, help="advisory wall-clock cap, seconds")
+    p.add_argument(
+        "--time-budget", type=_positive_float, default=None, help="advisory wall-clock cap, seconds"
+    )
     p.add_argument("--store", default="certificates.jsonl", help="certificate store to append to")
     p.add_argument("--no-store", action="store_true", help="do not persist a found splitting")
 
@@ -105,8 +120,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("summarize", help="classification summary and firing statistics")
     add_shape(p)
     p.add_argument("--max-n", type=_positive_int, required=True)
-    add_registry(p)
-    p.add_argument("--certificates", help="JSON-lines certificate store to use as tiling evidence")
+    add_evidence(p)
 
     return parser
 
@@ -151,8 +165,11 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    registry = _resolve_registry(args)
-    run = classify_range(args.kplus, args.kminus, args.n, registry=registry)
+    run = classify_range(
+        args.kplus, args.kminus, args.n,
+        registry=_resolve_registry(args),
+        certificates=_resolve_certificates(args),
+    )
     verdict = run.verdicts[args.n - 1]
     print(f"shape ({args.kplus},{args.kminus}) n={args.n} q={verdict.q}")
     if verdict.source is not None:

@@ -1,6 +1,10 @@
+import importlib.util
 import json
 import subprocess
 import sys
+from pathlib import Path
+
+import pytest
 
 from quasicross.cli import run
 from quasicross.classify import default_certificates_path
@@ -197,3 +201,41 @@ def test_shape_flag_validation_is_usage_error(capsys):
     code, _, err = invoke(capsys, "search", "--kplus", "3", "--kminus", "1", "--q", "4")
     assert code == 1
     assert "must exceed" in err
+
+
+def test_time_budget_must_be_positive_finite(capsys):
+    for budget in ("nan", "inf", "-inf", "0", "-1", "soon"):
+        code, out, err = invoke(capsys, "search", "--kplus", "3", "--kminus", "1", "--q", "89",
+                                "--no-store", "--time-budget", budget)
+        assert code == 1 and out == "", budget
+        assert "--time-budget" in err
+    code, out, _ = invoke(capsys, "search", "--kplus", "3", "--kminus", "1", "--q", "25",
+                          "--no-store", "--time-budget", "60")
+    assert code == 0
+    assert "status: found" in out
+
+
+def test_check_uses_certificates(capsys):
+    argv = ("check", "--kplus", "3", "--kminus", "1", "--n", "6", "--no-registry")
+    code, out, _ = invoke(capsys, *argv)
+    assert code == 0
+    assert "verdict: unknown" in out
+    code, out, _ = invoke(capsys, *argv, "--certificates", str(default_certificates_path()))
+    assert code == 0
+    assert "verdict: tiles (certificate)" in out
+    code, out, _ = invoke(capsys, "classify", "--kplus", "3", "--kminus", "1", "--max-n", "6",
+                          "--no-registry", "--certificates", str(default_certificates_path()),
+                          "--format", "csv")
+    assert out.splitlines()[-1] == "6,25,tiles,,certificate"
+
+
+def test_reproduce_tables_rejects_nonpositive_max_n(capsys):
+    path = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_tables.py"
+    spec = importlib.util.spec_from_file_location("reproduce_tables", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    for value in ("0", "-3"):
+        with pytest.raises(SystemExit) as exc:
+            script.main(["--max-n", value])
+        assert exc.value.code != 0
+        assert "--max-n" in capsys.readouterr().err

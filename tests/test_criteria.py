@@ -111,6 +111,66 @@ def test_vandermonde():
     assert sum(pow(m, i, 149) for m in multiplier_set(shape(3, 1, 37)).residues) % 149 == 0
 
 
+def _vandermonde_by_definition(sh):
+    q = sh.group_order
+    if sh.n >= q - 1 or not is_prime(q):
+        return INAPPLICABLE, None
+    residues = multiplier_set(sh).residues
+    for i in range(1, sh.n + 1):
+        if sum(pow(m, i, q) for m in residues) % q == 0:
+            return INCONCLUSIVE, {"first_zero_power": i}
+    return RULED_OUT, {"q": q, "powers_checked": sh.n}
+
+
+def test_vandermonde_matches_power_sum_definition():
+    sweep = [(kp, km, n) for kp in range(1, 7) for km in range(1, kp + 1) for n in range(1, 301)]
+    # The first vanishing sum of these lies at exponent n + 1, just past the range.
+    beyond_n = [(7, 3, 3), (7, 3, 27), (5, 3, 527)]
+    seen = set()
+    for k_plus, k_minus, n in sweep + beyond_n:
+        sh = shape(k_plus, k_minus, n)
+        out = check_vandermonde(sh)
+        status, witness = _vandermonde_by_definition(sh)
+        assert (out.status, out.witness) == (status, witness), (k_plus, k_minus, n)
+        # q - 1 = n * (k_plus + k_minus) >= 2n, so n >= q - 1 cannot be built
+        # from a shape; only composite q makes the test inapplicable.
+        assert sh.n < sh.group_order - 1
+        if status is INAPPLICABLE:
+            seen.add("composite q")
+        elif status is RULED_OUT:
+            q = sh.group_order
+            residues = multiplier_set(sh).residues
+            if sum(pow(m, n + 1, q) for m in residues) % q == 0:
+                seen.add("zero at n + 1")
+            seen.add("ruled out")
+        elif k_plus == k_minus:
+            assert witness == {"first_zero_power": 1}
+            seen.add("symmetric arms")
+        else:
+            i = witness["first_zero_power"]
+            seen.add("odd exponent" if i % 2 else "even exponent")
+            if i > 256:
+                seen.add("past the first block")
+    assert seen == {
+        "composite q", "ruled out", "zero at n + 1", "symmetric arms", "odd exponent",
+        "even exponent", "past the first block",
+    }
+
+
+def test_vandermonde_counts_to_4000():
+    # Fired counts and the summed witness exponents (first_zero_power or
+    # powers_checked) of the per-exponent definition, n = 1..4000.
+    for (k_plus, k_minus), fired, steps in (((3, 1), 644, 1_555_592), ((3, 2), 507, 1_002_742)):
+        outs = [check_vandermonde(shape(k_plus, k_minus, n)) for n in range(1, 4001)]
+        assert sum(o.fired for o in outs) == fired
+        total = sum(
+            o.witness.get("first_zero_power", o.witness.get("powers_checked", 0))
+            for o in outs
+            if o.witness
+        )
+        assert total == steps, (k_plus, k_minus)
+
+
 def test_psquare():
     out = check_psquare(shape(3, 1, 11))  # q = 45, p = 3, exception n = 2
     assert out.status is RULED_OUT and out.witness == {"p": 3}
