@@ -6,6 +6,15 @@ residue e, trying exactly the splitters whose block would cover e with no
 overlap.  Exhausting that branching is a proof that no splitting exists for
 the given (q, M).
 
+A search for one splitting tries a single splitter at the root.  Whatever
+splitter s covers residue 1 is a unit, because m*s = 1 for some m in M.  If S
+is a splitting, so is u*S for every unit u, since multiplying by u permutes
+Z_q minus 0.  So when any splitting exists, one contains c, the first
+candidate for residue 1 (take u = c/s), and the subtree under c finds it.
+This holds for every M, prime or composite q and either candidate order.
+Counting cannot use it: the other root branches hold other splitter sets
+(unit multiples of those under c), and a count must include them.
+
 Budgets are node counts first (one node per candidate placement attempt),
 which keeps Exhausted/TimedOut outcomes reproducible; wall-clock budgets are
 advisory on top.
@@ -64,16 +73,18 @@ def _residues(q: int, multipliers: MultiplierSet) -> tuple[int, ...]:
     return multipliers.residues
 
 
-def _candidate_table(q: int, residues: tuple[int, ...], descending: bool) -> list[list[int]]:
-    # table[e] lists every s whose block contains e, ascending in s.
-    table: list[list[int]] = [[] for _ in range(q)]
+def _candidate_table(q: int, residues: tuple[int, ...], descending: bool) -> list[list[tuple[int, int]]]:
+    # table[e] lists (s, block) for every s whose block contains e, ascending
+    # in s; block is the bitmask of {m*s mod q : m in M}.  An s whose block
+    # holds 0 or repeats a residue can never be placed and is left out.
+    table: list[list[tuple[int, int]]] = [[] for _ in range(q)]
     for s in range(1, q):
-        hit = set()
-        for m in residues:
-            e = m * s % q
-            if e and e not in hit:
-                hit.add(e)
-                table[e].append(s)
+        cells = {m * s % q for m in residues}
+        if 0 in cells or len(cells) < len(residues):
+            continue
+        block = sum([1 << e for e in cells])
+        for e in cells:
+            table[e].append((s, block))
     if descending:
         for lst in table:
             lst.reverse()
@@ -82,33 +93,23 @@ def _candidate_table(q: int, residues: tuple[int, ...], descending: bool) -> lis
 
 def _explore(q, residues, node_budget, time_budget_s, descending, stop_at_first):
     start = time.perf_counter()
-    target = q - 1
-    block = len(residues)
+    last = (q - 1) // len(residues) - 1  # splitters placed when the next one completes the cover
     table = _candidate_table(q, residues, descending)
-    covered = bytearray(q)
-    covered[0] = 1
-    chosen: list[int] = []
-    placements: list[list[int]] = []
+    # Unit scaling (module docstring): a find needs only the first root candidate.
+    root = table[1][:1] if stop_at_first else table[1]
+    covered = 1  # bit e is set while residue e is covered; 0 is never a target
+    chosen: list[tuple[int, int]] = []  # (s, block) placed by each frame below the top
+    frames = [iter(root)]
     nodes = 0
     count = 0
     first: tuple[int, ...] | None = None
-    closed = True
     note = None
 
-    # frame: [candidate list, next index, smallest uncovered residue at entry]
-    frames: list[list] = [[table[1], 0, 1]]
-    while frames:
-        frame = frames[-1]
-        cands = frame[0]
-        descended = False
-        aborted = False
-        while frame[1] < len(cands):
-            s = cands[frame[1]]
-            frame[1] += 1
+    while frames and first is None and note is None:
+        for s, block in frames[-1]:
             nodes += 1
             if nodes > node_budget:
                 note = f"node budget of {node_budget} exhausted"
-                aborted = True
                 break
             if (
                 time_budget_s is not None
@@ -116,52 +117,26 @@ def _explore(q, residues, node_budget, time_budget_s, descending, stop_at_first)
                 and time.perf_counter() - start > time_budget_s
             ):
                 note = f"time budget of {time_budget_s}s exhausted"
-                aborted = True
                 break
-            marked: list[int] = []
-            feasible = True
-            for m in residues:
-                p = m * s % q
-                if p == 0 or covered[p]:
-                    feasible = False
-                    break
-                covered[p] = 1
-                marked.append(p)
-            if not feasible:
-                for p in marked:
-                    covered[p] = 0
+            if covered & block:
                 continue
-            if (len(chosen) + 1) * block == target:
+            if len(chosen) == last:
                 count += 1
                 if stop_at_first:
-                    first = tuple(sorted(chosen + [s]))
-                for p in marked:
-                    covered[p] = 0
-                if first is not None:
+                    first = tuple(sorted([s, *(c for c, _ in chosen)]))
                     break
                 continue
-            chosen.append(s)
-            placements.append(marked)
-            e = frame[2] + 1
-            while covered[e]:
-                e += 1
-            frames.append([table[e], 0, e])
-            descended = True
+            covered |= block
+            chosen.append((s, block))
+            e = (~covered & (covered + 1)).bit_length() - 1
+            frames.append(iter(table[e]))
             break
-        if first is not None:
-            break
-        if aborted:
-            closed = False
-            break
-        if descended:
-            continue
-        frames.pop()
-        if frames:
-            chosen.pop()
-            for p in placements.pop():
-                covered[p] = 0
+        else:
+            frames.pop()
+            if chosen:
+                covered ^= chosen.pop()[1]
     elapsed = time.perf_counter() - start
-    return first, count, closed, nodes, elapsed, note
+    return first, count, note is None, nodes, elapsed, note
 
 
 def _check_order(candidate_order: str) -> bool:
@@ -181,9 +156,11 @@ def find_splitting(
     """Search for a splitter set S with M*S covering Z_q minus 0 exactly.
 
     FOUND carries a splitter tuple that has already passed verify_cover;
-    EXHAUSTED means the whole tree was closed and is a proof that no
-    splitting exists for this (q, M); TIMED_OUT reports a spent budget.
-    Identical arguments (including node budget) give identical outcomes.
+    EXHAUSTED is a proof that no splitting exists for this (q, M): the tree
+    under the first candidate for residue 1 was closed, and every splitting
+    has a unit multiple in that tree (see the module docstring); TIMED_OUT
+    reports a spent budget.  Identical arguments (including node budget)
+    give identical outcomes.
     """
     residues = _residues(q, multipliers)
     descending = _check_order(candidate_order)
@@ -217,8 +194,10 @@ def count_splittings(
     """Count all splitter sets for (q, M) by exhausting the search tree.
 
     Each set is counted once (branching on the smallest uncovered residue
-    makes the branch path a function of the set itself).  Intended for small
-    q; budgets cap runaway inputs.
+    makes the branch path a function of the set itself).  Every root branch
+    is explored: the root branches that find_splitting skips hold other
+    splitter sets, which the count must include.  Intended for small q;
+    budgets cap runaway inputs.
     """
     residues = _residues(q, multipliers)
     descending = _check_order(candidate_order)

@@ -114,6 +114,29 @@ def test_find_agrees_with_count_at_small_scale():
             n += 1
 
 
+@pytest.mark.parametrize(
+    "k_plus, k_minus, q, status, splitters, nodes",
+    [
+        (3, 1, 89, SearchStatus.EXHAUSTED, None, 18_565),
+        (3, 2, 66, SearchStatus.EXHAUSTED, None, 10_423),
+        (3, 1, 25, SearchStatus.FOUND, (1, 5, 6, 11, 16, 21), 70),
+        (4, 4, 97, SearchStatus.FOUND, (1, 5, 6, 13, 14, 16, 17, 19, 22, 30, 35, 36), 3_466),
+    ],
+)
+def test_find_node_counts(k_plus, k_minus, q, status, splitters, nodes):
+    # A find tries one root splitter; exhausted trees shrink, while ascending
+    # finds keep the splitters and node counts of the full-root search.
+    outcome = find_splitting(q, interval_multipliers(k_plus, k_minus, q))
+    assert (outcome.status, outcome.splitters, outcome.nodes) == (status, splitters, nodes)
+
+
+def test_count_node_counts():
+    # Counting keeps every root branch, so its trees are unchanged.
+    for k_plus, k_minus, q, count, nodes in ((2, 2, 37, 1024, 25_796), (1, 1, 21, 1024, 2_046)):
+        counted = count_splittings(q, interval_multipliers(k_plus, k_minus, q))
+        assert (counted.count, counted.complete, counted.nodes) == (count, True, nodes)
+
+
 def test_multiplier_q_mismatch_rejected():
     with pytest.raises(ValueError, match="built for q=5"):
         find_splitting(25, interval_multipliers(3, 1, 5))
@@ -145,6 +168,13 @@ def test_count_matches_brute_force_on_arbitrary_multiplier_sets(instance):
     if instance is None:
         return
     q, residues = instance
-    counted = count_splittings(q, MultiplierSet(q, residues))
+    multipliers = MultiplierSet(q, residues)
+    counted = count_splittings(q, multipliers)
     assert counted.complete
-    assert counted.count == brute_force_count(q, residues)
+    expected = brute_force_count(q, residues)
+    assert counted.count == expected
+    for order in ("ascending", "descending"):
+        found = find_splitting(q, multipliers, candidate_order=order)
+        assert (found.status is SearchStatus.FOUND) == (expected > 0), order
+        if found.status is SearchStatus.FOUND:
+            assert verify_cover(q, residues, found.splitters)
