@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -128,6 +129,21 @@ def default_certificates_path() -> Path:
     return Path(str(resources.files("quasicross").joinpath("data", "certificates.jsonl")))
 
 
+@lru_cache(maxsize=None)
+def _verified_certificate(line: str) -> Splitting:
+    """Parse and verify one stripped store line.
+
+    The result depends only on the text, so each distinct line is verified
+    once per process; an edited line is a new key.  A raise is not cached,
+    so a bad line fails on every load.
+    """
+    cert = from_json_line(line)
+    check = verify_splitting(cert)
+    if not check:
+        raise ValueError(f"certificate q={cert.q} does not verify: {check.reason}")
+    return cert
+
+
 def load_certificates(path) -> tuple[Splitting, ...]:
     """Read a JSON-lines certificate store, verifying every entry.
 
@@ -141,15 +157,9 @@ def load_certificates(path) -> tuple[Splitting, ...]:
             if not line:
                 continue
             try:
-                cert = from_json_line(line)
+                out.append(_verified_certificate(line))
             except ValueError as exc:
                 raise ValueError(f"{path}, line {lineno}: {exc}") from exc
-            check = verify_splitting(cert)
-            if not check:
-                raise ValueError(
-                    f"{path}, line {lineno}: certificate q={cert.q} does not verify: {check.reason}"
-                )
-            out.append(cert)
     return tuple(out)
 
 

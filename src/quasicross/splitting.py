@@ -74,6 +74,8 @@ class MultiplierSet:
     def __post_init__(self):
         if self.q < 2:
             raise ValueError(f"group order must be >= 2, got {self.q}")
+        if not self.residues:
+            raise ValueError("multiplier set must not be empty")
         seen = set()
         for r in self.residues:
             if not 1 <= r <= self.q - 1:

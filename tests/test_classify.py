@@ -21,6 +21,8 @@ from quasicross.criteria import CRITERION_ORDER, VerdictStatus
 from quasicross.splitting import Splitting
 
 Q25_CERT = Splitting(25, 3, 1, (1, 5, 6, 11, 16, 21))
+# Well formed, but 1*2 and 2*1 collide at 2.
+BAD_Q13_LINE = '{"q": 13, "k_plus": 3, "k_minus": 1, "splitters": [1, 2, 3]}\n'
 
 
 def statuses(run):
@@ -169,12 +171,45 @@ def test_load_certificates_errors(tmp_path):
     path.write_text('{"q": 25, "k_plus": 3, "k_minus": 1, "splitters": [1, 5]}\n')
     with pytest.raises(ValueError, match="line 1"):
         load_certificates(path)
-    path.write_text('{"q": 13, "k_plus": 3, "k_minus": 1, "splitters": [1, 2, 3]}\n')
+    path.write_text(BAD_Q13_LINE)
     with pytest.raises(ValueError, match="collision at 2"):
         load_certificates(path)
     path.write_text("{broken\n")
     with pytest.raises(ValueError, match="line 1"):
         load_certificates(path)
+    path.write_text(BAD_Q13_LINE)
+    with pytest.raises(ValueError) as info:
+        load_certificates(path)
+    assert str(info.value) == (
+        f"{path}, line 1: certificate q=13 does not verify: collision at 2: 2*1 = 1*2 (mod 13)"
+    )
+
+
+def test_edited_store_line_is_verified_again(tmp_path):
+    path = tmp_path / "certs.jsonl"
+    q5 = Splitting(5, 3, 1, (1,))
+    assert store_certificate(q5, path) and store_certificate(Q25_CERT, path)
+    assert load_certificates(path) == (q5, Q25_CERT)
+    first, _ = path.read_text().splitlines(keepends=True)
+    path.write_text(first + BAD_Q13_LINE)
+    with pytest.raises(ValueError, match="line 2: .*collision"):
+        load_certificates(path)
+
+
+def test_failing_store_line_fails_on_every_load(tmp_path):
+    path = tmp_path / "certs.jsonl"
+    path.write_text(BAD_Q13_LINE)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="line 1: .*does not verify"):
+            load_certificates(path)
+
+
+def test_store_refuses_to_append_to_a_bad_store(tmp_path):
+    path = tmp_path / "certs.jsonl"
+    path.write_text(BAD_Q13_LINE)
+    with pytest.raises(ValueError, match="line 1: .*collision at 2"):
+        store_certificate(Q25_CERT, path)
+    assert path.read_text() == BAD_Q13_LINE
 
 
 def test_summarize_counts():

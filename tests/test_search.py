@@ -52,6 +52,13 @@ def test_divisibility_precondition_short_circuits():
     assert counted == CountOutcome(0, True, 0, 0.0, counted.diagnostic)
 
 
+def test_empty_multiplier_set_is_a_value_error():
+    with pytest.raises(ValueError, match="empty"):
+        find_splitting(5, MultiplierSet(5, ()))
+    with pytest.raises(ValueError, match="empty"):
+        count_splittings(5, MultiplierSet(5, ()))
+
+
 def test_count_examples_match_brute_force():
     m5 = interval_multipliers(3, 1, 5)
     assert count_splittings(5, m5).count == 4 == brute_force_count(5, m5.residues)

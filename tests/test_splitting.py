@@ -52,6 +52,8 @@ def test_multiplier_set_validation():
         MultiplierSet(10, (3, 3))
     with pytest.raises(ValueError):
         MultiplierSet(10, (0,))
+    with pytest.raises(ValueError, match="empty"):
+        MultiplierSet(5, ())
 
 
 def test_verify_q5():
