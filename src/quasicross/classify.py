@@ -11,6 +11,7 @@ accepts registry entries, verified certificates, and the trivial dimension.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -129,19 +130,25 @@ def default_certificates_path() -> Path:
     return Path(str(resources.files("quasicross").joinpath("data", "certificates.jsonl")))
 
 
-@lru_cache(maxsize=None)
-def _verified_certificate(line: str) -> Splitting:
-    """Parse and verify one stripped store line.
-
-    The result depends only on the text, so each distinct line is verified
-    once per process; an edited line is a new key.  A raise is not cached,
-    so a bad line fails on every load.
-    """
-    cert = from_json_line(line)
+def _verified(cert: Splitting) -> Splitting:
+    """Return cert, or raise ValueError naming the reason it does not verify."""
     check = verify_splitting(cert)
     if not check:
         raise ValueError(f"certificate q={cert.q} does not verify: {check.reason}")
     return cert
+
+
+@lru_cache(maxsize=None)
+def _line_certificate(line: str) -> Splitting:
+    """Parse one stripped store line and pass it through _verified.
+
+    The result depends only on the text, so each distinct line is parsed
+    once per process; an edited line is a new key.  Verification itself is
+    memoized per certificate by verify_splitting; keying by text as well
+    spares each load a hash and compare of every Splitting it has already
+    seen.  A raise is not cached, so a bad line fails on every load.
+    """
+    return _verified(from_json_line(line))
 
 
 def load_certificates(path) -> tuple[Splitting, ...]:
@@ -157,7 +164,7 @@ def load_certificates(path) -> tuple[Splitting, ...]:
             if not line:
                 continue
             try:
-                out.append(_verified_certificate(line))
+                out.append(_line_certificate(line))
             except ValueError as exc:
                 raise ValueError(f"{path}, line {lineno}: {exc}") from exc
     return tuple(out)
@@ -172,14 +179,17 @@ def store_certificate(splitting: Splitting, path) -> bool:
     check = verify_splitting(splitting)
     if not check:
         raise ValueError(f"refusing to store unverified splitting: {check.reason}")
-    key = (splitting.q, splitting.k_plus, splitting.k_minus, splitting.splitters)
     path = Path(path)
-    if path.exists():
-        for existing in load_certificates(path):
-            if (existing.q, existing.k_plus, existing.k_minus, existing.splitters) == key:
-                return False
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(to_json_line(splitting) + "\n")
+    if path.exists() and splitting in load_certificates(path):
+        return False
+    line = to_json_line(splitting).encode("utf-8") + b"\n"
+    with open(path, "a+b") as fh:
+        if fh.seek(0, os.SEEK_END):
+            fh.seek(-1, os.SEEK_END)
+            if fh.read(1) != b"\n":
+                # The last line lacks its newline; ours must not run into it.
+                line = b"\n" + line
+        fh.write(line)
     return True
 
 
@@ -221,12 +231,8 @@ def classify_range(
     registry_dims = set(registry.dimensions) if registry is not None else set()
     cert_dims: dict[int, Splitting] = {}
     for cert in certificates:
-        if (cert.k_plus, cert.k_minus) != (k_plus, k_minus):
-            continue
-        check = verify_splitting(cert)
-        if not check:
-            raise ValueError(f"certificate q={cert.q} does not verify: {check.reason}")
-        cert_dims.setdefault(cert.dimension, cert)
+        if (cert.k_plus, cert.k_minus) == (k_plus, k_minus):
+            cert_dims.setdefault(cert.dimension, _verified(cert))
 
     oracle: dict[int, VerdictStatus] = {}
     verdicts: list[Verdict] = []

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 __all__ = [
@@ -177,8 +178,17 @@ def verify_cover(q: int, multipliers: Sequence[int], splitters: Sequence[int]) -
     return VerificationResult(True)
 
 
+@lru_cache(maxsize=None)
 def verify_splitting(splitting: Splitting) -> VerificationResult:
-    """verify_cover applied to a candidate certificate."""
+    """verify_cover applied to a candidate certificate.
+
+    This is the one place that decides whether a certificate verifies.  The
+    result is memoized by the frozen Splitting, whose equality is (q,
+    k_plus, k_minus, sorted splitters), so each distinct certificate is
+    covered once per process, whichever of store, load, classify_range or
+    lattice_basis asks first.  A failing result is memoized too; every
+    caller still raises on it, on every call.
+    """
     return verify_cover(splitting.q, splitting.multipliers.residues, splitting.splitters)
 
 

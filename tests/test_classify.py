@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from quasicross import splitting
 from quasicross.classify import (
     ContradictionError,
     Registry,
@@ -18,7 +19,7 @@ from quasicross.classify import (
     summarize,
 )
 from quasicross.criteria import CRITERION_ORDER, VerdictStatus
-from quasicross.splitting import Splitting
+from quasicross.splitting import Splitting, lattice_basis, verify_cover, verify_splitting
 
 Q25_CERT = Splitting(25, 3, 1, (1, 5, 6, 11, 16, 21))
 # Well formed, but 1*2 and 2*1 collide at 2.
@@ -83,8 +84,12 @@ def test_registry_shape_mismatch_rejected():
 
 
 def test_unverified_certificate_rejected():
-    with pytest.raises(ValueError, match="does not verify"):
-        classify_range(3, 1, 5, certificates=[Splitting(13, 3, 1, (1, 2, 3))])
+    messages = []
+    for _ in range(2):  # the second call meets a memoized failure
+        with pytest.raises(ValueError, match="does not verify") as info:
+            classify_range(3, 1, 5, certificates=[Splitting(13, 3, 1, (1, 2, 3))])
+        messages.append(str(info.value))
+    assert messages == ["certificate q=13 does not verify: collision at 2: 2*1 = 1*2 (mod 13)"] * 2
 
 
 def test_contradiction_aborts():
@@ -162,8 +167,39 @@ def test_store_certificate_roundtrip(tmp_path):
 
 
 def test_store_rejects_unverified(tmp_path):
-    with pytest.raises(ValueError, match="refusing to store"):
-        store_certificate(Splitting(13, 3, 1, (1, 2, 3)), tmp_path / "c.jsonl")
+    messages = []
+    for _ in range(2):  # the second call meets a memoized failure
+        with pytest.raises(ValueError, match="refusing to store") as info:
+            store_certificate(Splitting(13, 3, 1, (1, 2, 3)), tmp_path / "c.jsonl")
+        messages.append(str(info.value))
+    assert messages == ["refusing to store unverified splitting: collision at 2: 2*1 = 1*2 (mod 13)"] * 2
+    assert not (tmp_path / "c.jsonl").exists()
+
+
+def test_store_appends_after_a_last_line_without_newline(tmp_path):
+    path = tmp_path / "certs.jsonl"
+    path.write_text('{"q": 5, "k_plus": 3, "k_minus": 1, "splitters": [1]}')
+    assert store_certificate(Q25_CERT, path) is True
+    assert load_certificates(path) == (Splitting(5, 3, 1, (1,)), Q25_CERT)
+    assert store_certificate(Q25_CERT, path) is False
+
+
+def test_certificate_verified_once_across_store_load_classify_basis(tmp_path, monkeypatch):
+    calls = []
+
+    def counting_verify_cover(*args):
+        calls.append(args)
+        return verify_cover(*args)
+
+    verify_splitting.cache_clear()
+    monkeypatch.setattr(splitting, "verify_cover", counting_verify_cover)
+    path = tmp_path / "certs.jsonl"
+    assert store_certificate(Q25_CERT, path) is True
+    (loaded,) = load_certificates(path)
+    run = classify_range(3, 1, 6, certificates=[loaded])
+    assert run.verdicts[5].source is TilesSource.CERTIFICATE
+    assert lattice_basis(loaded).determinant == 25
+    assert len(calls) == 1
 
 
 def test_load_certificates_errors(tmp_path):

@@ -1,11 +1,13 @@
 import importlib.util
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import quasicross
 from quasicross.cli import run
 from quasicross.classify import default_certificates_path
 
@@ -186,8 +188,11 @@ def test_module_entry_point(tmp_path):
     reg = write_registry(tmp_path, 3, 1, [1])
     argv = [sys.executable, "-m", "quasicross", "classify", "--kplus", "3", "--kminus", "1",
             "--max-n", "6", "--registry", reg, "--format", "csv"]
-    first = subprocess.run(argv, check=True, capture_output=True, text=True)
-    second = subprocess.run(argv, check=True, capture_output=True, text=True)
+    # The child imports the same package as this test, installed or not.
+    src = str(Path(quasicross.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    first = subprocess.run(argv, check=True, capture_output=True, text=True, env=env)
+    second = subprocess.run(argv, check=True, capture_output=True, text=True, env=env)
     assert first.stdout == second.stdout
     assert "6,25,unknown,," in first.stdout
 
