@@ -13,6 +13,7 @@ is bit-identical and concurrent evaluation needs no coordination.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping
@@ -24,7 +25,6 @@ from .numtheory import (
     legendre,
     mod_pow,
     primes_upto,
-    primorial,
     quartic_class,
 )
 from .splitting import QuasiCrossShape, multiplier_set
@@ -295,15 +295,19 @@ def check_divisors(
     refutes dimension n outright) or dimension n' must not already be ruled
     out.  Divisors larger than n always fail the divisibility, so this loop
     subsumes the zero-divisor unique-representation bounds as special cases;
-    prime-power divisors of q make it propagate non-existence upward.
+    prime-power divisors of q make it propagate non-existence upward.  For
+    d | q, gcd(d, k_plus#) = gcd(d, P) with P the product of the primes
+    p <= k_plus that divide q; P divides q, so unlike k_plus# it stays
+    small for every k_plus.
 
     The oracle must hold a verdict for every reachable n' (all satisfy
     n' < n); a missing entry is a hard error, never a silent pass.
     """
     q = shape.group_order
-    prim = primorial(shape.k_plus)
+    factors = factorize(q)
+    prim = math.prod(p for p, _ in factors.factors if p <= shape.k_plus)
     step = shape.arm_sum
-    for d in factorize(q).divisors():
+    for d in factors.divisors():
         if d == 1 or d == q or gcd(d, prim) != 1:
             continue
         if (q - d) % (step * d) != 0:

@@ -6,14 +6,16 @@ residue e, trying exactly the splitters whose block would cover e with no
 overlap.  Exhausting that branching is a proof that no splitting exists for
 the given (q, M).
 
-A search for one splitting tries a single splitter at the root.  Whatever
-splitter s covers residue 1 is a unit, because m*s = 1 for some m in M.  If S
-is a splitting, so is u*S for every unit u, since multiplying by u permutes
-Z_q minus 0.  So when any splitting exists, one contains c, the first
-candidate for residue 1 (take u = c/s), and the subtree under c finds it.
-This holds for every M, prime or composite q and either candidate order.
-Counting cannot use it: the other root branches hold other splitter sets
-(unit multiples of those under c), and a count must include them.
+Both searches try a single splitter at the root.  Whatever splitter s covers
+residue 1 is a unit, because m*s = 1 for some m in M, so the root candidates
+are the inverses of the unit multipliers, one each.  If S is a splitting, so
+is u*S for every unit u, since multiplying by u permutes Z_q minus 0.  Every
+splitting holds exactly one root candidate, the splitter that covers 1, and
+for root candidates c and c' the map S -> (c/c')*S is a bijection from the
+splittings that hold c' to those that hold c.  So the subtree under c, the
+first candidate for residue 1, finds a splitting whenever one exists, and
+its count times the number of root candidates is the full count.  This
+holds for every M, prime or composite q and either candidate order.
 
 Budgets are node counts first (one node per candidate placement attempt),
 which keeps Exhausted/TimedOut outcomes reproducible; wall-clock budgets are
@@ -67,12 +69,6 @@ class CountOutcome:
     diagnostic: str | None = None
 
 
-def _residues(q: int, multipliers: MultiplierSet) -> tuple[int, ...]:
-    if multipliers.q != q:
-        raise ValueError(f"multiplier set was built for q={multipliers.q}, search got q={q}")
-    return multipliers.residues
-
-
 def _candidate_table(q: int, residues: tuple[int, ...], descending: bool) -> list[list[tuple[int, int]]]:
     # table[e] lists (s, block) for every s whose block contains e, ascending
     # in s; block is the bitmask of {m*s mod q : m in M}.  An s whose block
@@ -91,15 +87,21 @@ def _candidate_table(q: int, residues: tuple[int, ...], descending: bool) -> lis
     return table
 
 
-def _explore(q, residues, node_budget, time_budget_s, descending, stop_at_first):
+def _explore(q, multipliers, node_budget, time_budget_s, candidate_order, stop_at_first):
+    if multipliers.q != q:
+        raise ValueError(f"multiplier set was built for q={multipliers.q}, search got q={q}")
+    if candidate_order not in ("ascending", "descending"):
+        raise ValueError(f"candidate_order must be 'ascending' or 'descending', got {candidate_order!r}")
+    residues = multipliers.residues
+    k = len(residues)
+    if (q - 1) % k != 0:
+        return None, 0, True, 0, 0.0, f"|M| = {k} does not divide q - 1 = {q - 1}"
     start = time.perf_counter()
-    last = (q - 1) // len(residues) - 1  # splitters placed when the next one completes the cover
-    table = _candidate_table(q, residues, descending)
-    # Unit scaling (module docstring): a find needs only the first root candidate.
-    root = table[1][:1] if stop_at_first else table[1]
+    last = (q - 1) // k - 1  # splitters placed when the next one completes the cover
+    table = _candidate_table(q, residues, candidate_order == "descending")
     covered = 1  # bit e is set while residue e is covered; 0 is never a target
     chosen: list[tuple[int, int]] = []  # (s, block) placed by each frame below the top
-    frames = [iter(root)]
+    frames = [iter(table[1][:1])]  # unit scaling (module docstring): one root candidate
     nodes = 0
     count = 0
     first: tuple[int, ...] | None = None
@@ -136,13 +138,7 @@ def _explore(q, residues, node_budget, time_budget_s, descending, stop_at_first)
             if chosen:
                 covered ^= chosen.pop()[1]
     elapsed = time.perf_counter() - start
-    return first, count, note is None, nodes, elapsed, note
-
-
-def _check_order(candidate_order: str) -> bool:
-    if candidate_order not in ("ascending", "descending"):
-        raise ValueError(f"candidate_order must be 'ascending' or 'descending', got {candidate_order!r}")
-    return candidate_order == "descending"
+    return first, count * len(table[1]), note is None, nodes, elapsed, note
 
 
 def find_splitting(
@@ -162,25 +158,16 @@ def find_splitting(
     reports a spent budget.  Identical arguments (including node budget)
     give identical outcomes.
     """
-    residues = _residues(q, multipliers)
-    descending = _check_order(candidate_order)
-    k = len(residues)
-    if (q - 1) % k != 0:
-        return SearchOutcome(
-            SearchStatus.EXHAUSTED, None, 0, 0.0,
-            f"|M| = {k} does not divide q - 1 = {q - 1}",
-        )
     first, _count, closed, nodes, elapsed, note = _explore(
-        q, residues, node_budget, time_budget_s, descending, stop_at_first=True
+        q, multipliers, node_budget, time_budget_s, candidate_order, stop_at_first=True
     )
     if first is not None:
-        check = verify_cover(q, residues, first)
+        check = verify_cover(q, multipliers.residues, first)
         if not check:
             raise AssertionError(f"search produced an invalid splitting: {check.reason}")
         return SearchOutcome(SearchStatus.FOUND, first, nodes, elapsed)
-    if closed:
-        return SearchOutcome(SearchStatus.EXHAUSTED, None, nodes, elapsed)
-    return SearchOutcome(SearchStatus.TIMED_OUT, None, nodes, elapsed, note)
+    status = SearchStatus.EXHAUSTED if closed else SearchStatus.TIMED_OUT
+    return SearchOutcome(status, None, nodes, elapsed, note)
 
 
 def count_splittings(
@@ -194,17 +181,12 @@ def count_splittings(
     """Count all splitter sets for (q, M) by exhausting the search tree.
 
     Each set is counted once (branching on the smallest uncovered residue
-    makes the branch path a function of the set itself).  Every root branch
-    is explored: the root branches that find_splitting skips hold other
-    splitter sets, which the count must include.  Intended for small q;
-    budgets cap runaway inputs.
+    makes the branch path a function of the set itself).  Only the subtree
+    under the first root candidate is explored; its count times the number
+    of root candidates is the full count (see the module docstring).
+    Intended for small q; budgets cap runaway inputs.
     """
-    residues = _residues(q, multipliers)
-    descending = _check_order(candidate_order)
-    k = len(residues)
-    if (q - 1) % k != 0:
-        return CountOutcome(0, True, 0, 0.0, f"|M| = {k} does not divide q - 1 = {q - 1}")
     _first, count, closed, nodes, elapsed, note = _explore(
-        q, residues, node_budget, time_budget_s, descending, stop_at_first=False
+        q, multipliers, node_budget, time_budget_s, candidate_order, stop_at_first=False
     )
     return CountOutcome(count, closed, nodes, elapsed, note)

@@ -156,25 +156,26 @@ def verify_cover(q: int, multipliers: Sequence[int], splitters: Sequence[int]) -
 
     All products must be nonzero and pairwise distinct, and every nonzero
     residue must be hit.  On failure the reason names the first zero
-    product, collision, or missed residue.  O(|M|*|S|) with a q-bit bitmap.
+    product, collision, or missed residue.  O(|M|*|S|) time and memory:
+    the products are distinct nonzero residues, so the cover is complete
+    exactly when there are q - 1 of them, and otherwise the first missed
+    residue is at most one more than their number.
     """
-    covered = bytearray(q)
     owner: dict[int, tuple[int, int]] = {}
     for s in splitters:
         for m in multipliers:
             p = m * s % q
             if p == 0:
                 return VerificationResult(False, f"zero product {m}*{s} = 0 (mod {q})")
-            if covered[p]:
+            if p in owner:
                 m0, s0 = owner[p]
                 return VerificationResult(
                     False, f"collision at {p}: {m0}*{s0} = {m}*{s} (mod {q})"
                 )
-            covered[p] = 1
             owner[p] = (m, s)
-    for e in range(1, q):
-        if not covered[e]:
-            return VerificationResult(False, f"residue {e} not covered")
+    if len(owner) < q - 1:
+        missed = next(e for e in range(1, q) if e not in owner)
+        return VerificationResult(False, f"residue {missed} not covered")
     return VerificationResult(True)
 
 

@@ -141,6 +141,20 @@ def test_verify_mutated_certificate_exits_2(tmp_path, capsys):
     assert "does not verify" in err
 
 
+def test_verify_huge_q_exits_2(tmp_path, capsys):
+    store = tmp_path / "certs.jsonl"
+    store.write_text('{"q": 2305843009213693951, "k_plus": 3, "k_minus": 1, "splitters": [1]}\n')
+    code, _, err = invoke(capsys, "verify", "--certificates", str(store))
+    assert code == 2
+    assert "q=2305843009213693951 does not verify: residue 4 not covered" in err
+
+
+def test_classify_arms_past_the_64_bit_primorial(capsys):
+    code, out, _ = invoke(capsys, "classify", "--kplus", "60", "--kminus", "1", "--max-n", "5")
+    assert code == 0
+    assert out.splitlines()[0].split()[:3] == ["n", "q", "status"]
+
+
 def test_boolean_integer_fields_exit_2(tmp_path, capsys):
     store = tmp_path / "certs.jsonl"
     store.write_text('{"q": 25, "k_plus": 3, "k_minus": true, "splitters": [1, 5, 6, 11, 16, 21]}\n')

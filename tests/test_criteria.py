@@ -190,6 +190,12 @@ def test_divisors():
     assert out.status is INCONCLUSIVE
 
 
+def test_divisors_for_arms_past_the_64_bit_primorial():
+    # k_plus = 60: 60# does not fit in 64 bits; q = 2319 = 3 * 773, and 3 <= k_plus
+    out = check_divisors(shape(60, 1, 38), {})
+    assert out.status is RULED_OUT and out.witness == {"d": 773}
+
+
 def test_divisors_missing_oracle_is_hard_error():
     with pytest.raises(LookupError, match="n'=2"):
         check_divisors(shape(3, 1, 11), {})

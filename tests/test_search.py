@@ -138,8 +138,9 @@ def test_find_node_counts(k_plus, k_minus, q, status, splitters, nodes):
 
 
 def test_count_node_counts():
-    # Counting keeps every root branch, so its trees are unchanged.
-    for k_plus, k_minus, q, count, nodes in ((2, 2, 37, 1024, 25_796), (1, 1, 21, 1024, 2_046)):
+    # Counting searches one root subtree and scales by the number of root
+    # candidates, as a find does, so the counts stay and the trees shrink.
+    for k_plus, k_minus, q, count, nodes in ((2, 2, 37, 1024, 9_781), (1, 1, 21, 1024, 1_023)):
         counted = count_splittings(q, interval_multipliers(k_plus, k_minus, q))
         assert (counted.count, counted.complete, counted.nodes) == (count, True, nodes)
 
@@ -176,11 +177,11 @@ def test_count_matches_brute_force_on_arbitrary_multiplier_sets(instance):
         return
     q, residues = instance
     multipliers = MultiplierSet(q, residues)
-    counted = count_splittings(q, multipliers)
-    assert counted.complete
     expected = brute_force_count(q, residues)
-    assert counted.count == expected
     for order in ("ascending", "descending"):
+        counted = count_splittings(q, multipliers, candidate_order=order)
+        assert counted.complete
+        assert counted.count == expected, order
         found = find_splitting(q, multipliers, candidate_order=order)
         assert (found.status is SearchStatus.FOUND) == (expected > 0), order
         if found.status is SearchStatus.FOUND:

@@ -79,6 +79,10 @@ def test_verify_missed_element_diagnostic():
     result = verify_cover(25, (24, 1, 2, 3), (1, 5, 6, 11, 16))
     assert not result
     assert "4 not covered" in result.reason
+    # memory follows the products, not q
+    result = verify_cover(2**61 - 1, (2**61 - 2, 1, 2, 3), (1,))
+    assert not result
+    assert result.reason == "residue 4 not covered"
 
 
 def test_verify_zero_product():
