@@ -99,7 +99,10 @@ class ContradictionError(RuntimeError):
 def load_registry(path) -> Registry:
     """Read a registry file: {"k_plus", "k_minus", "dimensions", "source"}."""
     with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
+        try:
+            obj = json.load(fh)
+        except ValueError as exc:  # malformed JSON or text that is not UTF-8
+            raise ValueError(f"registry {path}: {exc}") from exc
     if not isinstance(obj, dict):
         raise ValueError(f"registry {path}: expected a JSON object")
     missing = [k for k in ("k_plus", "k_minus", "dimensions") if k not in obj]

@@ -1,10 +1,17 @@
 """Exact-cover backtracking over splitter sets.
 
 The ground set is Z_q minus 0; choosing splitter s covers the block
-{m*s mod q : m in M}.  The search always branches on the smallest uncovered
-residue e, trying exactly the splitters whose block would cover e with no
-overlap.  Exhausting that branching is a proof that no splitting exists for
-the given (q, M).
+{m*s mod q : m in M}.  A candidate is live while its block meets no placed
+block.  Below the root, the search branches on the uncovered residue e with
+the fewest live candidates, the smallest such residue on a tie (the
+minimum-remaining-values rule of Knuth's Dancing Links), and tries each
+splitter whose block covers e, placing the live ones.  A residue with no
+live candidate closes its branch.  The live counts are updated as blocks
+are placed and removed, not rescanned.  The branching residue depends only
+on the residues already covered, and a splitting holds exactly one splitter
+that covers it, so each splitting lies on exactly one path of the tree.
+Exhausting the tree is therefore a proof that no splitting exists for the
+given (q, M), and counting its leaves counts each splitting once.
 
 Both searches try a single splitter at the root.  Whatever splitter s covers
 residue 1 is a unit, because m*s = 1 for some m in M, so the root candidates
@@ -17,9 +24,9 @@ first candidate for residue 1, finds a splitting whenever one exists, and
 its count times the number of root candidates is the full count.  This
 holds for every M, prime or composite q and either candidate order.
 
-Budgets are node counts first (one node per candidate placement attempt),
-which keeps Exhausted/TimedOut outcomes reproducible; wall-clock budgets are
-advisory on top.
+Budgets are node counts first (one node per candidate placement attempt; a
+spent budget of B nodes reports B nodes), which keeps Exhausted/TimedOut
+outcomes reproducible; wall-clock budgets are advisory on top.
 """
 
 from __future__ import annotations
@@ -69,18 +76,19 @@ class CountOutcome:
     diagnostic: str | None = None
 
 
-def _candidate_table(q: int, residues: tuple[int, ...], descending: bool) -> list[list[tuple[int, int]]]:
-    # table[e] lists (s, block) for every s whose block contains e, ascending
-    # in s; block is the bitmask of {m*s mod q : m in M}.  An s whose block
-    # holds 0 or repeats a residue can never be placed and is left out.
-    table: list[list[tuple[int, int]]] = [[] for _ in range(q)]
+def _candidate_table(q: int, residues: tuple[int, ...], descending: bool) -> list[list[tuple]]:
+    # table[e] lists (s, block, cells) for every s whose block contains e,
+    # ascending in s; cells are the residues {m*s mod q : m in M} and block is
+    # their bitmask.  An s whose block holds 0 or repeats a residue can never
+    # be placed and is left out.
+    table: list[list[tuple]] = [[] for _ in range(q)]
     for s in range(1, q):
         cells = {m * s % q for m in residues}
         if 0 in cells or len(cells) < len(residues):
             continue
-        block = sum([1 << e for e in cells])
+        candidate = (s, sum([1 << e for e in cells]), tuple(cells))
         for e in cells:
-            table[e].append((s, block))
+            table[e].append(candidate)
     if descending:
         for lst in table:
             lst.reverse()
@@ -99,8 +107,13 @@ def _explore(q, multipliers, node_budget, time_budget_s, candidate_order, stop_a
     start = time.perf_counter()
     last = (q - 1) // k - 1  # splitters placed when the next one completes the cover
     table = _candidate_table(q, residues, candidate_order == "descending")
-    covered = 1  # bit e is set while residue e is covered; 0 is never a target
-    chosen: list[tuple[int, int]] = []  # (s, block) placed by each frame below the top
+    # live[e] counts the candidates for residue e that meet no placed block.
+    # A covered residue, and 0, which is never a target, carry an extra q,
+    # which no live count reaches, so min(live) is an uncovered residue.
+    live = [len(lst) for lst in table]
+    live[0] = q
+    covered = 1  # bit e is set while residue e is covered
+    chosen: list[tuple] = []  # (candidate, candidates it killed) placed by each frame below the top
     frames = [iter(table[1][:1])]  # unit scaling (module docstring): one root candidate
     nodes = 0
     count = 0
@@ -108,11 +121,11 @@ def _explore(q, multipliers, node_budget, time_budget_s, candidate_order, stop_a
     note = None
 
     while frames and first is None and note is None:
-        for s, block in frames[-1]:
-            nodes += 1
-            if nodes > node_budget:
+        for candidate in frames[-1]:
+            if nodes == node_budget:
                 note = f"node budget of {node_budget} exhausted"
                 break
+            nodes += 1
             if (
                 time_budget_s is not None
                 and nodes % 1024 == 0
@@ -120,23 +133,40 @@ def _explore(q, multipliers, node_budget, time_budget_s, candidate_order, stop_a
             ):
                 note = f"time budget of {time_budget_s}s exhausted"
                 break
+            s, block, cells = candidate
             if covered & block:
                 continue
             if len(chosen) == last:
                 count += 1
                 if stop_at_first:
-                    first = tuple(sorted([s, *(c for c, _ in chosen)]))
+                    first = tuple(sorted([s, *(c[0] for c, _ in chosen)]))
                     break
                 continue
-            covered |= block
-            chosen.append((s, block))
-            e = (~covered & (covered + 1)).bit_length() - 1
-            frames.append(iter(table[e]))
+            # Kill every live candidate that meets the block, once each: at
+            # the first of its cells that the block covers.
+            killed = []
+            for e in cells:
+                for d in table[e]:
+                    if not covered & d[1]:
+                        killed.append(d)
+                        for f in d[2]:
+                            live[f] -= 1
+                covered |= 1 << e
+                live[e] += q
+            chosen.append((candidate, killed))
+            least = min(live)
+            frames.append(iter(table[live.index(least)]) if least else iter(()))
             break
         else:
             frames.pop()
             if chosen:
-                covered ^= chosen.pop()[1]
+                (_s, block, cells), killed = chosen.pop()
+                covered ^= block
+                for e in cells:
+                    live[e] -= q
+                for d in killed:
+                    for f in d[2]:
+                        live[f] += 1
     elapsed = time.perf_counter() - start
     return first, count * len(table[1]), note is None, nodes, elapsed, note
 
@@ -180,8 +210,9 @@ def count_splittings(
 ) -> CountOutcome:
     """Count all splitter sets for (q, M) by exhausting the search tree.
 
-    Each set is counted once (branching on the smallest uncovered residue
-    makes the branch path a function of the set itself).  Only the subtree
+    Each set is counted once: a node branches on a residue chosen from the
+    covered residues alone, and exactly one splitter of the set covers it, so
+    the branch path is a function of the set itself.  Only the subtree
     under the first root candidate is explored; its count times the number
     of root candidates is the full count (see the module docstring).
     Intended for small q; budgets cap runaway inputs.

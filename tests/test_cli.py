@@ -168,6 +168,16 @@ def test_boolean_integer_fields_exit_2(tmp_path, capsys):
     assert "integers" in err
 
 
+def test_unreadable_registry_names_the_file(tmp_path, capsys):
+    for name, data in (("notes.md", b"# not JSON\n"), ("latin1.json", b'{"source": "\xe9"}')):
+        reg = tmp_path / name
+        reg.write_bytes(data)
+        code, out, err = invoke(capsys, "classify", "--kplus", "3", "--kminus", "1",
+                                "--max-n", "3", "--registry", str(reg))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: registry {reg}: "), err
+
+
 def test_usage_errors_exit_1(capsys):
     code, _, err = invoke(capsys, "classify", "--kplus", "3")
     assert code == 1
