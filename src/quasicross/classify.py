@@ -25,7 +25,7 @@ from .criteria import (
     VerdictStatus,
     evaluate_all,
 )
-from .splitting import QuasiCrossShape, Splitting, from_json_line, to_json_line, verify_splitting
+from .splitting import QuasiCrossShape, Splitting, check_arms, from_json_line, to_json_line, verify_splitting
 
 __all__ = [
     "ClassificationRun",
@@ -75,6 +75,7 @@ class Registry:
     source: str = ""
 
     def __post_init__(self):
+        check_arms(self.k_plus, self.k_minus)
         dims = tuple(sorted(self.dimensions))
         if len(set(dims)) != len(dims):
             raise ValueError("registry dimensions must be distinct")
@@ -114,7 +115,10 @@ def load_registry(path) -> Registry:
         raise ValueError(f"registry {path}: k_plus and k_minus must be integers")
     if not isinstance(dims, list) or not all(type(d) is int for d in dims):
         raise ValueError(f"registry {path}: dimensions must be a list of integers")
-    return Registry(kp, km, tuple(dims), obj.get("source", ""))
+    try:
+        return Registry(kp, km, tuple(dims), obj.get("source", ""))
+    except ValueError as exc:  # arms out of order, repeated or non-positive dimensions
+        raise ValueError(f"registry {path}: {exc}") from exc
 
 
 def default_registry_path(k_plus: int, k_minus: int) -> Path | None:
@@ -158,17 +162,17 @@ def load_certificates(path) -> tuple[Splitting, ...]:
     """Read a JSON-lines certificate store, verifying every entry.
 
     A certificate that fails verification is a hard error naming the first
-    collision (or other defect), as is any malformed line.
+    collision (or other defect), as is any malformed line.  Lines are decoded
+    one at a time, so text that is not UTF-8 is reported with its line too.
     """
     out = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
             try:
-                out.append(_line_certificate(line))
-            except ValueError as exc:
+                line = raw.decode("utf-8").strip()
+                if line:
+                    out.append(_line_certificate(line))
+            except ValueError as exc:  # UnicodeDecodeError is a ValueError
                 raise ValueError(f"{path}, line {lineno}: {exc}") from exc
     return tuple(out)
 

@@ -1,15 +1,18 @@
 """Exact-cover backtracking over splitter sets.
 
 The ground set is Z_q minus 0; choosing splitter s covers the block
-{m*s mod q : m in M}.  A candidate is live while its block meets no placed
-block.  Below the root, the search branches on the uncovered residue e with
-the fewest live candidates, the smallest such residue on a tie (the
-minimum-remaining-values rule of Knuth's Dancing Links), and tries each
-splitter whose block covers e, placing the live ones.  A residue with no
-live candidate closes its branch.  The live counts are updated as blocks
+{m*s mod q : m in M}.  A residue is open while no placed block holds it, and
+a candidate is live while its block meets no placed block.  Liveness is one
+flag per splitter, cleared when a placed block meets the candidate and set
+again when that block is removed, so set-up memory is O(q*|M|), the size of
+the candidate table.  Below the root, the search branches on the open
+residue e with the fewest live candidates, the smallest such residue on a
+tie (the minimum-remaining-values rule of Knuth's Dancing Links), and tries
+each splitter whose block covers e, placing the live ones.  A residue with
+no live candidate closes its branch.  The live counts are updated as blocks
 are placed and removed, not rescanned.  The branching residue depends only
-on the residues already covered, and a splitting holds exactly one splitter
-that covers it, so each splitting lies on exactly one path of the tree.
+on the placed blocks, and a splitting holds exactly one splitter that
+covers it, so each splitting lies on exactly one path of the tree.
 Exhausting the tree is therefore a proof that no splitting exists for the
 given (q, M), and counting its leaves counts each splitting once.
 
@@ -77,16 +80,17 @@ class CountOutcome:
 
 
 def _candidate_table(q: int, residues: tuple[int, ...], descending: bool) -> list[list[tuple]]:
-    # table[e] lists (s, block, cells) for every s whose block contains e,
-    # ascending in s; cells are the residues {m*s mod q : m in M} and block is
-    # their bitmask.  An s whose block holds 0 or repeats a residue can never
-    # be placed and is left out.
+    # table[e] lists (s, cells) for every s whose block contains e, ascending
+    # in s; cells are the residues {m*s mod q : m in M}.  Each candidate is one
+    # tuple shared by the |M| lists it appears in, so the table takes O(q*|M|)
+    # memory.  An s whose block holds 0 or repeats a residue can never be
+    # placed and is left out.
     table: list[list[tuple]] = [[] for _ in range(q)]
     for s in range(1, q):
         cells = {m * s % q for m in residues}
         if 0 in cells or len(cells) < len(residues):
             continue
-        candidate = (s, sum([1 << e for e in cells]), tuple(cells))
+        candidate = (s, tuple(cells))
         for e in cells:
             table[e].append(candidate)
     if descending:
@@ -108,11 +112,11 @@ def _explore(q, multipliers, node_budget, time_budget_s, candidate_order, stop_a
     last = (q - 1) // k - 1  # splitters placed when the next one completes the cover
     table = _candidate_table(q, residues, candidate_order == "descending")
     # live[e] counts the candidates for residue e that meet no placed block.
-    # A covered residue, and 0, which is never a target, carry an extra q,
-    # which no live count reaches, so min(live) is an uncovered residue.
+    # A residue a placed block holds, and 0, which is never a target, carry an
+    # extra q, which no live count reaches, so min(live) is an open residue.
     live = [len(lst) for lst in table]
     live[0] = q
-    covered = 1  # bit e is set while residue e is covered
+    alive = [True] * q  # alive[s] while splitter s's block meets no placed block
     chosen: list[tuple] = []  # (candidate, candidates it killed) placed by each frame below the top
     frames = [iter(table[1][:1])]  # unit scaling (module docstring): one root candidate
     nodes = 0
@@ -133,8 +137,8 @@ def _explore(q, multipliers, node_budget, time_budget_s, candidate_order, stop_a
             ):
                 note = f"time budget of {time_budget_s}s exhausted"
                 break
-            s, block, cells = candidate
-            if covered & block:
+            s, cells = candidate
+            if not alive[s]:
                 continue
             if len(chosen) == last:
                 count += 1
@@ -147,11 +151,11 @@ def _explore(q, multipliers, node_budget, time_budget_s, candidate_order, stop_a
             killed = []
             for e in cells:
                 for d in table[e]:
-                    if not covered & d[1]:
+                    if alive[d[0]]:
+                        alive[d[0]] = False
                         killed.append(d)
-                        for f in d[2]:
+                        for f in d[1]:
                             live[f] -= 1
-                covered |= 1 << e
                 live[e] += q
             chosen.append((candidate, killed))
             least = min(live)
@@ -160,12 +164,12 @@ def _explore(q, multipliers, node_budget, time_budget_s, candidate_order, stop_a
         else:
             frames.pop()
             if chosen:
-                (_s, block, cells), killed = chosen.pop()
-                covered ^= block
+                (_s, cells), killed = chosen.pop()
                 for e in cells:
                     live[e] -= q
                 for d in killed:
-                    for f in d[2]:
+                    alive[d[0]] = True
+                    for f in d[1]:
                         live[f] += 1
     elapsed = time.perf_counter() - start
     return first, count * len(table[1]), note is None, nodes, elapsed, note
@@ -211,7 +215,7 @@ def count_splittings(
     """Count all splitter sets for (q, M) by exhausting the search tree.
 
     Each set is counted once: a node branches on a residue chosen from the
-    covered residues alone, and exactly one splitter of the set covers it, so
+    placed blocks alone, and exactly one splitter of the set covers it, so
     the branch path is a function of the set itself.  Only the subtree
     under the first root candidate is explored; its count times the number
     of root candidates is the full count (see the module docstring).

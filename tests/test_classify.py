@@ -120,6 +120,8 @@ def test_registry_validation():
         Registry(3, 1, (5, 5))
     with pytest.raises(ValueError):
         Registry(3, 1, (0, 2))
+    with pytest.raises(ValueError, match="arms must satisfy"):
+        Registry(1, 3, (2,))
     assert Registry(3, 1, (6, 1)).dimensions == (1, 6)
 
 
@@ -138,6 +140,12 @@ def test_load_registry(tmp_path):
         path.write_text(json.dumps({"k_plus": kp, "k_minus": km, "dimensions": [1]}))
         with pytest.raises(ValueError, match="k_plus and k_minus must be integers"):
             load_registry(path)
+    path.write_text(json.dumps({"k_plus": 1, "k_minus": 3, "dimensions": [2]}))
+    with pytest.raises(ValueError, match=r"^registry .*reg\.json: arms must satisfy"):
+        load_registry(path)
+    path.write_text(json.dumps({"k_plus": 3, "k_minus": 1, "dimensions": [6, 6]}))
+    with pytest.raises(ValueError, match=r"^registry .*reg\.json: registry dimensions must be distinct"):
+        load_registry(path)
 
 
 def test_default_registries_ship():

@@ -141,6 +141,16 @@ def test_verify_mutated_certificate_exits_2(tmp_path, capsys):
     assert "does not verify" in err
 
 
+def test_non_utf8_certificate_store_names_the_file(tmp_path, capsys):
+    good = default_certificates_path().read_bytes().splitlines()[0]
+    for data, lineno in ((b"\xff\xfe{}\n", 1), (good + b'\n{"note": "\xe9"}\n', 2)):
+        store = tmp_path / "bad.jsonl"
+        store.write_bytes(data)
+        code, out, err = invoke(capsys, "verify", "--certificates", str(store))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {store}, line {lineno}: 'utf-8' codec can't decode"), err
+
+
 def test_verify_huge_q_exits_2(tmp_path, capsys):
     store = tmp_path / "certs.jsonl"
     store.write_text('{"q": 2305843009213693951, "k_plus": 3, "k_minus": 1, "splitters": [1]}\n')

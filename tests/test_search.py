@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -85,6 +86,22 @@ def test_node_budget_reports_timeout():
     counted = count_splittings(29, interval_multipliers(3, 1, 29), node_budget=3)
     assert not counted.complete
     assert counted.nodes == 3
+
+
+def test_setup_memory_is_linear_in_q():
+    # One live flag per splitter and one shared (s, cells) tuple per
+    # candidate: set-up takes O(q*|M|) memory, about 6 MB here.  A q-bit
+    # mask per candidate would take about q**2/8 bytes, over 30 MB.
+    q = 16001
+    multipliers = interval_multipliers(3, 1, q)
+    tracemalloc.start()
+    try:
+        outcome = find_splitting(q, multipliers, node_budget=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (outcome.status, outcome.nodes) == (SearchStatus.TIMED_OUT, 1)
+    assert peak < 12_000_000
 
 
 def test_candidate_order_does_not_change_status():
