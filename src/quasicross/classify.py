@@ -6,6 +6,13 @@ recursion always sees complete verdicts for the smaller dimensions it can
 reach (every reachable n' satisfies n' < n, so one pass is a fixpoint).
 Unknown is the default: the pipeline never guesses existence, it only
 accepts registry entries, verified certificates, and the trivial dimension.
+
+A verdict needs only the first criterion that fires in reporting order, so
+at each dimension the walk runs the shape criteria up to that one, and the
+divisor recursion only when none fires.  A dimension with tiling evidence
+thus runs every criterion unless one fires, and a firing there aborts the
+run as a contradiction either way.  The full per-criterion table is
+finished row by row when it is read.
 """
 
 from __future__ import annotations
@@ -17,13 +24,14 @@ from enum import Enum
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .criteria import (
     CRITERION_ORDER,
+    SHAPE_CRITERIA,
     CriterionOutcome,
     VerdictStatus,
-    evaluate_all,
+    check_divisors,
 )
 from .splitting import QuasiCrossShape, Splitting, check_arms, from_json_line, to_json_line, verify_splitting
 
@@ -200,16 +208,56 @@ def store_certificate(splitting: Splitting, path) -> bool:
     return True
 
 
+class _OutcomeTable(Mapping[int, tuple[CriterionOutcome, ...]]):
+    """Per-criterion outcomes for n = 1..n_max in reporting order, every
+    criterion at every n.
+
+    classify_range stores for each n the prefix of the row it evaluated;
+    the first read of n runs the rest of the row, the divisor recursion
+    against the finished verdicts.  Those are the verdicts the walk saw at
+    n, because every n' the recursion reaches is below n, so each row is
+    what evaluate_all returns and no criterion runs twice at one n.
+    """
+
+    def __init__(self, k_plus, k_minus, criteria, rows, oracle):
+        self._k_plus = k_plus
+        self._k_minus = k_minus
+        self._criteria = criteria
+        self._rows = rows
+        self._oracle = oracle
+
+    def __getitem__(self, n: int) -> tuple[CriterionOutcome, ...]:
+        if n not in self:
+            raise KeyError(n)
+        row = self._rows[n - 1]
+        if len(row) < len(CRITERION_ORDER):
+            shape = QuasiCrossShape(self._k_plus, self._k_minus, n)
+            rest = [fn(shape) for _, fn in self._criteria[len(row):]]
+            row += (*rest, check_divisors(shape, self._oracle))
+            self._rows[n - 1] = row
+        return row
+
+    def __contains__(self, n) -> bool:
+        return isinstance(n, int) and 1 <= n <= len(self._rows)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(range(1, len(self._rows) + 1))
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+
 @dataclass(frozen=True)
 class ClassificationRun:
     """Verdicts for n = 1..n_max plus the full per-criterion outcome table
-    (all criteria evaluated at every n, independent of attribution)."""
+    (every criterion at every n, independent of attribution).  The table
+    classify_range returns finishes each row on its first read."""
 
     k_plus: int
     k_minus: int
     n_max: int
     verdicts: tuple[Verdict, ...]
-    outcomes: dict[int, tuple[CriterionOutcome, ...]]
+    outcomes: Mapping[int, tuple[CriterionOutcome, ...]]
 
 
 def classify_range(
@@ -223,10 +271,12 @@ def classify_range(
 
     Dimension 1 always tiles (S = {1} splits trivially).  A registry or
     certificate hit yields Tiles; otherwise the first ruling criterion (in
-    reporting order) yields NoTiling; otherwise Unknown.  All criteria are
-    evaluated at every dimension, both for firing statistics and so that a
-    criterion firing at a dimension with tiling evidence aborts the run as a
-    contradiction.
+    reporting order) yields NoTiling; otherwise Unknown.  The shape
+    criteria run in reporting order up to the first that fires, and the
+    divisor recursion runs only when none does.  So at a dimension with
+    tiling evidence every criterion runs, unless one fires, which aborts the
+    run as a contradiction.  The rest of each row of the returned outcome
+    table runs when the row is first read.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
@@ -241,14 +291,21 @@ def classify_range(
         if (cert.k_plus, cert.k_minus) == (k_plus, k_minus):
             cert_dims.setdefault(cert.dimension, _verified(cert))
 
+    criteria = SHAPE_CRITERIA
     oracle: dict[int, VerdictStatus] = {}
     verdicts: list[Verdict] = []
-    outcomes: dict[int, tuple[CriterionOutcome, ...]] = {}
+    rows: list[tuple[CriterionOutcome, ...]] = []
     for n in range(1, n_max + 1):
         shape = QuasiCrossShape(k_plus, k_minus, n)
-        outs = evaluate_all(shape, oracle)
-        outcomes[n] = outs
-        fired = next((o for o in outs if o.fired), None)
+        outs = []
+        for _, fn in criteria:
+            outs.append(fn(shape))
+            if outs[-1].fired:
+                break
+        else:
+            outs.append(check_divisors(shape, oracle))
+        rows.append(tuple(outs))
+        fired = outs[-1] if outs[-1].fired else None
         if n == 1:
             tiles_source = TilesSource.TRIVIAL
         elif n in registry_dims:
@@ -273,6 +330,7 @@ def classify_range(
             verdict = Verdict(n, shape.group_order, VerdictStatus.UNKNOWN)
         verdicts.append(verdict)
         oracle[n] = verdict.status
+    outcomes = _OutcomeTable(k_plus, k_minus, criteria, rows, oracle)
     return ClassificationRun(k_plus, k_minus, n_max, tuple(verdicts), outcomes)
 
 

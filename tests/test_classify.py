@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from quasicross import splitting
+from quasicross import classify, splitting
 from quasicross.classify import (
     ContradictionError,
     Registry,
@@ -18,8 +18,9 @@ from quasicross.classify import (
     store_certificate,
     summarize,
 )
-from quasicross.criteria import CRITERION_ORDER, VerdictStatus
-from quasicross.splitting import Splitting, lattice_basis, verify_cover, verify_splitting
+from quasicross.criteria import CRITERION_ORDER, CriterionStatus, VerdictStatus, evaluate_all
+from quasicross.numtheory import is_prime
+from quasicross.splitting import QuasiCrossShape, Splitting, lattice_basis, verify_cover, verify_splitting
 
 Q25_CERT = Splitting(25, 3, 1, (1, 5, 6, 11, 16, 21))
 # Well formed, but 1*2 and 2*1 collide at 2.
@@ -113,6 +114,89 @@ def test_verdicts_independent_of_criterion_order():
         )
         if v.status is VerdictStatus.TILES:
             assert not fired_any
+
+
+@pytest.mark.parametrize(
+    "k_plus, k_minus, registry",
+    [(3, 1, default_registry(3, 1)), (3, 2, default_registry(3, 2)), (2, 2, None), (4, 1, None), (1, 1, None)],
+)
+def test_outcome_table_equals_evaluate_all(k_plus, k_minus, registry):
+    n_max = 300
+    run = classify_range(k_plus, k_minus, n_max, registry=registry)
+    table = run.outcomes
+    assert list(table) == list(range(1, n_max + 1))
+    assert len(table) == n_max
+    for missing in (0, n_max + 1):
+        assert missing not in table
+        with pytest.raises(KeyError):
+            table[missing]
+    oracle = {v.n: v.status for v in run.verdicts}
+    # Rows are read from n_max down, so each is finished before the rows its
+    # divisor recursion reaches; the result must not depend on that.
+    for n in reversed(range(1, n_max + 1)):
+        assert table[n] == evaluate_all(QuasiCrossShape(k_plus, k_minus, n), oracle), n
+        assert table[n] is table[n]
+
+
+def counting_criteria(monkeypatch):
+    """Wrap every entry of the criterion table classify reads; returns the
+    list of (criterion, shape) calls made from then on."""
+    calls = []
+
+    def counted(cid, fn):
+        def check(shape):
+            calls.append((cid, shape))
+            return fn(shape)
+
+        return check
+
+    monkeypatch.setattr(
+        classify, "SHAPE_CRITERIA", tuple((cid, counted(cid, fn)) for cid, fn in classify.SHAPE_CRITERIA)
+    )
+    return calls
+
+
+def test_verdicts_stop_at_the_first_firing_criterion(monkeypatch):
+    calls = counting_criteria(monkeypatch)
+    n_max = 500
+    run = classify_range(3, 2, n_max, registry=default_registry(3, 2))
+    vandermonde = [shape for cid, shape in calls if cid == "vandermonde"]
+    # arm_gcd rules out every prime q of (3,2), so the walk never scans
+    # power sums; it reaches vandermonde only where 3 | q, and returns at
+    # once, because q is not prime.
+    assert not any(is_prime(shape.group_order) for shape in vandermonde)
+    assert all(shape.group_order % 3 == 0 for shape in vandermonde)
+    summarize(run)
+    for cid, _ in classify.SHAPE_CRITERIA:
+        dims = sorted(shape.n for c, shape in calls if c == cid)
+        assert dims == list(range(1, n_max + 1)), cid
+
+
+def test_reading_one_row_finishes_only_that_row(monkeypatch):
+    calls = counting_criteria(monkeypatch)
+    run = classify_range(3, 1, 60)
+    walked = len(calls)
+    row = run.outcomes[5]  # power_square, the 7th criterion, fires first
+    assert len(row) == len(CRITERION_ORDER)
+    assert run.outcomes[5] is row
+    assert {shape.n for _, shape in calls[walked:]} == {5}
+    assert [cid for cid, shape in calls if shape.n == 5] == list(CRITERION_ORDER[:-1])
+
+
+def test_tiling_evidence_runs_every_criterion(monkeypatch):
+    with pytest.raises(ContradictionError) as info:
+        classify_range(3, 1, 25, registry=Registry(3, 1, (1, 20)))
+    assert info.value.n == 20
+    assert info.value.outcome.criterion_id == "psquare" == CRITERION_ORDER[9]
+    # (3,2) n = 4 is ruled out by the divisor recursion alone.
+    with pytest.raises(ContradictionError) as info:
+        classify_range(3, 2, 6, registry=Registry(3, 2, (1, 4)))
+    assert info.value.n == 4 and info.value.outcome.criterion_id == "divisors"
+    calls = counting_criteria(monkeypatch)
+    run = classify_range(3, 1, 6, registry=Registry(3, 1, (1, 6)))
+    for n in (1, 6):
+        assert [cid for cid, shape in calls if shape.n == n] == list(CRITERION_ORDER[:-1])
+    assert all(o.status is not CriterionStatus.RULED_OUT for o in run.outcomes[6])
 
 
 def test_registry_validation():

@@ -88,6 +88,28 @@ def test_check_lists_all_criteria(capsys):
         assert cid in out
 
 
+def test_check_prints_the_full_row(capsys):
+    # The verdict needs only arm_gcd; check still prints every criterion.
+    code, out, _ = invoke(capsys, "check", "--kplus", "3", "--kminus", "2", "--n", "12")
+    assert code == 0
+    assert out == (
+        "shape (3,2) n=12 q=61\n"
+        "verdict: no_tiling\n"
+        "criteria:\n"
+        "  geometry           inconclusive  lhs=14 rhs=60\n"
+        "  arm_gcd            ruled_out     k=3 q=61 gcd=1\n"
+        "  quadratic_balance  inconclusive  qr=3 qnr=2\n"
+        "  char4_literal      inapplicable\n"
+        "  quartic_generic    inapplicable\n"
+        "  odd_prime_order    ruled_out     p=5 n_mod_p=2\n"
+        "  power_square       inapplicable\n"
+        "  power_cube         inapplicable\n"
+        "  vandermonde        ruled_out     q=61 powers_checked=12\n"
+        "  psquare            inapplicable\n"
+        "  divisors           inconclusive\n"
+    )
+
+
 def test_check_tiles_dimension(capsys):
     code, out, _ = invoke(capsys, "check", "--kplus", "3", "--kminus", "1", "--n", "6")
     assert code == 0
