@@ -8,11 +8,11 @@ Unknown is the default: the pipeline never guesses existence, it only
 accepts registry entries, verified certificates, and the trivial dimension.
 
 A verdict needs only the first criterion that fires in reporting order, so
-at each dimension the walk runs the shape criteria up to that one, and the
-divisor recursion only when none fires.  A dimension with tiling evidence
-thus runs every criterion unless one fires, and a firing there aborts the
-run as a contradiction either way.  The full per-criterion table is
-finished row by row when it is read.
+at each dimension the walk runs the criteria (the shape criteria, then the
+divisor recursion) up to that one.  A dimension with tiling evidence thus
+runs every criterion unless one fires, and a firing there aborts the run as
+a contradiction either way.  The full per-criterion table is finished row by
+row from the same criterion list when it is read.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import json
 import os
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, partial
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -213,27 +213,26 @@ class _OutcomeTable(Mapping[int, tuple[CriterionOutcome, ...]]):
     criterion at every n.
 
     classify_range stores for each n the prefix of the row it evaluated;
-    the first read of n runs the rest of the row, the divisor recursion
-    against the finished verdicts.  Those are the verdicts the walk saw at
-    n, because every n' the recursion reaches is below n, so each row is
-    what evaluate_all returns and no criterion runs twice at one n.
+    the first read of n runs the rest of the walk's criterion list.  Its
+    divisor recursion reads the finished verdicts, which are the verdicts
+    the walk saw at n, because every n' the recursion reaches is below n;
+    so each row is what evaluate_all returns and no criterion runs twice at
+    one n.
     """
 
-    def __init__(self, k_plus, k_minus, criteria, rows, oracle):
+    def __init__(self, k_plus, k_minus, criteria, rows):
         self._k_plus = k_plus
         self._k_minus = k_minus
         self._criteria = criteria
         self._rows = rows
-        self._oracle = oracle
 
     def __getitem__(self, n: int) -> tuple[CriterionOutcome, ...]:
         if n not in self:
             raise KeyError(n)
         row = self._rows[n - 1]
-        if len(row) < len(CRITERION_ORDER):
+        if len(row) < len(self._criteria):
             shape = QuasiCrossShape(self._k_plus, self._k_minus, n)
-            rest = [fn(shape) for _, fn in self._criteria[len(row):]]
-            row += (*rest, check_divisors(shape, self._oracle))
+            row += tuple(check(shape) for check in self._criteria[len(row):])
             self._rows[n - 1] = row
         return row
 
@@ -271,9 +270,8 @@ def classify_range(
 
     Dimension 1 always tiles (S = {1} splits trivially).  A registry or
     certificate hit yields Tiles; otherwise the first ruling criterion (in
-    reporting order) yields NoTiling; otherwise Unknown.  The shape
-    criteria run in reporting order up to the first that fires, and the
-    divisor recursion runs only when none does.  So at a dimension with
+    reporting order) yields NoTiling; otherwise Unknown.  The criteria run
+    in reporting order up to the first that fires.  So at a dimension with
     tiling evidence every criterion runs, unless one fires, which aborts the
     run as a contradiction.  The rest of each row of the returned outcome
     table runs when the row is first read.
@@ -291,19 +289,17 @@ def classify_range(
         if (cert.k_plus, cert.k_minus) == (k_plus, k_minus):
             cert_dims.setdefault(cert.dimension, _verified(cert))
 
-    criteria = SHAPE_CRITERIA
     oracle: dict[int, VerdictStatus] = {}
+    criteria = [fn for _, fn in SHAPE_CRITERIA] + [partial(check_divisors, verdict_oracle=oracle)]
     verdicts: list[Verdict] = []
     rows: list[tuple[CriterionOutcome, ...]] = []
     for n in range(1, n_max + 1):
         shape = QuasiCrossShape(k_plus, k_minus, n)
         outs = []
-        for _, fn in criteria:
-            outs.append(fn(shape))
+        for check in criteria:
+            outs.append(check(shape))
             if outs[-1].fired:
                 break
-        else:
-            outs.append(check_divisors(shape, oracle))
         rows.append(tuple(outs))
         fired = outs[-1] if outs[-1].fired else None
         if n == 1:
@@ -330,7 +326,7 @@ def classify_range(
             verdict = Verdict(n, shape.group_order, VerdictStatus.UNKNOWN)
         verdicts.append(verdict)
         oracle[n] = verdict.status
-    outcomes = _OutcomeTable(k_plus, k_minus, criteria, rows, oracle)
+    outcomes = _OutcomeTable(k_plus, k_minus, criteria, rows)
     return ClassificationRun(k_plus, k_minus, n_max, tuple(verdicts), outcomes)
 
 

@@ -18,15 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping
 
-from .numtheory import (
-    factorize,
-    gcd,
-    is_prime,
-    legendre,
-    mod_pow,
-    primes_upto,
-    quartic_class,
-)
+from .numtheory import gcd, is_prime, legendre, quartic_class
 from .splitting import QuasiCrossShape, multiplier_set
 
 __all__ = [
@@ -137,7 +129,7 @@ def check_char4_literal(shape: QuasiCrossShape) -> CriterionOutcome:
     q = shape.group_order
     if not is_prime(q):
         return _inapplicable("char4_literal")
-    t = mod_pow(6, shape.n, q)
+    t = pow(6, shape.n, q)
     if t != 1:
         return _ruled_out("char4_literal", q=q, six_pow_n=t)
     return _inconclusive("char4_literal", q=q, six_pow_n=t)
@@ -272,11 +264,11 @@ def check_psquare(shape: QuasiCrossShape) -> CriterionOutcome:
     """Zero-divisor accounting for a prime p with p <= k_plus < p**2 and
     p**2 | q: the p-torsion coset must be covered by multiplier multiples of
     p, which pins n*((k_plus mod p) + (k_minus mod p)) = p - 1; any other n
-    is ruled out."""
-    q = shape.group_order
+    is ruled out.  Every such p divides q, so they are read off q's
+    factorization, ascending."""
     exempt = None
-    for p in primes_upto(shape.k_plus):
-        if p * p > shape.k_plus and q % (p * p) == 0:
+    for p, e in shape.factorization.factors:
+        if e >= 2 and p <= shape.k_plus < p * p:
             if shape.n * ((shape.k_plus % p) + (shape.k_minus % p)) != p - 1:
                 return _ruled_out("psquare", p=p)
             exempt = p
@@ -304,7 +296,7 @@ def check_divisors(
     n' < n); a missing entry is a hard error, never a silent pass.
     """
     q = shape.group_order
-    factors = factorize(q)
+    factors = shape.factorization
     prim = math.prod(p for p, _ in factors.factors if p <= shape.k_plus)
     step = shape.arm_sum
     for d in factors.divisors():

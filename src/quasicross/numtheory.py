@@ -17,15 +17,11 @@ from functools import lru_cache
 __all__ = [
     "Factorization",
     "QuarticClass",
-    "divisors",
     "factorize",
     "gcd",
     "is_prime",
     "legendre",
-    "mod_inv",
-    "mod_pow",
     "primes_upto",
-    "primorial",
     "quartic_class",
     "sqrt_minus_one",
 ]
@@ -201,12 +197,6 @@ def _brent_rho(n: int) -> int:
     raise ArithmeticError(f"failed to split {n}")
 
 
-def divisors(m: int | Factorization) -> list[int]:
-    """All positive divisors of m, ascending."""
-    fact = m if isinstance(m, Factorization) else factorize(m)
-    return fact.divisors()
-
-
 def legendre(a: int, p: int) -> int:
     """Legendre symbol (a|p) via Euler's criterion.
 
@@ -275,33 +265,3 @@ def quartic_class(a: int, q: int) -> QuarticClass:
         return QuarticClass.MINUS_I
     raise ArithmeticError(f"{a}**((q-1)/4) is not a fourth root of 1 mod {q}")
 
-
-def primorial(m: int) -> int:
-    """Product of all primes <= m."""
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    out = 1
-    for p in primes_upto(m):
-        out *= p
-        if out > _UINT64_MAX:
-            raise OverflowError(f"primorial({m}) does not fit in 64 bits")
-    return out
-
-
-def mod_pow(a: int, e: int, q: int) -> int:
-    """a**e mod q with e >= 0, q >= 1."""
-    if q < 1:
-        raise ValueError(f"modulus must be >= 1, got {q}")
-    if e < 0:
-        raise ValueError(f"exponent must be >= 0, got {e}")
-    return pow(a, e, q)
-
-
-def mod_inv(a: int, q: int) -> int | None:
-    """Multiplicative inverse of a mod q, or None when gcd(a, q) != 1."""
-    if q < 1:
-        raise ValueError(f"modulus must be >= 1, got {q}")
-    try:
-        return pow(a, -1, q)
-    except ValueError:
-        return None

@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
+
+from .numtheory import Factorization, factorize
 
 __all__ = [
     "LatticeBasis",
@@ -45,7 +47,12 @@ def check_arms(k_plus: int, k_minus: int) -> None:
 class QuasiCrossShape:
     """Arm lengths (k_plus forward, k_minus backward along each axis) and
     dimension n.  The cyclic group split by a lattice tiling has order
-    q = n*(k_plus + k_minus) + 1."""
+    q = n*(k_plus + k_minus) + 1.
+
+    The shape also carries the facts about q that several criteria read:
+    its factorization is computed once, on first use, and kept on the
+    instance, outside the fields, so equality, hashing and repr see only
+    (k_plus, k_minus, n)."""
 
     k_plus: int
     k_minus: int
@@ -63,6 +70,10 @@ class QuasiCrossShape:
     @property
     def group_order(self) -> int:
         return self.n * self.arm_sum + 1
+
+    @cached_property
+    def factorization(self) -> Factorization:
+        return factorize(self.group_order)
 
 
 @dataclass(frozen=True)

@@ -187,6 +187,15 @@ def test_classify_arms_past_the_64_bit_primorial(capsys):
     assert out.splitlines()[0].split()[:3] == ["n", "q", "status"]
 
 
+def test_classify_arms_past_any_prime_sieve(capsys):
+    # k_plus = 2**62: no criterion may enumerate the primes up to k_plus.
+    code, out, _ = invoke(
+        capsys, "classify", "--kplus", str(2**62), "--kminus", "1", "--max-n", "1", "--format", "csv"
+    )
+    assert code == 0
+    assert out == f"n,q,status,criterion,witness\n1,{2**62 + 2},tiles,,trivial\n"
+
+
 def test_boolean_integer_fields_exit_2(tmp_path, capsys):
     store = tmp_path / "certs.jsonl"
     store.write_text('{"q": 25, "k_plus": 3, "k_minus": true, "splitters": [1, 5, 6, 11, 16, 21]}\n')

@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import pytest
 
 from quasicross.classify import classify_range
@@ -18,7 +21,7 @@ from quasicross.criteria import (
     check_vandermonde,
     evaluate_all,
 )
-from quasicross.numtheory import gcd, is_prime, primorial
+from quasicross.numtheory import gcd, is_prime
 from quasicross.search import count_splittings
 from quasicross.splitting import QuasiCrossShape, interval_multipliers, multiplier_set
 
@@ -29,6 +32,23 @@ INAPPLICABLE = CriterionStatus.INAPPLICABLE
 
 def shape(k_plus, k_minus, n):
     return QuasiCrossShape(k_plus, k_minus, n)
+
+
+def trial_division_primes(limit):
+    """Primes <= limit, independent of numtheory."""
+    return [p for p in range(2, limit + 1) if all(p % d for d in range(2, p))]
+
+
+def primorial(m):
+    """m#, the product of all primes <= m."""
+    return math.prod(trial_division_primes(m))
+
+
+def test_primorial():
+    assert primorial(1) == 1
+    assert primorial(3) == primorial(4) == 6
+    assert primorial(5) == 30
+    assert primorial(47) == 614889782588491410
 
 
 def test_geometry():
@@ -178,6 +198,46 @@ def test_psquare():
     assert out.status is RULED_OUT and out.witness == {"p": 2}
     assert check_psquare(shape(3, 1, 2)).status is INCONCLUSIVE  # n = 2 is the exception
     assert check_psquare(shape(3, 1, 3)).status is INAPPLICABLE  # q = 13 squarefree
+
+
+def test_psquare_matches_its_definition():
+    # The definition: the primes p <= k_plus with p**2 > k_plus and p**2 | q,
+    # in ascending order; the first that fires rules the shape out, else the
+    # last exempt p is the witness.
+    statuses = set()
+    several = set()
+    for k_plus in range(1, 17):
+        primes = [p for p in trial_division_primes(k_plus) if p * p > k_plus]
+        for k_minus in range(1, k_plus + 1):
+            for n in range(1, 301):
+                sh = shape(k_plus, k_minus, n)
+                qualifying = [p for p in primes if sh.group_order % (p * p) == 0]
+                fires = [p for p in qualifying if n * (k_plus % p + k_minus % p) != p - 1]
+                if fires:
+                    expected = (RULED_OUT, {"p": fires[0]})
+                elif qualifying:
+                    expected = (INCONCLUSIVE, {"p": qualifying[-1]})
+                else:
+                    expected = (INAPPLICABLE, None)
+                out = check_psquare(sh)
+                assert (out.status, out.witness) == expected, (k_plus, k_minus, n)
+                statuses.add(out.status)
+                if len(qualifying) > 1:
+                    several.add(k_plus)
+    assert statuses == {RULED_OUT, INCONCLUSIVE, INAPPLICABLE}
+    # e.g. (10, 2, 102): q = 1225 = 5**2 * 7**2; (16, 1, 72): q = 1225 too.
+    assert {10, 16} <= several
+
+
+def test_criteria_memory_does_not_grow_with_k_plus():
+    sh = shape(10**7, 1, 1)
+    tracemalloc.start()
+    try:
+        evaluate_all(sh, {})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
 
 
 def test_divisors():

@@ -8,14 +8,10 @@ from hypothesis import strategies as st
 from quasicross.numtheory import (
     Factorization,
     QuarticClass,
-    divisors,
     factorize,
     is_prime,
     legendre,
-    mod_inv,
-    mod_pow,
     primes_upto,
-    primorial,
     quartic_class,
     sqrt_minus_one,
 )
@@ -127,9 +123,9 @@ def test_factorization_validates():
 
 
 def test_divisors():
-    assert divisors(45) == [1, 3, 5, 9, 15, 45]
-    assert divisors(1) == [1]
-    assert divisors(factorize(66)) == [1, 2, 3, 6, 11, 22, 33, 66]
+    assert factorize(45).divisors() == [1, 3, 5, 9, 15, 45]
+    assert factorize(1).divisors() == [1]
+    assert factorize(66).divisors() == [1, 2, 3, 6, 11, 22, 33, 66]
 
 
 def test_legendre_examples():
@@ -217,42 +213,3 @@ def test_quartic_class_multiplicative_exhaustive():
         rhs = (table[a][:, None] + table[a][None, :]) % 4
         assert np.array_equal(lhs, rhs), q
 
-
-def test_primorial():
-    assert primorial(3) == 6
-    assert primorial(4) == 6
-    assert primorial(5) == 30
-    assert primorial(1) == 1
-    assert primorial(47) == math.prod(primes_upto(47))
-    with pytest.raises(OverflowError):
-        primorial(59)
-    with pytest.raises(ValueError):
-        primorial(0)
-
-
-def test_mod_pow():
-    # Repeated multiplication as the oracle.
-    acc = 1
-    for _ in range(7):
-        acc = acc * 6 % 29
-    assert acc == 28
-    assert mod_pow(6, 7, 29) == 28
-    assert mod_pow(-1, 3, 5) == 4
-    with pytest.raises(ValueError):
-        mod_pow(2, -1, 5)
-    with pytest.raises(ValueError):
-        mod_pow(2, 3, 0)
-
-
-def test_mod_inv():
-    assert mod_inv(5, 12) == 5
-    assert mod_inv(3, 12) is None
-
-
-@given(st.integers(min_value=-10**9, max_value=10**9), st.integers(min_value=1, max_value=10**9))
-def test_mod_inv_property(a, q):
-    inv = mod_inv(a, q)
-    if math.gcd(a, q) == 1:
-        assert inv is not None and a * inv % q == 1 % q
-    else:
-        assert inv is None
