@@ -283,11 +283,17 @@ def classify_range(
             f"registry is for shape ({registry.k_plus},{registry.k_minus}), "
             f"classifying ({k_plus},{k_minus})"
         )
-    registry_dims = set(registry.dimensions) if registry is not None else set()
-    cert_dims: dict[int, Splitting] = {}
-    for cert in certificates:
-        if (cert.k_plus, cert.k_minus) == (k_plus, k_minus):
-            cert_dims.setdefault(cert.dimension, _verified(cert))
+    # Tiling evidence per dimension; later entries win, so the precedence is
+    # trivial > registry > certificate.  Every certificate for this shape is
+    # verified here, before the walk.
+    evidence = {
+        _verified(cert).dimension: TilesSource.CERTIFICATE
+        for cert in certificates
+        if (cert.k_plus, cert.k_minus) == (k_plus, k_minus)
+    }
+    if registry is not None:
+        evidence.update(dict.fromkeys(registry.dimensions, TilesSource.REGISTRY))
+    evidence[1] = TilesSource.TRIVIAL
 
     oracle: dict[int, VerdictStatus] = {}
     criteria = [fn for _, fn in SHAPE_CRITERIA] + [partial(check_divisors, verdict_oracle=oracle)]
@@ -302,14 +308,7 @@ def classify_range(
                 break
         rows.append(tuple(outs))
         fired = outs[-1] if outs[-1].fired else None
-        if n == 1:
-            tiles_source = TilesSource.TRIVIAL
-        elif n in registry_dims:
-            tiles_source = TilesSource.REGISTRY
-        elif n in cert_dims:
-            tiles_source = TilesSource.CERTIFICATE
-        else:
-            tiles_source = None
+        tiles_source = evidence.get(n)
         if tiles_source is not None:
             if fired is not None:
                 raise ContradictionError(n, tiles_source, fired)

@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from typing import Sequence
 
 from .classify import (
+    ClassificationRun,
     ContradictionError,
-    Registry,
     classify_range,
     default_certificates_path,
     default_registry,
@@ -75,12 +74,13 @@ def _build_parser() -> _Parser:
         p.add_argument("--kminus", type=_positive_int, required=True, help="backward arm length")
 
     def add_evidence(p):
-        p.add_argument(
+        registry = p.add_mutually_exclusive_group()
+        registry.add_argument(
             "--registry",
             help="registry JSON file of known tiling dimensions "
             "(default: the packaged registry for the shape, when one exists)",
         )
-        p.add_argument(
+        registry.add_argument(
             "--no-registry",
             action="store_true",
             help="run with an empty registry even when a packaged one exists",
@@ -125,51 +125,27 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _thread_cap() -> int:
-    raw = os.environ.get("QX_THREADS")
-    if raw is None:
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise _UsageError(f"QX_THREADS must be a positive integer, got {raw!r}") from None
-    if cap < 1:
-        raise _UsageError(f"QX_THREADS must be a positive integer, got {raw!r}")
-    # Evaluation is sequential; any cap >= 1 is honored as-is and results
-    # never depend on it.
-    return cap
-
-
-def _resolve_registry(args) -> Registry | None:
-    if getattr(args, "no_registry", False):
-        return None
-    if getattr(args, "registry", None):
-        return load_registry(args.registry)
-    return default_registry(args.kplus, args.kminus)
-
-
-def _resolve_certificates(args):
-    path = getattr(args, "certificates", None)
-    return load_certificates(path) if path else ()
+def _classify(args, n_max: int) -> ClassificationRun:
+    """classify_range over 1..n_max for the shape and evidence flags in args."""
+    if args.no_registry:
+        registry = None
+    elif args.registry:
+        registry = load_registry(args.registry)
+    else:
+        registry = default_registry(args.kplus, args.kminus)
+    certificates = load_certificates(args.certificates) if args.certificates else ()
+    return classify_range(args.kplus, args.kminus, n_max, registry=registry, certificates=certificates)
 
 
 def _cmd_classify(args) -> int:
-    run = classify_range(
-        args.kplus, args.kminus, args.max_n,
-        registry=_resolve_registry(args),
-        certificates=_resolve_certificates(args),
-    )
+    run = _classify(args, args.max_n)
     render = {"text": report_text, "csv": report_csv, "json": report_json}[args.format]
     sys.stdout.write(render(run))
     return 0
 
 
 def _cmd_check(args) -> int:
-    run = classify_range(
-        args.kplus, args.kminus, args.n,
-        registry=_resolve_registry(args),
-        certificates=_resolve_certificates(args),
-    )
+    run = _classify(args, args.n)
     verdict = run.verdicts[args.n - 1]
     print(f"shape ({args.kplus},{args.kminus}) n={args.n} q={verdict.q}")
     if verdict.source is not None:
@@ -223,11 +199,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_summarize(args) -> int:
-    run = classify_range(
-        args.kplus, args.kminus, args.max_n,
-        registry=_resolve_registry(args),
-        certificates=_resolve_certificates(args),
-    )
+    run = _classify(args, args.max_n)
     sys.stdout.write(summarize(run).to_text())
     return 0
 
@@ -248,7 +220,6 @@ def run(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
         if args.command is None:
             raise _UsageError("a command is required")
-        _thread_cap()
         if "kplus" in args:
             try:
                 check_arms(args.kplus, args.kminus)

@@ -93,6 +93,27 @@ def test_unverified_certificate_rejected():
     assert messages == ["certificate q=13 does not verify: collision at 2: 2*1 = 1*2 (mod 13)"] * 2
 
 
+def test_tiling_evidence_precedence():
+    # Trivial beats registry beats certificate when they name the same dimension.
+    run = classify_range(
+        3, 1, 6, registry=Registry(3, 1, (1, 6)), certificates=[Splitting(5, 3, 1, (1,)), Q25_CERT]
+    )
+    assert [run.verdicts[n - 1].source for n in (1, 6)] == [TilesSource.TRIVIAL, TilesSource.REGISTRY]
+    # A certificate for another shape is neither evidence nor verified.
+    run = classify_range(3, 1, 6, certificates=[Splitting(13, 2, 1, (1, 2, 3))])
+    assert run.verdicts == classify_range(3, 1, 6).verdicts
+
+
+def test_evidence_is_checked_before_the_walk(monkeypatch):
+    calls = counting_criteria(monkeypatch)
+    bad = Splitting(13, 3, 1, (1, 2, 3))  # dimension 3, past n_max
+    with pytest.raises(ValueError, match="certificate q=13 does not verify"):
+        classify_range(3, 1, 2, certificates=[Q25_CERT, bad])
+    with pytest.raises(ValueError, match="registry is for shape"):
+        classify_range(3, 1, 2, registry=Registry(3, 2, (1,)), certificates=[bad])
+    assert calls == []
+
+
 def test_contradiction_aborts():
     reg = Registry(3, 1, (1, 3), "bogus: 3 is ruled out")
     with pytest.raises(ContradictionError) as exc_info:

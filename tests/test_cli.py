@@ -9,7 +9,7 @@ import pytest
 
 import quasicross
 from quasicross.cli import run
-from quasicross.classify import default_certificates_path
+from quasicross.classify import classify_range, default_certificates_path, default_registry, summarize
 
 
 def invoke(capsys, *argv):
@@ -110,6 +110,27 @@ def test_check_prints_the_full_row(capsys):
     )
 
 
+def test_check_renders_list_witnesses(capsys):
+    code, out, _ = invoke(capsys, "check", "--kplus", "3", "--kminus", "1", "--n", "3")
+    assert code == 0
+    assert out == (
+        "shape (3,1) n=3 q=13\n"
+        "verdict: no_tiling\n"
+        "criteria:\n"
+        "  geometry           inconclusive  lhs=11 rhs=12\n"
+        "  arm_gcd            inapplicable\n"
+        "  quadratic_balance  ruled_out     qr=3 qnr=1\n"
+        "  char4_literal      ruled_out     q=13 six_pow_n=8\n"
+        "  quartic_generic    ruled_out     classes=2+0+1+1 q=13\n"
+        "  odd_prime_order    inapplicable\n"
+        "  power_square       inconclusive  k=1 kn_mod_9=3\n"
+        "  power_cube         inapplicable\n"
+        "  vandermonde        ruled_out     q=13 powers_checked=3\n"
+        "  psquare            inapplicable\n"
+        "  divisors           inconclusive\n"
+    )
+
+
 def test_check_tiles_dimension(capsys):
     code, out, _ = invoke(capsys, "check", "--kplus", "3", "--kminus", "1", "--n", "6")
     assert code == 0
@@ -118,14 +139,16 @@ def test_check_tiles_dimension(capsys):
 
 def test_search_finds_stores_and_verifies(tmp_path, capsys):
     store = tmp_path / "certs.jsonl"
-    code, out, err = invoke(
-        capsys, "search", "--kplus", "3", "--kminus", "1", "--q", "25",
-        "--node-budget", "1000000", "--store", str(store),
-    )
+    argv = ("search", "--kplus", "3", "--kminus", "1", "--q", "25",
+            "--node-budget", "1000000", "--store", str(store))
+    code, out, err = invoke(capsys, *argv)
     assert code == 0
     assert "status: found" in out
     assert "splitters:" in out
     assert "stored certificate" in err
+    code, _, err = invoke(capsys, *argv)
+    assert code == 0
+    assert f"certificate already present in {store}\n" in err
     code, out, _ = invoke(capsys, "verify", "--certificates", str(store))
     assert code == 0
     assert "1 certificate(s) verified" in out
@@ -137,6 +160,11 @@ def test_search_exhausted(capsys):
     )
     assert code == 0
     assert "status: exhausted" in out
+    # |M| = 4 does not divide q - 1 = 25, so no splitting exists and no node is visited.
+    code, out, _ = invoke(capsys, "search", "--kplus", "3", "--kminus", "1", "--q", "26", "--no-store")
+    assert code == 0
+    assert "note: |M| = 4 does not divide q - 1 = 25\n" in out
+    assert out.endswith("nodes: 0\n")
 
 
 def test_search_stdout_deterministic(tmp_path, capsys):
@@ -232,21 +260,40 @@ def test_usage_errors_exit_1(capsys):
     assert code == 1
 
 
-def test_qx_threads_validated(tmp_path, capsys, monkeypatch):
-    reg = write_registry(tmp_path, 3, 1, [1])
-    monkeypatch.setenv("QX_THREADS", "4")
-    code, out, _ = invoke(capsys, "classify", "--kplus", "3", "--kminus", "1",
-                          "--max-n", "5", "--registry", reg)
-    assert code == 0
-    monkeypatch.setenv("QX_THREADS", "zero")
+def test_registry_flags_exclude_each_other(tmp_path, capsys):
+    # --no-registry must not silently drop --registry FILE, even a missing one.
     for argv in (
-        ("classify", "--kplus", "3", "--kminus", "1", "--max-n", "5", "--registry", reg),
-        ("summarize", "--kplus", "3", "--kminus", "1", "--max-n", "7"),
-        ("check", "--kplus", "3", "--kminus", "1", "--n", "6"),
+        ("classify", "--kplus", "3", "--kminus", "1", "--max-n", "5"),
+        ("check", "--kplus", "3", "--kminus", "1", "--n", "5"),
+        ("summarize", "--kplus", "3", "--kminus", "1", "--max-n", "5"),
     ):
-        code, _, err = invoke(capsys, *argv)
-        assert code == 1
-        assert "QX_THREADS" in err
+        code, out, err = invoke(capsys, *argv, "--registry", str(tmp_path / "absent.json"), "--no-registry")
+        assert code == 1 and out == "", argv
+        assert "argument --no-registry: not allowed with argument --registry" in err
+
+
+def test_missing_registry_exits_1(tmp_path, capsys):
+    reg = tmp_path / "absent.json"
+    code, out, err = invoke(capsys, "classify", "--kplus", "3", "--kminus", "1", "--max-n", "5",
+                            "--registry", str(reg))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and f"No such file or directory: '{reg}'" in err
+
+
+@pytest.mark.parametrize(
+    "k_minus, unknown",
+    [
+        (1, "22 24 60 111 114 121 144 220 234 235"),
+        (2, "13 37 49 73 85 121 145 157 181 217 229"),
+    ],
+)
+def test_summarize_prints_the_packaged_table(capsys, k_minus, unknown):
+    code, out, _ = invoke(capsys, "summarize", "--kplus", "3", "--kminus", str(k_minus),
+                          "--max-n", "250")
+    assert code == 0
+    expected = summarize(classify_range(3, k_minus, 250, registry=default_registry(3, k_minus)))
+    assert out == expected.to_text()
+    assert f"unknown: {unknown}\n" in out
 
 
 def test_module_entry_point(tmp_path):

@@ -88,6 +88,14 @@ def test_node_budget_reports_timeout():
     assert counted.nodes == 3
 
 
+def test_time_budget_reports_timeout():
+    # The clock is read every 1024 nodes, so a spent budget stops the search there.
+    outcome = find_splitting(186, interval_multipliers(3, 2, 186), time_budget_s=1e-9)
+    assert outcome.status is SearchStatus.TIMED_OUT
+    assert outcome.nodes == 1024
+    assert outcome.diagnostic == "time budget of 1e-09s exhausted"
+
+
 def test_setup_memory_is_linear_in_q():
     # One live flag per splitter and one shared (s, cells) tuple per
     # candidate: set-up takes O(q*|M|) memory, about 6 MB here.  A q-bit
