@@ -11,8 +11,9 @@ A verdict needs only the first criterion that fires in reporting order, so
 at each dimension the walk runs the criteria (the shape criteria, then the
 divisor recursion) up to that one.  A dimension with tiling evidence thus
 runs every criterion unless one fires, and a firing there aborts the run as
-a contradiction either way.  The full per-criterion table is finished row by
-row from the same criterion list when it is read.
+a contradiction either way.  A run keeps only its verdicts: they name each
+dimension's first firing criterion, and none fired where the verdict is
+tiles or unknown, so summarize runs just the criteria after that one.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from enum import Enum
 from functools import lru_cache, partial
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .criteria import (
     CRITERION_ORDER,
@@ -208,55 +209,22 @@ def store_certificate(splitting: Splitting, path) -> bool:
     return True
 
 
-class _OutcomeTable(Mapping[int, tuple[CriterionOutcome, ...]]):
-    """Per-criterion outcomes for n = 1..n_max in reporting order, every
-    criterion at every n.
-
-    classify_range stores for each n the prefix of the row it evaluated;
-    the first read of n runs the rest of the walk's criterion list.  Its
-    divisor recursion reads the finished verdicts, which are the verdicts
-    the walk saw at n, because every n' the recursion reaches is below n;
-    so each row is what evaluate_all returns and no criterion runs twice at
-    one n.
-    """
-
-    def __init__(self, k_plus, k_minus, criteria, rows):
-        self._k_plus = k_plus
-        self._k_minus = k_minus
-        self._criteria = criteria
-        self._rows = rows
-
-    def __getitem__(self, n: int) -> tuple[CriterionOutcome, ...]:
-        if n not in self:
-            raise KeyError(n)
-        row = self._rows[n - 1]
-        if len(row) < len(self._criteria):
-            shape = QuasiCrossShape(self._k_plus, self._k_minus, n)
-            row += tuple(check(shape) for check in self._criteria[len(row):])
-            self._rows[n - 1] = row
-        return row
-
-    def __contains__(self, n) -> bool:
-        return isinstance(n, int) and 1 <= n <= len(self._rows)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(range(1, len(self._rows) + 1))
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-
 @dataclass(frozen=True)
 class ClassificationRun:
-    """Verdicts for n = 1..n_max plus the full per-criterion outcome table
-    (every criterion at every n, independent of attribution).  The table
-    classify_range returns finishes each row on its first read."""
+    """Verdicts for n = 1..n_max, in order.  The per-criterion outcomes at
+    any n follow from them: evaluate_all on the shape, with the verdict
+    statuses as the divisor recursion's oracle."""
 
     k_plus: int
     k_minus: int
     n_max: int
     verdicts: tuple[Verdict, ...]
-    outcomes: Mapping[int, tuple[CriterionOutcome, ...]]
+
+
+def _criteria(verdict_oracle: Mapping[int, VerdictStatus]) -> list:
+    """The criteria in reporting order: the shape criteria, then the divisor
+    recursion reading verdict_oracle.  SHAPE_CRITERIA is read per call."""
+    return [fn for _, fn in SHAPE_CRITERIA] + [partial(check_divisors, verdict_oracle=verdict_oracle)]
 
 
 def classify_range(
@@ -273,8 +241,7 @@ def classify_range(
     reporting order) yields NoTiling; otherwise Unknown.  The criteria run
     in reporting order up to the first that fires.  So at a dimension with
     tiling evidence every criterion runs, unless one fires, which aborts the
-    run as a contradiction.  The rest of each row of the returned outcome
-    table runs when the row is first read.
+    run as a contradiction.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
@@ -296,18 +263,12 @@ def classify_range(
     evidence[1] = TilesSource.TRIVIAL
 
     oracle: dict[int, VerdictStatus] = {}
-    criteria = [fn for _, fn in SHAPE_CRITERIA] + [partial(check_divisors, verdict_oracle=oracle)]
+    criteria = _criteria(oracle)
     verdicts: list[Verdict] = []
-    rows: list[tuple[CriterionOutcome, ...]] = []
     for n in range(1, n_max + 1):
         shape = QuasiCrossShape(k_plus, k_minus, n)
-        outs = []
-        for check in criteria:
-            outs.append(check(shape))
-            if outs[-1].fired:
-                break
-        rows.append(tuple(outs))
-        fired = outs[-1] if outs[-1].fired else None
+        outs = (check(shape) for check in criteria)
+        fired = next((out for out in outs if out.fired), None)
         tiles_source = evidence.get(n)
         if tiles_source is not None:
             if fired is not None:
@@ -325,8 +286,7 @@ def classify_range(
             verdict = Verdict(n, shape.group_order, VerdictStatus.UNKNOWN)
         verdicts.append(verdict)
         oracle[n] = verdict.status
-    outcomes = _OutcomeTable(k_plus, k_minus, criteria, rows)
-    return ClassificationRun(k_plus, k_minus, n_max, tuple(verdicts), outcomes)
+    return ClassificationRun(k_plus, k_minus, n_max, tuple(verdicts))
 
 
 @dataclass(frozen=True)
@@ -360,7 +320,12 @@ class Summary:
 
 def summarize(run: ClassificationRun) -> Summary:
     """Status counts, per-criterion firing statistics (independent of the
-    first-fired attribution), and residue-class sanity lines."""
+    first-fired attribution), and residue-class sanity lines.
+
+    No criterion fired where a verdict is tiles or unknown, and a no_tiling
+    verdict names the first that did, so the independent counts need only
+    the criteria after that one, each run once.
+    """
     if not run.verdicts:
         raise ValueError("nothing to summarize")
     status_counts = {"tiles": 0, "no_tiling": 0, "unknown": 0}
@@ -368,15 +333,17 @@ def summarize(run: ClassificationRun) -> Summary:
         status_counts[v.status.value] += 1
     tiles_dims = tuple(v.n for v in run.verdicts if v.status is VerdictStatus.TILES)
     unknown_dims = tuple(v.n for v in run.verdicts if v.status is VerdictStatus.UNKNOWN)
-    first_fired = {cid: 0 for cid in CRITERION_ORDER}
+    first_fired = dict.fromkeys(CRITERION_ORDER, 0)
+    independent = dict.fromkeys(CRITERION_ORDER, 0)
+    criteria = _criteria({v.n: v.status for v in run.verdicts})
     for v in run.verdicts:
         if v.status is VerdictStatus.NO_TILING:
             first_fired[v.criterion_id] += 1
-    independent = {cid: 0 for cid in CRITERION_ORDER}
-    for outs in run.outcomes.values():
-        for o in outs:
-            if o.fired:
-                independent[o.criterion_id] += 1
+            independent[v.criterion_id] += 1
+            shape = QuasiCrossShape(run.k_plus, run.k_minus, v.n)
+            later = criteria[CRITERION_ORDER.index(v.criterion_id) + 1 :]
+            for out in (check(shape) for check in later):
+                independent[out.criterion_id] += out.fired
 
     mod3_dims = [v for v in run.verdicts if v.n >= 2 and v.n % 3 == 2]
     mod3_ruled = sum(1 for v in mod3_dims if v.status is VerdictStatus.NO_TILING)

@@ -30,9 +30,9 @@ from .classify import (
     summarize,
     witness_text,
 )
-from .criteria import CRITERION_ORDER
+from .criteria import CRITERION_ORDER, evaluate_all
 from .search import SearchStatus, find_splitting
-from .splitting import Splitting, check_arms, interval_multipliers
+from .splitting import QuasiCrossShape, Splitting, check_arms, interval_multipliers
 
 
 class _UsageError(Exception):
@@ -107,8 +107,12 @@ def _build_parser() -> _Parser:
     p.add_argument(
         "--time-budget", type=_positive_float, default=None, help="advisory wall-clock cap, seconds"
     )
-    p.add_argument("--store", default="certificates.jsonl", help="certificate store to append to")
-    p.add_argument("--no-store", action="store_true", help="do not persist a found splitting")
+    store = p.add_mutually_exclusive_group()
+    # The default is None, not the file name: argparse compares a value with
+    # the default by identity, so the group could pass --store FILE --no-store
+    # whenever FILE is the default's own string object.
+    store.add_argument("--store", help="certificate store to append to (default: certificates.jsonl)")
+    store.add_argument("--no-store", action="store_true", help="do not persist a found splitting")
 
     p = sub.add_parser("verify", help="verify a certificate store line by line")
     p.add_argument(
@@ -154,7 +158,8 @@ def _cmd_check(args) -> int:
         print(f"verdict: {verdict.status.value}")
     print("criteria:")
     width = max(len(cid) for cid in CRITERION_ORDER)
-    for out in run.outcomes[args.n]:
+    oracle = {v.n: v.status for v in run.verdicts}
+    for out in evaluate_all(QuasiCrossShape(args.kplus, args.kminus, args.n), oracle):
         wtxt = witness_text(out.witness)
         line = f"  {out.criterion_id:<{width}}  {out.status.value:<12}  {wtxt}".rstrip()
         print(line)
@@ -182,10 +187,11 @@ def _cmd_search(args) -> int:
     print(f"elapsed: {outcome.elapsed_s:.3f}s", file=sys.stderr)
     if outcome.status is SearchStatus.FOUND and not args.no_store:
         cert = Splitting(args.q, args.kplus, args.kminus, outcome.splitters)
-        if store_certificate(cert, args.store):
-            print(f"stored certificate in {args.store}", file=sys.stderr)
+        store = "certificates.jsonl" if args.store is None else args.store
+        if store_certificate(cert, store):
+            print(f"stored certificate in {store}", file=sys.stderr)
         else:
-            print(f"certificate already present in {args.store}", file=sys.stderr)
+            print(f"certificate already present in {store}", file=sys.stderr)
     return 0
 
 

@@ -15,6 +15,7 @@ from quasicross.criteria import (
     check_char4_literal,
     check_quadratic_balance,
     check_vandermonde,
+    evaluate_all,
 )
 from quasicross.numtheory import is_prime
 from quasicross.search import SearchStatus, count_splittings, find_splitting
@@ -93,11 +94,15 @@ def test_03_vandermonde_count():
         # Fallback diagnostic: how often the criterion fires where nothing
         # else resolves the dimension.
         run = classify_range(3, 1, 250, registry=default_registry(3, 1))
+        oracle = {v.n: v.status for v in run.verdicts}
         exclusive = sorted(
             n
             for n in fired
             if n not in REGISTRY_3_1
-            and not any(o.fired and o.criterion_id != "vandermonde" for o in run.outcomes[n])
+            and not any(
+                o.fired and o.criterion_id != "vandermonde"
+                for o in evaluate_all(QuasiCrossShape(3, 1, n), oracle)
+            )
         )
         print(
             f"[acceptance] 3 note: fired-count={len(fired)}; restricted to otherwise-unresolved "

@@ -124,12 +124,21 @@ def test_contradiction_aborts():
     assert "registry" in str(err) and "witness" in str(err)
 
 
+def outcome_rows(run):
+    """evaluate_all at every n of run, with its verdicts as the oracle."""
+    oracle = {v.n: v.status for v in run.verdicts}
+    return {
+        v.n: evaluate_all(QuasiCrossShape(run.k_plus, run.k_minus, v.n), oracle) for v in run.verdicts
+    }
+
+
 def test_verdicts_independent_of_criterion_order():
     # Attribution aside, the ruled-out set only depends on which criteria
     # fire, so recomputing statuses from reversed outcome order must agree.
     run = classify_range(3, 1, 80, registry=default_registry(3, 1))
+    rows = outcome_rows(run)
     for v in run.verdicts:
-        fired_any = any(o.fired for o in reversed(run.outcomes[v.n]))
+        fired_any = any(o.fired for o in reversed(rows[v.n]))
         assert (v.status is VerdictStatus.NO_TILING) == (
             fired_any and v.status is not VerdictStatus.TILES
         )
@@ -141,22 +150,15 @@ def test_verdicts_independent_of_criterion_order():
     "k_plus, k_minus, registry",
     [(3, 1, default_registry(3, 1)), (3, 2, default_registry(3, 2)), (2, 2, None), (4, 1, None), (1, 1, None)],
 )
-def test_outcome_table_equals_evaluate_all(k_plus, k_minus, registry):
-    n_max = 300
-    run = classify_range(k_plus, k_minus, n_max, registry=registry)
-    table = run.outcomes
-    assert list(table) == list(range(1, n_max + 1))
-    assert len(table) == n_max
-    for missing in (0, n_max + 1):
-        assert missing not in table
-        with pytest.raises(KeyError):
-            table[missing]
-    oracle = {v.n: v.status for v in run.verdicts}
-    # Rows are read from n_max down, so each is finished before the rows its
-    # divisor recursion reaches; the result must not depend on that.
-    for n in reversed(range(1, n_max + 1)):
-        assert table[n] == evaluate_all(QuasiCrossShape(k_plus, k_minus, n), oracle), n
-        assert table[n] is table[n]
+def test_independent_counts_equal_evaluate_all(k_plus, k_minus, registry):
+    # summarize runs only the criteria after each verdict's first firing one;
+    # its counts must be those of every criterion at every n.
+    run = classify_range(k_plus, k_minus, 300, registry=registry)
+    expected = dict.fromkeys(CRITERION_ORDER, 0)
+    for row in outcome_rows(run).values():
+        for out in row:
+            expected[out.criterion_id] += out.fired
+    assert summarize(run).independent_fired == expected
 
 
 def counting_criteria(monkeypatch):
@@ -193,17 +195,6 @@ def test_verdicts_stop_at_the_first_firing_criterion(monkeypatch):
         assert dims == list(range(1, n_max + 1)), cid
 
 
-def test_reading_one_row_finishes_only_that_row(monkeypatch):
-    calls = counting_criteria(monkeypatch)
-    run = classify_range(3, 1, 60)
-    walked = len(calls)
-    row = run.outcomes[5]  # power_square, the 7th criterion, fires first
-    assert len(row) == len(CRITERION_ORDER)
-    assert run.outcomes[5] is row
-    assert {shape.n for _, shape in calls[walked:]} == {5}
-    assert [cid for cid, shape in calls if shape.n == 5] == list(CRITERION_ORDER[:-1])
-
-
 def test_tiling_evidence_runs_every_criterion(monkeypatch):
     with pytest.raises(ContradictionError) as info:
         classify_range(3, 1, 25, registry=Registry(3, 1, (1, 20)))
@@ -217,7 +208,7 @@ def test_tiling_evidence_runs_every_criterion(monkeypatch):
     run = classify_range(3, 1, 6, registry=Registry(3, 1, (1, 6)))
     for n in (1, 6):
         assert [cid for cid, shape in calls if shape.n == n] == list(CRITERION_ORDER[:-1])
-    assert all(o.status is not CriterionStatus.RULED_OUT for o in run.outcomes[6])
+    assert all(o.status is not CriterionStatus.RULED_OUT for o in outcome_rows(run)[6])
 
 
 def test_registry_validation():
@@ -412,4 +403,4 @@ def test_summarize_empty_rejected():
     from quasicross.classify import ClassificationRun
 
     with pytest.raises(ValueError):
-        summarize(ClassificationRun(3, 1, 0, (), {}))
+        summarize(ClassificationRun(3, 1, 0, ()))

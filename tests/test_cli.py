@@ -9,7 +9,51 @@ import pytest
 
 import quasicross
 from quasicross.cli import run
-from quasicross.classify import classify_range, default_certificates_path, default_registry, summarize
+from quasicross.classify import classify_range, default_certificates_path, default_registry, report_text
+
+# summarize --max-n 250 with the packaged registries: the paper's tables.
+SUMMARY_250 = {
+    1: (
+        "shape (3,1), dimensions 1..250\n"
+        "status counts: tiles=15 no_tiling=225 unknown=10\n"
+        "tiles: 1 6 31 37 43 97 102 115 139 156 163 169 186 199 216\n"
+        "unknown: 22 24 60 111 114 121 144 220 234 235\n"
+        "criterion            fired  first-attributed\n"
+        "  geometry                1      1\n"
+        "  arm_gcd                 0      0\n"
+        "  quadratic_balance      22     22\n"
+        "  char4_literal          33     11\n"
+        "  quartic_generic        33      0\n"
+        "  odd_prime_order         0      0\n"
+        "  power_square           55     55\n"
+        "  power_cube              0      0\n"
+        "  vandermonde            59     29\n"
+        "  psquare                27     27\n"
+        "  divisors              160     80\n"
+        "n = 2 (mod 3), n >= 2: 83/83 ruled out\n"
+        "surviving residues mod 36 (n >= 2): 0 1 3 4 6 7 12 13 18 19 22 24 25 30 31\n"
+    ),
+    2: (
+        "shape (3,2), dimensions 1..250\n"
+        "status counts: tiles=1 no_tiling=238 unknown=11\n"
+        "tiles: 1\n"
+        "unknown: 13 37 49 73 85 121 145 157 181 217 229\n"
+        "criterion            fired  first-attributed\n"
+        "  geometry                1      1\n"
+        "  arm_gcd               166    165\n"
+        "  quadratic_balance       0      0\n"
+        "  char4_literal           0      0\n"
+        "  quartic_generic         0      0\n"
+        "  odd_prime_order        40      0\n"
+        "  power_square            0      0\n"
+        "  power_cube              0      0\n"
+        "  vandermonde            47      0\n"
+        "  psquare                83     42\n"
+        "  divisors              180     30\n"
+        "n = 2 (mod 3), n >= 2: 83/83 ruled out\n"
+        "surviving residues mod 36 (n >= 2): 1 13\n"
+    ),
+}
 
 
 def invoke(capsys, *argv):
@@ -272,6 +316,25 @@ def test_registry_flags_exclude_each_other(tmp_path, capsys):
         assert "argument --no-registry: not allowed with argument --registry" in err
 
 
+def test_store_flags_exclude_each_other(tmp_path, monkeypatch, capsys):
+    # --no-store must not silently drop --store FILE, the default name included.
+    monkeypatch.chdir(tmp_path)
+    for store in ("certificates.jsonl", str(tmp_path / "certs.jsonl")):
+        code, out, err = invoke(capsys, "search", "--kplus", "3", "--kminus", "1", "--q", "25",
+                                "--store", store, "--no-store")
+        assert code == 1 and out == "", store
+        assert "argument --no-store: not allowed with argument --store" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_search_stores_in_certificates_jsonl_by_default(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code, _, err = invoke(capsys, "search", "--kplus", "3", "--kminus", "1", "--q", "25")
+    assert code == 0
+    assert "stored certificate in certificates.jsonl\n" in err
+    assert [path.name for path in tmp_path.iterdir()] == ["certificates.jsonl"]
+
+
 def test_missing_registry_exits_1(tmp_path, capsys):
     reg = tmp_path / "absent.json"
     code, out, err = invoke(capsys, "classify", "--kplus", "3", "--kminus", "1", "--max-n", "5",
@@ -291,8 +354,7 @@ def test_summarize_prints_the_packaged_table(capsys, k_minus, unknown):
     code, out, _ = invoke(capsys, "summarize", "--kplus", "3", "--kminus", str(k_minus),
                           "--max-n", "250")
     assert code == 0
-    expected = summarize(classify_range(3, k_minus, 250, registry=default_registry(3, k_minus)))
-    assert out == expected.to_text()
+    assert out == SUMMARY_250[k_minus]
     assert f"unknown: {unknown}\n" in out
 
 
@@ -346,11 +408,29 @@ def test_check_uses_certificates(capsys):
     assert out.splitlines()[-1] == "6,25,tiles,,certificate"
 
 
-def test_reproduce_tables_rejects_nonpositive_max_n(capsys):
+def reproduce_tables():
     path = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_tables.py"
     spec = importlib.util.spec_from_file_location("reproduce_tables", path)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
+    return script
+
+
+def test_reproduce_tables_prints_both_summaries(capsys):
+    script = reproduce_tables()
+    script.main(["--max-n", "250"])
+    assert capsys.readouterr().out == SUMMARY_250[1] + "\n" + SUMMARY_250[2] + "\n"
+    script.main(["--max-n", "250", "--table"])
+    tables = {
+        k_minus: report_text(classify_range(3, k_minus, 250, registry=default_registry(3, k_minus)))
+        for k_minus in (1, 2)
+    }
+    expected = "".join(tables[k] + SUMMARY_250[k] + "\n" for k in (1, 2))
+    assert capsys.readouterr().out == expected
+
+
+def test_reproduce_tables_rejects_nonpositive_max_n(capsys):
+    script = reproduce_tables()
     for value in ("0", "-3"):
         with pytest.raises(SystemExit) as exc:
             script.main(["--max-n", value])

@@ -263,8 +263,10 @@ def test_divisors_missing_oracle_is_hard_error():
 
 def test_ruled_out_witnesses_reverify():
     run = classify_range(3, 1, 60)
-    for n, outs in run.outcomes.items():
+    oracle = {v.n: v.status for v in run.verdicts}
+    for n in range(1, 61):
         sh = shape(3, 1, n)
+        outs = evaluate_all(sh, oracle)
         q = sh.group_order
         for out in outs:
             if not out.fired:
@@ -309,8 +311,9 @@ def test_soundness_against_exhaustive_search():
     # find zero splitter sets.
     for k_plus, k_minus, n_max in ((3, 1, 8), (3, 2, 6)):
         run = classify_range(k_plus, k_minus, n_max)
+        oracle = {v.n: v.status for v in run.verdicts}
         for n in range(1, n_max + 1):
-            if any(o.fired for o in run.outcomes[n]):
+            if any(o.fired for o in evaluate_all(shape(k_plus, k_minus, n), oracle)):
                 q = n * (k_plus + k_minus) + 1
                 counted = count_splittings(q, interval_multipliers(k_plus, k_minus, q))
                 assert counted.complete and counted.count == 0, (k_plus, k_minus, n)
