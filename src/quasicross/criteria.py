@@ -16,9 +16,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
+from operator import add
 from typing import Mapping
 
-from .numtheory import gcd, is_prime, legendre, quartic_class
+from .numtheory import discrete_log, gcd, is_prime, legendre, quartic_class
 from .splitting import QuasiCrossShape, multiplier_set
 
 __all__ = [
@@ -76,7 +78,9 @@ def _inconclusive(cid: str, **witness) -> CriterionOutcome:
     return CriterionOutcome(cid, CriterionStatus.INCONCLUSIVE, witness or None)
 
 
+@lru_cache(maxsize=None)
 def _inapplicable(cid: str) -> CriterionOutcome:
+    """One shared outcome per criterion: it is frozen and carries no witness."""
     return CriterionOutcome(cid, CriterionStatus.INAPPLICABLE)
 
 
@@ -188,9 +192,11 @@ def check_power_cube(shape: QuasiCrossShape) -> CriterionOutcome:
     return _inconclusive("power_cube", n_mod_8=r)
 
 
-# Values of t scanned at a time by check_vandermonde.  The outcome does not
-# depend on it.  Blocks of 64 to 256 timed alike on (3,1) and (3,2) up to
-# n = 4000 (Python 3.11, 2-vCPU Xeon VM); 512 was slower.
+# Values of t scanned at a time by check_vandermonde in the classes of two or
+# more rows.  The outcome does not depend on it.  Timed on the classify walk
+# of (3,1) and (3,2) up to n = 4000 with the scan bounded by the one-row
+# classes' zeros (Python 3.11, 2-vCPU Xeon VM): 64 and 128 alike, 256 about
+# 3 % slower, 32 and 512 about 6 to 9 % slower.
 _VANDERMONDE_BLOCK = 128
 
 
@@ -220,11 +226,16 @@ def check_vandermonde(shape: QuasiCrossShape) -> CriterionOutcome:
     odd sum vanish, so the first zero power is 1.
 
     Each parity class is a sum of terms w * g**t.  Dividing it by its last
-    term, P = 0 becomes sum(w * (g / g_last)**t) = -w_last over one term
-    fewer, and a class of one term never vanishes.  The remaining geometric
-    rows are built for a block of t at once and advanced to the next block
-    with one multiplication per entry; the witness is the smallest vanishing
-    exponent of the first block that has one, if it is at most n.
+    term, P = 0 becomes sum(w * r**t) = -w_last with r = g / g_last, over one
+    row fewer; a class of one term never vanishes.  A class left with one row
+    (the odd class when k_plus - k_minus == 2, the even class when
+    k_plus == 2) asks for the smallest t with r**t = -w_last / w, a bounded
+    discrete logarithm.  Those classes are solved first.  The classes of two
+    or more rows are then scanned only below the smallest zero found so far,
+    or below n + 1: their rows are built for a block of t at once, advanced
+    to the next block with one multiplication per entry, and their raw sums,
+    which lie below rows * q, are compared with -w_last + j*q for each
+    j < rows.  The scan stops at the first block with a zero.
     """
     q = shape.group_order
     n = shape.n
@@ -235,28 +246,49 @@ def check_vandermonde(shape: QuasiCrossShape) -> CriterionOutcome:
         return _inconclusive("vandermonde", first_zero_power=1)
     odd = [(j, j * j) for j in range(k_minus + 1, k_plus + 1)]
     even = [(2, 1)] + [((2 if j <= k_minus else 1) * j * j, j * j) for j in range(2, k_plus + 1)]
-    block = min(_VANDERMONDE_BLOCK, (n + 1) // 2)
-    scans = []  # (exponent offset, rows, per-block factors, target)
+    first = n + 1  # the smallest vanishing exponent found so far, or n + 1
+    multi = []  # (exponent offset, weights, ratios, target) of the classes of 2+ rows
     for offset, terms in ((1, odd), (2, even)):
         if len(terms) > 1:
             *rest, (w_last, g_last) = terms
             inverse = pow(g_last, -1, q)
+            weights = [w for w, _ in rest]
             ratios = [g * inverse % q for _, g in rest]
-            rows = [_geometric_row(w, r, block, q) for (w, _), r in zip(rest, ratios)]
-            factors = [pow(r, block, q) for r in ratios]
-            scans.append((offset, rows, factors, -w_last % q))
-    for t in range(0, (n + 1) // 2, block):
-        hits = []
-        for offset, rows, _, target in scans:
-            sums = rows[0] if len(rows) == 1 else [s % q for s in map(sum, zip(*rows))]
-            if target in sums:
-                hits.append(2 * (t + sums.index(target)) + offset)
-        if hits:
-            if min(hits) > n:
+            target = -w_last % q
+            if len(rest) > 1:
+                multi.append((offset, weights, ratios, target))
+                continue
+            # t with 2t + offset < first.
+            bound = (first - offset + 1) // 2
+            t = discrete_log(ratios[0], target * pow(weights[0], -1, q), q, bound)
+            if t is not None:
+                first = 2 * t + offset
+    limit = first // 2  # t with 2t + 1 < first
+    if multi and limit:
+        block = min(_VANDERMONDE_BLOCK, limit)
+        scans = [
+            (
+                offset,
+                [_geometric_row(w, r, block, q) for w, r in zip(weights, ratios)],
+                [pow(r, block, q) for r in ratios],
+                [target + j * q for j in range(len(ratios))],
+            )
+            for offset, weights, ratios, target in multi
+        ]
+        for t in range(0, limit, block):
+            hits = []
+            for offset, rows, _, targets in scans:
+                sums = rows[0]
+                for row in rows[1:]:
+                    sums = list(map(add, sums, row))
+                hits += [2 * (t + sums.index(x)) + offset for x in targets if x in sums]
+            if hits:
+                first = min(first, *hits)
                 break
-            return _inconclusive("vandermonde", first_zero_power=min(hits))
-        for _, rows, factors, _ in scans:
-            rows[:] = [[x * f % q for x in row] for row, f in zip(rows, factors)]
+            for _, rows, factors, _ in scans:
+                rows[:] = [[x * f % q for x in row] for row, f in zip(rows, factors)]
+    if first <= n:
+        return _inconclusive("vandermonde", first_zero_power=first)
     return _ruled_out("vandermonde", q=q, powers_checked=n)
 
 

@@ -1,6 +1,6 @@
 """Exact integer arithmetic underneath every tiling criterion: deterministic
-primality, factorization with divisor enumeration, and the quadratic/quartic
-residue characters of Z_q.
+primality, factorization with divisor enumeration, bounded discrete logarithms,
+and the quadratic/quartic residue characters of Z_q.
 
 Everything here is a pure function of its arguments.  Inputs are capped at
 64 bits; group orders in this project stay far below that, but the cap keeps
@@ -17,6 +17,7 @@ from functools import lru_cache
 __all__ = [
     "Factorization",
     "QuarticClass",
+    "discrete_log",
     "factorize",
     "gcd",
     "is_prime",
@@ -195,6 +196,37 @@ def _brent_rho(n: int) -> int:
         if g != n:
             return g
     raise ArithmeticError(f"failed to split {n}")
+
+
+def discrete_log(base: int, target: int, q: int, bound: int) -> int | None:
+    """Smallest t with 0 <= t < bound and base**t = target (mod q), or None.
+
+    Shanks's baby-step giant-step: with m = ceil(sqrt(bound)), the baby
+    steps map base**j to j for j < m, and giant step i looks up
+    target * base**(-m*i).  The first giant step that hits gives the
+    smallest t = m*i + j; the baby-step table keeps the smallest j of a
+    repeated power, so a base of order below m still does.  About
+    2*sqrt(bound) multiplications in all.  base must be a unit mod q, else
+    ValueError.
+    """
+    if gcd(base, q) != 1:
+        raise ValueError(f"base={base} shares a factor with q={q}")
+    if bound <= 0:
+        return None
+    m = math.isqrt(bound - 1) + 1
+    baby: dict[int, int] = {}
+    power = 1 % q
+    for j in range(m):
+        baby.setdefault(power, j)
+        power = power * base % q
+    stride = pow(base, -m, q)
+    y = target % q
+    for i in range(0, bound, m):
+        j = baby.get(y)
+        if j is not None:
+            return i + j if i + j < bound else None
+        y = y * stride % q
+    return None
 
 
 def legendre(a: int, p: int) -> int:

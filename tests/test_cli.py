@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import json
 import os
@@ -356,6 +357,22 @@ def test_summarize_prints_the_packaged_table(capsys, k_minus, unknown):
     assert code == 0
     assert out == SUMMARY_250[k_minus]
     assert f"unknown: {unknown}\n" in out
+
+
+@pytest.mark.parametrize(
+    "k_minus, sha256",
+    [
+        (1, "bcda68adaa3514aa7b4a9b9a5063be824c4b9071282ff5204ead8b54eaa65551"),
+        (2, "ccf52b30d2f86e6439bad45badab71367afde3119e5c3e24928c7011f1c4567d"),
+    ],
+    ids=["3-1", "3-2"],
+)
+def test_default_table_digest(capsys, k_minus, sha256):
+    # The paper's table at N = 4000 with the packaged registries, byte for byte.
+    code, out, err = invoke(capsys, "classify", "--kplus", "3", "--kminus", str(k_minus),
+                            "--max-n", "4000", "--format", "json")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha256
 
 
 def test_module_entry_point(tmp_path):

@@ -142,6 +142,11 @@ def _vandermonde_by_definition(sh):
     return RULED_OUT, {"q": q, "powers_checked": sh.n}
 
 
+def _power_sum_vanishes(sh, i):
+    q = sh.group_order
+    return sum(pow(m, i, q) for m in multiplier_set(sh).residues) % q == 0
+
+
 def test_vandermonde_matches_power_sum_definition():
     sweep = [(kp, km, n) for kp in range(1, 7) for km in range(1, kp + 1) for n in range(1, 301)]
     # The first vanishing sum of these lies at exponent n + 1, just past the range.
@@ -158,10 +163,11 @@ def test_vandermonde_matches_power_sum_definition():
         if status is INAPPLICABLE:
             seen.add("composite q")
         elif status is RULED_OUT:
-            q = sh.group_order
-            residues = multiplier_set(sh).residues
-            if sum(pow(m, n + 1, q) for m in residues) % q == 0:
+            if _power_sum_vanishes(sh, n + 1):
                 seen.add("zero at n + 1")
+                # n + 1 odd: the zero belongs to the class solved as a discrete log.
+                if k_plus - k_minus == 2 and n % 2 == 0:
+                    seen.add("one-term zero past n")
             seen.add("ruled out")
         elif k_plus == k_minus:
             assert witness == {"first_zero_power": 1}
@@ -171,9 +177,17 @@ def test_vandermonde_matches_power_sum_definition():
             seen.add("odd exponent" if i % 2 else "even exponent")
             if i > 256:
                 seen.add("past the first block")
+            if k_plus - k_minus == 2 and i % 2:
+                seen.add("one-term odd class")
+                # The even class has rows to scan and a zero between i and n.
+                if k_plus > 2 and any(_power_sum_vanishes(sh, e) for e in range(i + 1, n + 1, 2)):
+                    seen.add("one-term hit bounds the scan")
+            if k_plus == 2 and i % 2 == 0:
+                seen.add("one-term even class")
     assert seen == {
         "composite q", "ruled out", "zero at n + 1", "symmetric arms", "odd exponent",
-        "even exponent", "past the first block",
+        "even exponent", "past the first block", "one-term odd class", "one-term even class",
+        "one-term hit bounds the scan", "one-term zero past n",
     }
 
 

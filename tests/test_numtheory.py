@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from quasicross.numtheory import (
     Factorization,
     QuarticClass,
+    discrete_log,
     factorize,
     is_prime,
     legendre,
@@ -213,3 +214,68 @@ def test_quartic_class_multiplicative_exhaustive():
         rhs = (table[a][:, None] + table[a][None, :]) % 4
         assert np.array_equal(lhs, rhs), q
 
+
+def brute_force_log(base, target, q, bound):
+    """Smallest t < bound with base**t = target (mod q), by trying each t."""
+    power = 1 % q
+    for t in range(bound):
+        if power == target % q:
+            return t
+        power = power * base % q
+    return None
+
+
+def multiplicative_order(base, q):
+    t, power = 1, base % q
+    while power != 1:
+        t, power = t + 1, power * base % q
+    return t
+
+
+def test_discrete_log_matches_brute_force_exhaustively():
+    for q in primes_upto(59):
+        for base in range(1, q):
+            order = multiplicative_order(base, q)
+            for target in range(1, q):
+                for bound in (0, 1, order - 1, order + 1):
+                    expected = brute_force_log(base, target, q, bound)
+                    assert discrete_log(base, target, q, bound) == expected, (base, target, q, bound)
+
+
+@given(st.sampled_from([p for p in primes_upto(5000) if p > 60]), st.data())
+@settings(max_examples=200, deadline=None)
+def test_discrete_log_matches_brute_force(q, data):
+    base = data.draw(st.integers(min_value=1, max_value=q - 1))
+    target = data.draw(st.integers(min_value=-q, max_value=2 * q))
+    bound = data.draw(st.integers(min_value=0, max_value=2 * q))
+    assert discrete_log(base, target, q, bound) == brute_force_log(base, target, q, bound)
+
+
+def test_discrete_log_small_order_base():
+    # Baby steps repeat once the step count exceeds the order of the base;
+    # the smallest exponent must still come back.
+    q = 10_007  # q - 1 = 2 * 5003
+    assert discrete_log(1, 1, q, q) == 0
+    assert discrete_log(q - 1, q - 1, q, q) == 1
+    assert discrete_log(q - 1, 1, q, q) == 0
+    for q, order in ((13, 3), (13, 4), (97, 6), (1009, 16)):
+        base = next(b for b in range(2, q) if multiplicative_order(b, q) == order)
+        for t in range(order):
+            assert discrete_log(base, pow(base, t, q), q, 10 * q) == t
+            assert discrete_log(base, pow(base, t, q), q, t) is None
+
+
+def test_discrete_log_target_outside_subgroup():
+    # <3> = {1, 3, 9} mod 13; 0 is never a power of a unit.
+    for target in (0, 2, 4, 5, 6, 7, 8, 10, 11, 12):
+        assert discrete_log(3, target, 13, 100) is None
+    assert discrete_log(1, 2, 13, 100) is None
+    assert discrete_log(2, -1, 13, 12) == 6  # targets are read mod q
+
+
+def test_discrete_log_requires_a_unit_base():
+    for base, q in ((0, 13), (13, 13), (26, 13), (6, 12), (4, 6)):
+        with pytest.raises(ValueError):
+            discrete_log(base, 1, q, 5)
+        with pytest.raises(ValueError):
+            discrete_log(base, 1, q, 0)
