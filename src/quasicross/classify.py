@@ -19,10 +19,9 @@ tiles or unknown, so summarize runs just the criteria after that one.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache, partial
+from functools import partial
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -154,57 +153,86 @@ def _verified(cert: Splitting) -> Splitting:
     return cert
 
 
-@lru_cache(maxsize=None)
-def _line_certificate(line: str) -> Splitting:
-    """Parse one stripped store line and pass it through _verified.
+def _certificates(path, lines: Sequence[bytes], lineno: int) -> tuple[Splitting, ...]:
+    """Parse and verify raw store lines, the first being line lineno + 1.
 
-    The result depends only on the text, so each distinct line is parsed
-    once per process; an edited line is a new key.  Verification itself is
-    memoized per certificate by verify_splitting; keying by text as well
-    spares each load a hash and compare of every Splitting it has already
-    seen.  A raise is not cached, so a bad line fails on every load.
+    A line is decoded on its own, so text that is not UTF-8 is reported
+    with its line too, and any ValueError is raised again naming the file
+    and line.
     """
-    return _verified(from_json_line(line))
+    out = []
+    for lineno, raw in enumerate(lines, start=lineno + 1):
+        try:
+            line = raw.decode("utf-8").strip()
+            if line:
+                out.append(_verified(from_json_line(line)))
+        except ValueError as exc:  # UnicodeDecodeError is a ValueError
+            raise ValueError(f"{path}, line {lineno}: {exc}") from exc
+    return tuple(out)
+
+
+# The last store read: its bytes up to their last line end, the number of
+# lines in them, and their certificates, in order and as a set.  It is one
+# tuple, read and replaced whole, so a reader always sees a consistent entry
+# and at worst parses bytes another reader has just parsed.
+_last_store: tuple[bytes, int, tuple[Splitting, ...], frozenset[Splitting]] = (b"", 0, (), frozenset())
+
+
+def _parse_store(path, data: bytes) -> tuple[tuple[Splitting, ...], frozenset[Splitting]]:
+    """The verified certificates in a store's bytes, in order and as a set.
+
+    Bytes that begin with those of the last store read, up to its last line
+    end, are parsed only after them; any other bytes are parsed whole.  The
+    test is on the bytes alone, so an edit, a truncation or another file is
+    always parsed again.  Lines end at b"\n" only, as in file iteration.  A
+    bad line is never kept, and a last line without its newline is parsed
+    but not kept, so a bad store fails on every read.
+    """
+    global _last_store
+    prefix, lineno, certs, seen = _last_store
+    if not data.startswith(prefix):
+        prefix, lineno, certs, seen = b"", 0, (), frozenset()
+    *lines, tail = data[len(prefix):].split(b"\n")
+    new = _certificates(path, lines, lineno)
+    certs, seen = certs + new, seen.union(new)
+    lineno += len(lines)
+    _last_store = (data[: len(data) - len(tail)], lineno, certs, seen)
+    last = _certificates(path, [tail], lineno)
+    return (certs + last, seen.union(last)) if last else (certs, seen)
 
 
 def load_certificates(path) -> tuple[Splitting, ...]:
     """Read a JSON-lines certificate store, verifying every entry.
 
     A certificate that fails verification is a hard error naming the first
-    collision (or other defect), as is any malformed line.  Lines are decoded
-    one at a time, so text that is not UTF-8 is reported with its line too.
+    collision (or other defect), as is any malformed line, each with its
+    file and line.  Only the bytes after those of the last store read are
+    parsed (see _parse_store).
     """
-    out = []
     with open(path, "rb") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            try:
-                line = raw.decode("utf-8").strip()
-                if line:
-                    out.append(_line_certificate(line))
-            except ValueError as exc:  # UnicodeDecodeError is a ValueError
-                raise ValueError(f"{path}, line {lineno}: {exc}") from exc
-    return tuple(out)
+        return _parse_store(path, fh.read())[0]
 
 
 def store_certificate(splitting: Splitting, path) -> bool:
     """Append a verified certificate, skipping exact duplicates.
 
     Returns True when a line was written, False when the certificate was
-    already present.  Refuses to store anything that fails verification.
+    already present.  Refuses to store anything that fails verification,
+    before the file is opened, and to append to a store that fails to load.
     """
     check = verify_splitting(splitting)
     if not check:
         raise ValueError(f"refusing to store unverified splitting: {check.reason}")
     path = Path(path)
-    if path.exists() and splitting in load_certificates(path):
-        return False
-    line = to_json_line(splitting).encode("utf-8") + b"\n"
     with open(path, "a+b") as fh:
-        if fh.seek(0, os.SEEK_END):
-            fh.seek(-1, os.SEEK_END)
-            if fh.read(1) != b"\n":
-                # The last line lacks its newline; ours must not run into it.
-                line = b"\n" + line
+        fh.seek(0)
+        data = fh.read()
+        if splitting in _parse_store(path, data)[1]:
+            return False
+        line = to_json_line(splitting).encode("utf-8") + b"\n"
+        if data and not data.endswith(b"\n"):
+            # The last line lacks its newline; ours must not run into it.
+            line = b"\n" + line
         fh.write(line)
     return True
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import mul
 from typing import Sequence
 
 from .numtheory import Factorization, factorize
@@ -246,6 +247,14 @@ def phi_kernel_basis(q: int, splitters: Sequence[int]) -> list[list[int]]:
     with sum_{j>i} c_j s_j = g_{i+1} (mod q).  Each row is then reduced
     against the rows below it, giving the unique Hermite form: upper
     triangular, positive diagonal, 0 <= a_ij < a_jj.
+
+    Only pivot columns, those with diagonal g_{i+1}/g_i > 1, carry entries
+    off the diagonal.  Where g_{i+1} divides s_i, _ext_gcd gives x = 0 and
+    y = 1, so c keeps its support on pivot columns; a row therefore lives on
+    its own column and the pivot columns to its right, and reducing it
+    against a row of diagonal 1 changes nothing.  Rows are reduced against
+    the pivot rows alone, kept sparse: O(n*|P|^2) steps for |P| <= log2(q)
+    pivots, plus writing out the n rows of length n.
     """
     n = len(splitters)
     if n == 0:
@@ -254,21 +263,30 @@ def phi_kernel_basis(q: int, splitters: Sequence[int]) -> list[list[int]]:
         raise ValueError(f"group order must be >= 2, got {q}")
     s = [x % q for x in splitters]
     rows: list[list[int]] = [[] for _ in range(n)]
-    bezout = [0] * n  # sum bezout_j s_j = g (mod q), supported on columns > i
+    # The pivot columns to the right of i, ascending; for each, its row
+    # restricted to itself and the pivot columns after it; and the Bezout
+    # vector on them: sum bezout[k] * s[pivots[k]] = g (mod q).
+    pivots: list[int] = []
+    pivot_rows: list[list[int]] = []
+    bezout: list[int] = []
     g = q
     for i in range(n - 1, -1, -1):
         g_i, x, y = _ext_gcd(s[i], g)
+        cofactor = s[i] // g_i
+        tail = [-cofactor * c % q for c in bezout]
+        for k, pivot_row in enumerate(pivot_rows):
+            t = tail[k] // pivot_row[0]
+            if t:
+                tail[k:] = [a - t * b for a, b in zip(tail[k:], pivot_row)]
         row = [0] * n
         row[i] = g // g_i
-        cofactor = s[i] // g_i
-        row[i + 1:] = [-cofactor * c % q for c in bezout[i + 1:]]
-        for j in range(i + 1, n):
-            t = row[j] // rows[j][j]
-            if t:
-                row[j:] = [a - t * b for a, b in zip(row[j:], rows[j][j:])]
+        for j, a in zip(pivots, tail):
+            row[j] = a
         rows[i] = row
-        bezout = [y * c % q for c in bezout]
-        bezout[i] = x % q
+        if g_i != g:
+            pivots.insert(0, i)
+            pivot_rows.insert(0, [g // g_i] + tail)
+            bezout = [x % q] + [y * c % q for c in bezout]
         g = g_i
     return rows
 
@@ -276,17 +294,20 @@ def phi_kernel_basis(q: int, splitters: Sequence[int]) -> list[list[int]]:
 def lattice_basis(splitting: Splitting) -> LatticeBasis:
     """Canonical basis of the tiling lattice of a verified splitting.
 
-    Rejects splittings that fail verification.  Postconditions are checked:
-    |det| equals q and every row maps to 0 under phi.
+    Rejects splittings that fail verification.  Postconditions are checked,
+    under python -O too: |det| equals q and every row maps to 0 under phi;
+    a failure raises AssertionError.
     """
     check = verify_splitting(splitting)
     if not check:
         raise ValueError(f"splitting does not verify: {check.reason}")
-    rows = phi_kernel_basis(splitting.q, splitting.splitters)
-    basis = LatticeBasis(tuple(tuple(r) for r in rows))
-    assert abs(basis.determinant) == splitting.q
-    for row in basis.rows:
-        assert sum(x * s for x, s in zip(row, splitting.splitters)) % splitting.q == 0
+    q, splitters = splitting.q, splitting.splitters
+    basis = LatticeBasis(tuple(map(tuple, phi_kernel_basis(q, splitters))))
+    if abs(basis.determinant) != q:
+        raise AssertionError(f"basis determinant {basis.determinant} is not +-{q}")
+    for i, row in enumerate(basis.rows, start=1):
+        if sum(map(mul, row, splitters)) % q:
+            raise AssertionError(f"basis row {i} is not in the kernel of phi mod {q}")
     return basis
 
 

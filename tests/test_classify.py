@@ -352,6 +352,159 @@ def test_store_refuses_to_append_to_a_bad_store(tmp_path):
     assert path.read_text() == BAD_Q13_LINE
 
 
+Q5_LINE = b'{"q": 5, "k_plus": 3, "k_minus": 1, "splitters": [1]}'
+Q25_LINE = b'{"q": 25, "k_plus": 3, "k_minus": 1, "splitters": [1, 5, 6, 11, 16, 21]}'
+Q5 = Splitting(5, 3, 1, (1,))
+Q5_OTHER = Splitting(5, 3, 1, (2,))  # {2*m} = {3, 2, 4, 1} also covers Z_5 minus 0
+
+
+@pytest.fixture
+def parsed_lines(monkeypatch):
+    """The store lines from_json_line is asked to parse, in order."""
+    seen = []
+
+    def counting(line):
+        seen.append(line)
+        return splitting.from_json_line(line)
+
+    monkeypatch.setattr(classify, "from_json_line", counting)
+    return seen
+
+
+def test_reread_parses_only_lines_appended_by_another_writer(tmp_path, parsed_lines):
+    path = tmp_path / "certs.jsonl"
+    path.write_bytes(Q5_LINE + b"\n")
+    assert load_certificates(path) == (Q5,)
+    parsed_lines.clear()
+    with open(path, "ab") as fh:
+        fh.write(Q25_LINE + b"\n")
+    assert load_certificates(path) == (Q5, Q25_CERT)
+    assert parsed_lines == [Q25_LINE.decode()]
+    parsed_lines.clear()
+    assert store_certificate(Q25_CERT, path) is False
+    assert load_certificates(path) == (Q5, Q25_CERT)
+    assert parsed_lines == []
+
+
+def test_reread_after_an_edit_in_place_of_the_same_length(tmp_path):
+    path = tmp_path / "certs.jsonl"
+    path.write_bytes(Q5_LINE + b"\n" + Q25_LINE + b"\n")
+    assert load_certificates(path) == (Q5, Q25_CERT)
+    edited = Q5_LINE.replace(b"[1]", b"[2]")
+    path.write_bytes(edited + b"\n" + Q25_LINE + b"\n")
+    assert load_certificates(path) == (Q5_OTHER, Q25_CERT)
+    path.write_bytes(Q5_LINE.replace(b"[1]", b"[0]") + b"\n" + Q25_LINE + b"\n")
+    with pytest.raises(ValueError, match="line 1: splitter 0 outside"):
+        load_certificates(path)
+
+
+def test_reread_after_a_truncation(tmp_path):
+    path = tmp_path / "certs.jsonl"
+    path.write_bytes(Q5_LINE + b"\n" + Q25_LINE + b"\n")
+    assert load_certificates(path) == (Q5, Q25_CERT)
+    path.write_bytes(Q5_LINE + b"\n")
+    assert load_certificates(path) == (Q5,)
+    path.write_bytes(b"")
+    assert load_certificates(path) == ()
+    assert store_certificate(Q25_CERT, path) is True
+    assert path.read_bytes() == Q25_LINE + b"\n"
+
+
+def test_last_line_without_newline_completed_later(tmp_path):
+    path = tmp_path / "certs.jsonl"
+    path.write_bytes(Q25_LINE + b"\n" + Q5_LINE[:-5])
+    for _ in range(2):
+        with pytest.raises(ValueError, match="line 2: bad certificate line"):
+            load_certificates(path)
+    with pytest.raises(ValueError, match="line 2: bad certificate line"):
+        store_certificate(Q5, path)
+    with open(path, "ab") as fh:
+        fh.write(b"[2]}")
+    assert load_certificates(path) == (Q25_CERT, Q5_OTHER)
+    with open(path, "ab") as fh:
+        fh.write(b"\n" + Q5_LINE)
+    assert load_certificates(path) == (Q25_CERT, Q5_OTHER, Q5)
+    assert store_certificate(Q5, path) is False
+    path.write_bytes(Q25_LINE + b"\n" + Q5_LINE[:-5])
+    with pytest.raises(ValueError, match="line 2: bad certificate line"):
+        load_certificates(path)
+
+
+def test_crlf_store(tmp_path, parsed_lines):
+    path = tmp_path / "certs.jsonl"
+    path.write_bytes(Q5_LINE + b"\r\n")
+    assert load_certificates(path) == (Q5,)
+    assert store_certificate(Q25_CERT, path) is True
+    assert path.read_bytes() == Q5_LINE + b"\r\n" + Q25_LINE + b"\n"
+    assert load_certificates(path) == (Q5, Q25_CERT)
+    parsed_lines.clear()
+    with open(path, "ab") as fh:
+        fh.write(b"\r\n" + BAD_Q13_LINE.encode().replace(b"\n", b"\r\n"))
+    with pytest.raises(ValueError, match="line 4: .*collision at 2"):
+        load_certificates(path)
+    assert len(parsed_lines) == 1
+
+
+def test_bare_carriage_return_inside_a_line(tmp_path):
+    # JSON whitespace, so the line is one line, as file iteration splits it.
+    path = tmp_path / "certs.jsonl"
+    path.write_bytes(Q25_LINE.replace(b"25,", b"25,\r", 1) + b"\n")
+    assert load_certificates(path) == (Q25_CERT,)
+    with open(path, "ab") as fh:
+        fh.write(b"{broken\r}\n")
+    with pytest.raises(ValueError, match="line 2: bad certificate line"):
+        load_certificates(path)
+
+
+def test_error_line_numbers_after_a_reread(tmp_path):
+    path = tmp_path / "certs.jsonl"
+    path.write_bytes(Q5_LINE + b"\n\n  \n" + Q25_LINE + b"\n")
+    assert load_certificates(path) == (Q5, Q25_CERT)
+    with open(path, "ab") as fh:
+        fh.write(b"\n" + BAD_Q13_LINE.encode())
+    for _ in range(2):
+        with pytest.raises(ValueError) as info:
+            load_certificates(path)
+        assert str(info.value).startswith(f"{path}, line 6: certificate q=13 does not verify")
+    with pytest.raises(ValueError, match="line 6: .*collision"):
+        store_certificate(Q5_OTHER, path)
+    assert path.read_bytes().endswith(BAD_Q13_LINE.encode())
+
+
+def test_two_stores_read_in_turn(tmp_path, parsed_lines):
+    first, second = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    first.write_bytes(Q5_LINE + b"\n" + Q25_LINE + b"\n")
+    second.write_bytes(Q25_LINE + b"\n")
+    for _ in range(2):
+        assert load_certificates(first) == (Q5, Q25_CERT)
+        assert load_certificates(second) == (Q25_CERT,)
+    assert store_certificate(Q5, second) is True
+    assert store_certificate(Q5, first) is False
+    assert load_certificates(second) == (Q25_CERT, Q5)
+    # The same bytes parse to the same certificates, whichever file holds them.
+    parsed_lines.clear()
+    third = tmp_path / "c.jsonl"
+    third.write_bytes(second.read_bytes() + Q5_LINE.replace(b"[1]", b"[2]") + b"\n")
+    assert load_certificates(third) == (Q25_CERT, Q5, Q5_OTHER)
+    assert len(parsed_lines) == 1
+
+
+def test_store_opens_the_store_once(tmp_path, monkeypatch):
+    opened = []
+
+    def counting_open(*args, **kwargs):
+        opened.append(args)
+        return open(*args, **kwargs)
+
+    path = tmp_path / "certs.jsonl"
+    monkeypatch.setattr(classify, "open", counting_open, raising=False)
+    assert store_certificate(Q5, path) is True
+    assert store_certificate(Q5, path) is False
+    assert store_certificate(Q25_CERT, path) is True
+    assert opened == [(path, "a+b")] * 3
+    assert path.read_bytes() == Q5_LINE + b"\n" + Q25_LINE + b"\n"
+
+
 def test_summarize_counts():
     run = classify_range(3, 1, 10)
     summary = summarize(run)

@@ -2,11 +2,13 @@ import math
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from quasicross import splitting
 from quasicross.search import SearchStatus, find_splitting
 from quasicross.splitting import (
+    _ext_gcd,
     MultiplierSet,
     QuasiCrossShape,
     Splitting,
@@ -175,6 +177,21 @@ def test_phi_kernel_basis_without_splitting():
         _check_basis_postconditions(q, splitters, phi_kernel_basis(q, splitters))
 
 
+def test_lattice_basis_raises_on_a_wrong_basis(monkeypatch):
+    # Explicit raises, not asserts, so python -O keeps these checks.
+    cert = Splitting(25, 3, 1, Q25_SPLITTERS)
+    unimodular = [[int(i == j) for j in range(6)] for i in range(6)]
+    monkeypatch.setattr(splitting, "phi_kernel_basis", lambda q, s: unimodular)
+    with pytest.raises(AssertionError, match="determinant 1 is not"):
+        lattice_basis(cert)
+    # Determinant 25, but e_1 maps to splitter 1, not to 0.
+    diagonal = [row[:] for row in unimodular]
+    diagonal[1][1] = 25
+    monkeypatch.setattr(splitting, "phi_kernel_basis", lambda q, s: diagonal)
+    with pytest.raises(AssertionError, match="row 1 is not in the kernel"):
+        lattice_basis(cert)
+
+
 def test_lattice_basis_rejects_unverified():
     messages = []
     for _ in range(2):  # the second call meets a memoized failure
@@ -244,3 +261,70 @@ def test_kernel_basis_postconditions_random(q, data):
     splitters = data.draw(st.lists(st.integers(min_value=-2 * q, max_value=2 * q), min_size=n, max_size=n))
     rows = phi_kernel_basis(q, splitters)
     _check_basis_postconditions(q, splitters, rows)
+
+
+def _dense_kernel_basis(q, splitters):
+    """Reference oracle: the same Hermite basis, each row reduced densely
+    against every row below it rather than against the pivot rows only."""
+    n = len(splitters)
+    s = [x % q for x in splitters]
+    rows = [[] for _ in range(n)]
+    bezout = [0] * n
+    g = q
+    for i in range(n - 1, -1, -1):
+        g_i, x, y = _ext_gcd(s[i], g)
+        row = [0] * n
+        row[i] = g // g_i
+        cofactor = s[i] // g_i
+        row[i + 1:] = [-cofactor * c % q for c in bezout[i + 1:]]
+        for j in range(i + 1, n):
+            t = row[j] // rows[j][j]
+            if t:
+                row[j:] = [a - t * b for a, b in zip(row[j:], rows[j][j:])]
+        rows[i] = row
+        bezout = [y * c % q for c in bezout]
+        bezout[i] = x % q
+        g = g_i
+    return rows
+
+
+def test_kernel_basis_matches_dense_oracle_on_fixed_cases():
+    cases = [
+        (12, (4, 6)),
+        (12, (-8, 18)),
+        (12, (0, -4, 16, 8, 8)),
+        (30, (0, 0)),
+        (7, (14, -7, 3)),
+        (13, (1, 3, 9)),
+        (25, Q25_SPLITTERS),
+        (2, (0,)),
+        (2**10 * 3**5 * 5**2, (2**10, 3**5, 5**2, 6, 0, -15, 2**9 * 3, 1)),
+    ]
+    for q, splitters in cases:
+        assert phi_kernel_basis(q, splitters) == _dense_kernel_basis(q, splitters)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.data())
+def test_kernel_basis_matches_dense_oracle(data):
+    # q = 2^a 3^b 5^c <= 10^6 has up to log2(q) pivot columns; splitters that
+    # share factors with q, zero and negative ones among them, make many.
+    q, factors = 1, []
+    for p in (2, 3, 5):
+        top = 0
+        while q * p ** (top + 1) <= 10**6:
+            top += 1
+        e = data.draw(st.integers(min_value=0, max_value=top))
+        q *= p**e
+        factors.append((p, e))
+    assume(q >= 2)
+    n = data.draw(st.integers(min_value=1, max_value=40))
+    divisor = st.builds(
+        lambda exps, m: math.prod(p**i for (p, _), i in zip(factors, exps)) * m,
+        st.tuples(*(st.integers(0, e) for _, e in factors)),
+        st.integers(-5, 5),
+    )
+    splitters = data.draw(
+        st.lists(divisor | st.integers(min_value=-2 * q, max_value=2 * q), min_size=n, max_size=n)
+    )
+    assert phi_kernel_basis(q, splitters) == _dense_kernel_basis(q, splitters)
