@@ -8,12 +8,13 @@ Unknown is the default: the pipeline never guesses existence, it only
 accepts registry entries, verified certificates, and the trivial dimension.
 
 A verdict needs only the first criterion that fires in reporting order, so
-at each dimension the walk runs the criteria (the shape criteria, then the
-divisor recursion) up to that one.  A dimension with tiling evidence thus
-runs every criterion unless one fires, and a firing there aborts the run as
-a contradiction either way.  A run keeps only its verdicts: they name each
-dimension's first firing criterion, and none fired where the verdict is
-tiles or unknown, so summarize runs just the criteria after that one.
+at each dimension the walk takes the outcomes of criteria.outcomes (the
+shape criteria, then the divisor recursion) up to that one.  A dimension
+with tiling evidence thus runs every criterion unless one fires, and a
+firing there aborts the run as a contradiction either way.  A run keeps
+only its verdicts: they name each dimension's first firing criterion, and
+none fired where the verdict is tiles or unknown, so summarize asks
+criteria.outcomes for just the criteria after that one.
 """
 
 from __future__ import annotations
@@ -21,18 +22,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
-from .criteria import (
-    CRITERION_ORDER,
-    SHAPE_CRITERIA,
-    CriterionOutcome,
-    VerdictStatus,
-    check_divisors,
-)
+from .criteria import CRITERION_ORDER, CriterionOutcome, VerdictStatus, outcomes
 from .splitting import QuasiCrossShape, Splitting, check_arms, from_json_line, to_json_line, verify_splitting
 
 __all__ = [
@@ -110,7 +104,7 @@ def load_registry(path) -> Registry:
     with open(path, encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
-        except ValueError as exc:  # malformed JSON or text that is not UTF-8
+        except (ValueError, RecursionError) as exc:  # malformed, too deeply nested or not UTF-8
             raise ValueError(f"registry {path}: {exc}") from exc
     if not isinstance(obj, dict):
         raise ValueError(f"registry {path}: expected a JSON object")
@@ -240,19 +234,13 @@ def store_certificate(splitting: Splitting, path) -> bool:
 @dataclass(frozen=True)
 class ClassificationRun:
     """Verdicts for n = 1..n_max, in order.  The per-criterion outcomes at
-    any n follow from them: evaluate_all on the shape, with the verdict
+    any n follow from them: criteria.outcomes on the shape, with the verdict
     statuses as the divisor recursion's oracle."""
 
     k_plus: int
     k_minus: int
     n_max: int
     verdicts: tuple[Verdict, ...]
-
-
-def _criteria(verdict_oracle: Mapping[int, VerdictStatus]) -> list:
-    """The criteria in reporting order: the shape criteria, then the divisor
-    recursion reading verdict_oracle.  SHAPE_CRITERIA is read per call."""
-    return [fn for _, fn in SHAPE_CRITERIA] + [partial(check_divisors, verdict_oracle=verdict_oracle)]
 
 
 def classify_range(
@@ -291,12 +279,10 @@ def classify_range(
     evidence[1] = TilesSource.TRIVIAL
 
     oracle: dict[int, VerdictStatus] = {}
-    criteria = _criteria(oracle)
     verdicts: list[Verdict] = []
     for n in range(1, n_max + 1):
         shape = QuasiCrossShape(k_plus, k_minus, n)
-        outs = (check(shape) for check in criteria)
-        fired = next((out for out in outs if out.fired), None)
+        fired = next((out for out in outcomes(shape, oracle) if out.fired), None)
         tiles_source = evidence.get(n)
         if tiles_source is not None:
             if fired is not None:
@@ -363,14 +349,13 @@ def summarize(run: ClassificationRun) -> Summary:
     unknown_dims = tuple(v.n for v in run.verdicts if v.status is VerdictStatus.UNKNOWN)
     first_fired = dict.fromkeys(CRITERION_ORDER, 0)
     independent = dict.fromkeys(CRITERION_ORDER, 0)
-    criteria = _criteria({v.n: v.status for v in run.verdicts})
+    oracle = {v.n: v.status for v in run.verdicts}
     for v in run.verdicts:
         if v.status is VerdictStatus.NO_TILING:
             first_fired[v.criterion_id] += 1
             independent[v.criterion_id] += 1
             shape = QuasiCrossShape(run.k_plus, run.k_minus, v.n)
-            later = criteria[CRITERION_ORDER.index(v.criterion_id) + 1 :]
-            for out in (check(shape) for check in later):
+            for out in outcomes(shape, oracle, CRITERION_ORDER.index(v.criterion_id) + 1):
                 independent[out.criterion_id] += out.fired
 
     mod3_dims = [v for v in run.verdicts if v.n >= 2 and v.n % 3 == 2]

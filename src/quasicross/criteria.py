@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from operator import add
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .numtheory import discrete_log, gcd, is_prime, legendre, quartic_class
 from .splitting import QuasiCrossShape, multiplier_set
@@ -41,6 +41,7 @@ __all__ = [
     "check_quartic_generic",
     "check_vandermonde",
     "evaluate_all",
+    "outcomes",
 ]
 
 
@@ -366,10 +367,22 @@ SHAPE_CRITERIA: tuple[tuple[str, object], ...] = (
 CRITERION_ORDER: tuple[str, ...] = tuple(cid for cid, _ in SHAPE_CRITERIA) + ("divisors",)
 
 
+def outcomes(
+    shape: QuasiCrossShape, verdict_oracle: Mapping[int, VerdictStatus], start: int = 0
+) -> Iterator[CriterionOutcome]:
+    """The criteria's outcomes on a shape in reporting order, from
+    CRITERION_ORDER[start] on: the shape criteria, then the divisor
+    recursion reading verdict_oracle.  Each outcome is computed only when
+    the caller asks for it, so a caller that stops at the first firing one
+    runs no criterion after it.  SHAPE_CRITERIA is read on every call."""
+    for _, check in SHAPE_CRITERIA[start:]:
+        yield check(shape)
+    if start < len(CRITERION_ORDER):
+        yield check_divisors(shape, verdict_oracle)
+
+
 def evaluate_all(
     shape: QuasiCrossShape, verdict_oracle: Mapping[int, VerdictStatus]
 ) -> tuple[CriterionOutcome, ...]:
     """Run every criterion on a shape, in reporting order."""
-    outs = [fn(shape) for _, fn in SHAPE_CRITERIA]
-    outs.append(check_divisors(shape, verdict_oracle))
-    return tuple(outs)
+    return tuple(outcomes(shape, verdict_oracle))

@@ -25,7 +25,7 @@ for root candidates c and c' the map S -> (c/c')*S is a bijection from the
 splittings that hold c' to those that hold c.  So the subtree under c, the
 first candidate for residue 1, finds a splitting whenever one exists, and
 its count times the number of root candidates is the full count.  This
-holds for every M, prime or composite q and either candidate order.
+holds for every M and for prime or composite q.
 
 Budgets are node counts first (one node per candidate placement attempt; a
 spent budget of B nodes reports B nodes), which keeps Exhausted/TimedOut
@@ -79,7 +79,7 @@ class CountOutcome:
     diagnostic: str | None = None
 
 
-def _candidate_table(q: int, residues: tuple[int, ...], descending: bool) -> list[list[tuple]]:
+def _candidate_table(q: int, residues: tuple[int, ...]) -> list[list[tuple]]:
     # table[e] lists (s, cells) for every s whose block contains e, ascending
     # in s; cells are the residues {m*s mod q : m in M}.  Each candidate is one
     # tuple shared by the |M| lists it appears in, so the table takes O(q*|M|)
@@ -93,24 +93,19 @@ def _candidate_table(q: int, residues: tuple[int, ...], descending: bool) -> lis
         candidate = (s, tuple(cells))
         for e in cells:
             table[e].append(candidate)
-    if descending:
-        for lst in table:
-            lst.reverse()
     return table
 
 
-def _explore(q, multipliers, node_budget, time_budget_s, candidate_order, stop_at_first):
+def _explore(q, multipliers, node_budget, time_budget_s, stop_at_first):
     if multipliers.q != q:
         raise ValueError(f"multiplier set was built for q={multipliers.q}, search got q={q}")
-    if candidate_order not in ("ascending", "descending"):
-        raise ValueError(f"candidate_order must be 'ascending' or 'descending', got {candidate_order!r}")
     residues = multipliers.residues
     k = len(residues)
     if (q - 1) % k != 0:
         return None, 0, True, 0, 0.0, f"|M| = {k} does not divide q - 1 = {q - 1}"
     start = time.perf_counter()
     last = (q - 1) // k - 1  # splitters placed when the next one completes the cover
-    table = _candidate_table(q, residues, candidate_order == "descending")
+    table = _candidate_table(q, residues)
     # live[e] counts the candidates for residue e that meet no placed block.
     # A residue a placed block holds, and 0, which is never a target, carry an
     # extra q, which no live count reaches, so min(live) is an open residue.
@@ -181,7 +176,6 @@ def find_splitting(
     *,
     node_budget: int = DEFAULT_NODE_BUDGET,
     time_budget_s: float | None = None,
-    candidate_order: str = "ascending",
 ) -> SearchOutcome:
     """Search for a splitter set S with M*S covering Z_q minus 0 exactly.
 
@@ -193,7 +187,7 @@ def find_splitting(
     give identical outcomes.
     """
     first, _count, closed, nodes, elapsed, note = _explore(
-        q, multipliers, node_budget, time_budget_s, candidate_order, stop_at_first=True
+        q, multipliers, node_budget, time_budget_s, stop_at_first=True
     )
     if first is not None:
         check = verify_cover(q, multipliers.residues, first)
@@ -210,7 +204,6 @@ def count_splittings(
     *,
     node_budget: int = DEFAULT_NODE_BUDGET,
     time_budget_s: float | None = None,
-    candidate_order: str = "ascending",
 ) -> CountOutcome:
     """Count all splitter sets for (q, M) by exhausting the search tree.
 
@@ -222,6 +215,6 @@ def count_splittings(
     Intended for small q; budgets cap runaway inputs.
     """
     _first, count, closed, nodes, elapsed, note = _explore(
-        q, multipliers, node_budget, time_budget_s, candidate_order, stop_at_first=False
+        q, multipliers, node_budget, time_budget_s, stop_at_first=False
     )
     return CountOutcome(count, closed, nodes, elapsed, note)

@@ -77,6 +77,18 @@ class QuasiCrossShape:
         return factorize(self.group_order)
 
 
+def _check_residues(values: Sequence[int], q: int, what: str) -> None:
+    """Raise ValueError at the first value outside [1, q - 1] or seen before,
+    calling it a `what`."""
+    seen = set()
+    for v in values:
+        if not 1 <= v <= q - 1:
+            raise ValueError(f"{what} {v} outside [1, {q - 1}]")
+        if v in seen:
+            raise ValueError(f"duplicate {what} {v}")
+        seen.add(v)
+
+
 @dataclass(frozen=True)
 class MultiplierSet:
     """Distinct nonzero residues mod q acting as multipliers."""
@@ -89,16 +101,7 @@ class MultiplierSet:
             raise ValueError(f"group order must be >= 2, got {self.q}")
         if not self.residues:
             raise ValueError("multiplier set must not be empty")
-        seen = set()
-        for r in self.residues:
-            if not 1 <= r <= self.q - 1:
-                raise ValueError(f"multiplier residue {r} outside [1, {self.q - 1}]")
-            if r in seen:
-                raise ValueError(f"duplicate multiplier residue {r}")
-            seen.add(r)
-
-    def __len__(self) -> int:
-        return len(self.residues)
+        _check_residues(self.residues, self.q, "multiplier residue")
 
 
 def interval_multipliers(k_plus: int, k_minus: int, q: int) -> MultiplierSet:
@@ -136,13 +139,7 @@ class Splitting:
         if self.q <= self.k_plus + self.k_minus:
             raise ValueError(f"q={self.q} too small for arms ({self.k_plus}, {self.k_minus})")
         ordered = tuple(sorted(self.splitters))
-        seen = set()
-        for s in ordered:
-            if not 1 <= s <= self.q - 1:
-                raise ValueError(f"splitter {s} outside [1, {self.q - 1}]")
-            if s in seen:
-                raise ValueError(f"duplicate splitter {s}")
-            seen.add(s)
+        _check_residues(ordered, self.q, "splitter")
         object.__setattr__(self, "splitters", ordered)
 
     @property
@@ -210,10 +207,6 @@ class LatticeBasis:
     """Row basis in Hermite form (upper triangular, positive diagonal)."""
 
     rows: tuple[tuple[int, ...], ...]
-
-    @property
-    def dimension(self) -> int:
-        return len(self.rows)
 
     @property
     def determinant(self) -> int:
@@ -327,7 +320,7 @@ def from_json_line(line: str) -> Splitting:
     """Parse a certificate line; raises ValueError with context on bad input."""
     try:
         obj = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nesting too deep
         raise ValueError(f"bad certificate line: {exc}") from exc
     if not isinstance(obj, dict):
         raise ValueError("certificate line must be a JSON object")

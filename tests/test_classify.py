@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from quasicross import classify, splitting
+from quasicross import classify, criteria, splitting
 from quasicross.classify import (
     ContradictionError,
     Registry,
@@ -162,8 +162,8 @@ def test_independent_counts_equal_evaluate_all(k_plus, k_minus, registry):
 
 
 def counting_criteria(monkeypatch):
-    """Wrap every entry of the criterion table classify reads; returns the
-    list of (criterion, shape) calls made from then on."""
+    """Wrap every entry of the criterion table criteria.outcomes reads;
+    returns the list of (criterion, shape) calls made from then on."""
     calls = []
 
     def counted(cid, fn):
@@ -174,7 +174,7 @@ def counting_criteria(monkeypatch):
         return check
 
     monkeypatch.setattr(
-        classify, "SHAPE_CRITERIA", tuple((cid, counted(cid, fn)) for cid, fn in classify.SHAPE_CRITERIA)
+        criteria, "SHAPE_CRITERIA", tuple((cid, counted(cid, fn)) for cid, fn in criteria.SHAPE_CRITERIA)
     )
     return calls
 
@@ -190,7 +190,7 @@ def test_verdicts_stop_at_the_first_firing_criterion(monkeypatch):
     assert not any(is_prime(shape.group_order) for shape in vandermonde)
     assert all(shape.group_order % 3 == 0 for shape in vandermonde)
     summarize(run)
-    for cid, _ in classify.SHAPE_CRITERIA:
+    for cid, _ in criteria.SHAPE_CRITERIA:
         dims = sorted(shape.n for c, shape in calls if c == cid)
         assert dims == list(range(1, n_max + 1)), cid
 

@@ -375,17 +375,41 @@ def test_default_table_digest(capsys, k_minus, sha256):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha256
 
 
-def test_module_entry_point(tmp_path):
-    reg = write_registry(tmp_path, 3, 1, [1])
-    argv = [sys.executable, "-m", "quasicross", "classify", "--kplus", "3", "--kminus", "1",
-            "--max-n", "6", "--registry", reg, "--format", "csv"]
-    # The child imports the same package as this test, installed or not.
+def run_module(*args):
+    """python -m quasicross in a child that imports the same package as
+    this test, installed or not."""
     src = str(Path(quasicross.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    first = subprocess.run(argv, check=True, capture_output=True, text=True, env=env)
-    second = subprocess.run(argv, check=True, capture_output=True, text=True, env=env)
+    argv = [sys.executable, "-m", "quasicross", *args]
+    return subprocess.run(argv, capture_output=True, text=True, env=env)
+
+
+def test_module_entry_point(tmp_path):
+    reg = write_registry(tmp_path, 3, 1, [1])
+    argv = ["classify", "--kplus", "3", "--kminus", "1", "--max-n", "6", "--registry", reg, "--format", "csv"]
+    first = run_module(*argv)
+    second = run_module(*argv)
+    assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
     assert "6,25,unknown,," in first.stdout
+
+
+def test_deeply_nested_certificate_line_exits_2(tmp_path):
+    store = tmp_path / "deep.jsonl"
+    store.write_text("[" * 100_000)
+    result = run_module("verify", "--certificates", str(store))
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr.startswith(f"error: {store}, line 1: bad certificate line: "), result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def test_deeply_nested_registry_exits_2(tmp_path):
+    reg = tmp_path / "deep.json"
+    reg.write_text("[" * 100_000)
+    result = run_module("classify", "--kplus", "3", "--kminus", "1", "--max-n", "3", "--registry", str(reg))
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr.startswith(f"error: registry {reg}: "), result.stderr
+    assert "Traceback" not in result.stderr
 
 
 def test_shape_flag_validation_is_usage_error(capsys):

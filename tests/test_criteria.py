@@ -20,6 +20,7 @@ from quasicross.criteria import (
     check_quartic_generic,
     check_vandermonde,
     evaluate_all,
+    outcomes,
 )
 from quasicross.numtheory import gcd, is_prime
 from quasicross.search import count_splittings
@@ -361,6 +362,17 @@ def test_outcomes_are_pure():
     for n in (1, 5, 11, 19):
         sh = shape(3, 1, n)
         assert evaluate_all(sh, oracle) == evaluate_all(sh, oracle)
+
+
+@pytest.mark.parametrize("k_plus, k_minus, n", [(3, 1, 11), (3, 1, 20), (3, 2, 13), (2, 2, 9), (5, 1, 12)])
+def test_outcomes_walk_from_start_in_reporting_order(k_plus, k_minus, n):
+    oracle = {v.n: v.status for v in classify_range(k_plus, k_minus, n).verdicts}
+    sh = shape(k_plus, k_minus, n)
+    every = evaluate_all(sh, oracle)
+    for start in range(len(CRITERION_ORDER) + 1):
+        outs = tuple(outcomes(sh, oracle, start))
+        assert [o.criterion_id for o in outs] == list(CRITERION_ORDER[start:])
+        assert outs == every[start:]
 
 
 def test_criterion_order():

@@ -112,19 +112,6 @@ def test_setup_memory_is_linear_in_q():
     assert peak < 12_000_000
 
 
-def test_candidate_order_does_not_change_status():
-    for k_plus, k_minus, n_max in ((3, 1, 8), (3, 2, 6)):
-        for n in range(1, n_max + 1):
-            q = n * (k_plus + k_minus) + 1
-            m = interval_multipliers(k_plus, k_minus, q)
-            asc = find_splitting(q, m, candidate_order="ascending")
-            desc = find_splitting(q, m, candidate_order="descending")
-            assert asc.status is desc.status, (k_plus, k_minus, n)
-            asc_count = count_splittings(q, m, candidate_order="ascending")
-            desc_count = count_splittings(q, m, candidate_order="descending")
-            assert asc_count.count == desc_count.count
-
-
 def test_found_results_verify():
     for q in (5, 6, 25):
         k_plus, k_minus = (3, 2) if q == 6 else (3, 1)
@@ -186,8 +173,6 @@ def test_count_node_counts():
 def test_multiplier_q_mismatch_rejected():
     with pytest.raises(ValueError, match="built for q=5"):
         find_splitting(25, interval_multipliers(3, 1, 5))
-    with pytest.raises(ValueError, match="candidate_order"):
-        find_splitting(5, interval_multipliers(3, 1, 5), candidate_order="shuffled")
 
 
 def test_determinism():
@@ -216,11 +201,10 @@ def test_count_matches_brute_force_on_arbitrary_multiplier_sets(instance):
     q, residues = instance
     multipliers = MultiplierSet(q, residues)
     expected = brute_force_count(q, residues)
-    for order in ("ascending", "descending"):
-        counted = count_splittings(q, multipliers, candidate_order=order)
-        assert counted.complete
-        assert counted.count == expected, order
-        found = find_splitting(q, multipliers, candidate_order=order)
-        assert (found.status is SearchStatus.FOUND) == (expected > 0), order
-        if found.status is SearchStatus.FOUND:
-            assert verify_cover(q, residues, found.splitters)
+    counted = count_splittings(q, multipliers)
+    assert counted.complete
+    assert counted.count == expected
+    found = find_splitting(q, multipliers)
+    assert (found.status is SearchStatus.FOUND) == (expected > 0)
+    if found.status is SearchStatus.FOUND:
+        assert verify_cover(q, residues, found.splitters)

@@ -50,10 +50,14 @@ def test_multiplier_set_examples():
 def test_multiplier_set_validation():
     with pytest.raises(ValueError):
         interval_multipliers(3, 1, 4)  # residues would collide
-    with pytest.raises(ValueError):
-        MultiplierSet(10, (3, 3))
-    with pytest.raises(ValueError):
-        MultiplierSet(10, (0,))
+    for residues, message in (
+        ((3, 3), "duplicate multiplier residue 3"),
+        ((0,), "multiplier residue 0 outside [1, 9]"),
+        ((10, 3), "multiplier residue 10 outside [1, 9]"),
+    ):
+        with pytest.raises(ValueError) as info:
+            MultiplierSet(10, residues)
+        assert str(info.value) == message
     with pytest.raises(ValueError, match="empty"):
         MultiplierSet(5, ())
 
@@ -94,12 +98,15 @@ def test_verify_zero_product():
 
 
 def test_structural_errors_differ_from_verification_failure():
-    with pytest.raises(ValueError):
-        Splitting(13, 3, 1, (0, 2))
-    with pytest.raises(ValueError):
-        Splitting(13, 3, 1, (13,))
-    with pytest.raises(ValueError):
-        Splitting(13, 3, 1, (2, 2))
+    for splitters, message in (
+        ((0, 2), "splitter 0 outside [1, 12]"),
+        ((13,), "splitter 13 outside [1, 12]"),
+        ((2, 2), "duplicate splitter 2"),
+        ((7, 2, 7, 2), "duplicate splitter 2"),  # checked in sorted order
+    ):
+        with pytest.raises(ValueError) as info:
+            Splitting(13, 3, 1, splitters)
+        assert str(info.value) == message
     # whereas a wrong-but-well-formed splitting just fails verification
     assert not verify_splitting(Splitting(13, 3, 1, (1, 2, 3)))
 
