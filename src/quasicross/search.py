@@ -27,6 +27,30 @@ first candidate for residue 1, finds a splitting whenever one exists, and
 its count times the number of root candidates is the full count.  This
 holds for every M and for prime or composite q.
 
+When M = -M and q > 2, splitters s and -s have the same block, so a
+splitting holds at most one of them and stays a splitting when s is swapped
+for -s.  The splittings fall into +-classes of 2^n, n = (q - 1)/|M|, and
+each class has exactly one member whose splitters all lie below q/2.  The
+splitter q/2 (s = -s) never needs to be a candidate: its block lies in
+{0, q/2}, so it is placeable only when M = {q/2}, and then no block covers
+residue 1.  The table therefore keeps only the s with s < q - s, root
+candidates included, and the root argument carries over to classes.  Every
+class has one block holding residue 1, c*M for a root candidate c (c and -c
+give the same block), and S -> (c/c')*S maps the classes with block c'*M
+there onto those with block c*M.  So for c, the smallest root candidate,
+the tree under c holds one member of each class with block c*M at residue
+1.  Their number times the number of kept root candidates is the number of
+classes, that times 2^n is the full count, and the tree finds a splitting
+whenever one exists.
+
+A larger stabilizer {u unit : u*M = M} would allow the same reduction, but
+for interval M with k_plus <= 6 and 2*k_plus + 1 < q <= 3000 a unit u other
+than +-1 with u*M = M exists only for (k, k) at q = 2k + 2 ((3,3) q = 8,
+(4,4) q = 10, (5,5) q = 12, (6,6) q = 14).  There |M| = 2k does not divide
+q - 1, so the search returns before it builds a table.  Where q <=
+2*k_plus + 1 the interval wraps round, and such a unit comes with
+q = |M| + 1, a one-splitter search, or with |M| not dividing q - 1.
+
 Budgets are node counts first (one node per candidate placement attempt; a
 spent budget of B nodes reports B nodes), which keeps Exhausted/TimedOut
 outcomes reproducible; wall-clock budgets are advisory on top.
@@ -79,14 +103,15 @@ class CountOutcome:
     diagnostic: str | None = None
 
 
-def _candidate_table(q: int, residues: tuple[int, ...]) -> list[list[tuple]]:
+def _candidate_table(q: int, residues: tuple[int, ...], symmetric: bool) -> list[list[tuple]]:
     # table[e] lists (s, cells) for every s whose block contains e, ascending
     # in s; cells are the residues {m*s mod q : m in M}.  Each candidate is one
     # tuple shared by the |M| lists it appears in, so the table takes O(q*|M|)
     # memory.  An s whose block holds 0 or repeats a residue can never be
-    # placed and is left out.
+    # placed and is left out, and so is every s >= q - s when M = -M (the
+    # +-classes of the module docstring).
     table: list[list[tuple]] = [[] for _ in range(q)]
-    for s in range(1, q):
+    for s in range(1, (q + 1) // 2 if symmetric else q):
         cells = {m * s % q for m in residues}
         if 0 in cells or len(cells) < len(residues):
             continue
@@ -105,7 +130,8 @@ def _explore(q, multipliers, node_budget, time_budget_s, stop_at_first):
         return None, 0, True, 0, 0.0, f"|M| = {k} does not divide q - 1 = {q - 1}"
     start = time.perf_counter()
     last = (q - 1) // k - 1  # splitters placed when the next one completes the cover
-    table = _candidate_table(q, residues)
+    symmetric = q > 2 and {q - m for m in residues} == set(residues)
+    table = _candidate_table(q, residues, symmetric)
     # live[e] counts the candidates for residue e that meet no placed block.
     # A residue a placed block holds, and 0, which is never a target, carry an
     # extra q, which no live count reaches, so min(live) is an open residue.
@@ -167,7 +193,8 @@ def _explore(q, multipliers, node_budget, time_budget_s, stop_at_first):
                     for f in d[1]:
                         live[f] += 1
     elapsed = time.perf_counter() - start
-    return first, count * len(table[1]), note is None, nodes, elapsed, note
+    scale = len(table[1]) << (q - 1) // k if symmetric else len(table[1])
+    return first, count * scale, note is None, nodes, elapsed, note
 
 
 def find_splitting(
@@ -182,7 +209,8 @@ def find_splitting(
     FOUND carries a splitter tuple that has already passed verify_cover;
     EXHAUSTED is a proof that no splitting exists for this (q, M): the tree
     under the first candidate for residue 1 was closed, and every splitting
-    has a unit multiple in that tree (see the module docstring); TIMED_OUT
+    has a unit multiple in that tree or, when M = -M, a unit multiple whose
+    +-class representative lies in it (see the module docstring); TIMED_OUT
     reports a spent budget.  Identical arguments (including node budget)
     give identical outcomes.
     """
@@ -211,7 +239,9 @@ def count_splittings(
     placed blocks alone, and exactly one splitter of the set covers it, so
     the branch path is a function of the set itself.  Only the subtree
     under the first root candidate is explored; its count times the number
-    of root candidates is the full count (see the module docstring).
+    of root candidates is the full count, and when M = -M the tree holds
+    one member of each +-class of 2^n splittings, so the count is scaled by
+    2^n as well (see the module docstring).
     Intended for small q; budgets cap runaway inputs.
     """
     _first, count, closed, nodes, elapsed, note = _explore(

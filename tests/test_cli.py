@@ -212,6 +212,14 @@ def test_search_exhausted(capsys):
     assert out.endswith("nodes: 0\n")
 
 
+def test_search_symmetric_exhaustion_stdout(capsys):
+    # M = -M, so the search keeps one splitter per +-s pair and exhausts in
+    # 35 nodes; searching both splitters of each pair took 393 213.
+    code, out, _ = invoke(capsys, "search", "--kplus", "2", "--kminus", "2", "--q", "77", "--no-store")
+    assert code == 0
+    assert out == "status: exhausted\nq: 77\nmultipliers: -2..2\nnodes: 35\n"
+
+
 def test_search_stdout_deterministic(tmp_path, capsys):
     argv = ["search", "--kplus", "3", "--kminus", "1", "--q", "25", "--no-store"]
     _, out1, _ = invoke(capsys, *argv)

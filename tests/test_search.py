@@ -163,11 +163,86 @@ def test_find_node_counts(k_plus, k_minus, q, status, splitters, nodes):
 
 
 def test_count_node_counts():
-    # Counting walks the one-root tree of a find and scales by the number of
-    # root candidates; the node counts pin that tree and its branching rule.
-    for k_plus, k_minus, q, count, nodes in ((2, 2, 37, 1024, 1_021), (1, 1, 21, 1024, 1_023)):
+    # Counting walks the one-root tree of a find, over the splitters below
+    # q/2 when M = -M, and scales by the number of root candidates and by 2^n
+    # for the +-classes; the node counts pin that tree and its branching rule.
+    for k_plus, k_minus, q, count, nodes in (
+        (2, 2, 37, 1024, 17),
+        (1, 1, 21, 1024, 10),
+        (2, 2, 41, 4096, 27),
+        (3, 3, 49, 2304, 22),
+    ):
         counted = count_splittings(q, interval_multipliers(k_plus, k_minus, q))
         assert (counted.count, counted.complete, counted.nodes) == (count, True, nodes)
+
+
+@pytest.mark.parametrize(
+    "k_plus, k_minus, q, nodes",
+    [
+        # Searching both splitters of every +-s pair, (2,2) q = 77 exhausts in
+        # 393 213 nodes and (3,3) q = 43 in 19.
+        pytest.param(2, 2, 77, 35, id="2-2-77"),
+        pytest.param(3, 3, 43, 7, id="3-3-43"),
+    ],
+)
+def test_symmetric_exhaustion_node_counts(k_plus, k_minus, q, nodes):
+    outcome = find_splitting(q, interval_multipliers(k_plus, k_minus, q))
+    assert (outcome.status, outcome.splitters, outcome.nodes) == (SearchStatus.EXHAUSTED, None, nodes)
+
+
+def _check_symmetric(q, residues):
+    """Count and find against brute force for a multiplier set with M = -M;
+    returns the brute-force count."""
+    multipliers = MultiplierSet(q, residues)
+    expected = brute_force_count(q, residues)
+    counted = count_splittings(q, multipliers)
+    assert (counted.count, counted.complete) == (expected, True), (q, residues)
+    found = find_splitting(q, multipliers)
+    assert (found.status is SearchStatus.FOUND) == (expected > 0), (q, residues)
+    if found.status is SearchStatus.FOUND:
+        assert verify_cover(q, residues, found.splitters)
+        # Above q = 2 the search keeps only the splitter below q/2 of each
+        # +-s pair; at q = 2, s = -s = 1.
+        assert q == 2 or all(2 * s < q for s in found.splitters), found.splitters
+    return expected
+
+
+@pytest.mark.parametrize(
+    "q, residues, count",
+    [
+        pytest.param(2, (1,), 1, id="q2-M1"),
+        pytest.param(3, (1, 2), 2, id="q3-M12"),
+        pytest.param(4, (2,), 0, id="q4-M2"),
+        pytest.param(4, (1, 3), 0, id="q4-M13"),
+    ],
+)
+def test_symmetric_edge_cases(q, residues, count):
+    assert _check_symmetric(q, residues) == count
+
+
+def test_count_matches_brute_force_on_every_small_symmetric_set():
+    # Every M = -M whose size divides q - 1, for prime and composite q <= 17;
+    # on even q such an M holds q/2, the one residue with s = -s.
+    for q in range(3, 18):
+        halves = range(1, q // 2 + 1)
+        for size in range(1, len(halves) + 1):
+            for picked in itertools.combinations(halves, size):
+                residues = tuple(sorted({r for s in picked for r in (s, q - s)}))
+                if (q - 1) % len(residues) == 0:
+                    _check_symmetric(q, residues)
+
+
+@st.composite
+def symmetric_instances(draw):
+    q = draw(st.integers(min_value=3, max_value=21))
+    halves = draw(st.sets(st.integers(min_value=1, max_value=q // 2), min_size=1, max_size=4))
+    return q, tuple(sorted({r for s in halves for r in (s, q - s)}))
+
+
+@settings(deadline=None, max_examples=60)
+@given(symmetric_instances())
+def test_count_matches_brute_force_on_symmetric_multiplier_sets(instance):
+    _check_symmetric(*instance)
 
 
 def test_multiplier_q_mismatch_rejected():
