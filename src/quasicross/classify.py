@@ -261,6 +261,11 @@ def classify_range(
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
+    # numtheory refuses moduli past 64 bits, so a walk to a larger q could
+    # never reach its end; refuse it before the first dimension.
+    q_max = n_max * (k_plus + k_minus) + 1
+    if q_max.bit_length() > 64:
+        raise ValueError(f"dimensions up to {n_max} reach q={q_max}; group orders must fit in 64 bits")
     if registry is not None and (registry.k_plus, registry.k_minus) != (k_plus, k_minus):
         raise ValueError(
             f"registry is for shape ({registry.k_plus},{registry.k_minus}), "

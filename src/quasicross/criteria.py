@@ -14,10 +14,11 @@ is bit-identical and concurrent evaluation needs no coordination.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from operator import add
+from operator import mul
 from typing import Iterator, Mapping
 
 from .numtheory import discrete_log, gcd, is_prime, legendre, quartic_class
@@ -194,19 +195,53 @@ def check_power_cube(shape: QuasiCrossShape) -> CriterionOutcome:
 
 
 # Values of t scanned at a time by check_vandermonde in the classes of two or
-# more rows.  The outcome does not depend on it.  Timed on the classify walk
-# of (3,1) and (3,2) up to n = 4000 with the scan bounded by the one-row
-# classes' zeros (Python 3.11, 2-vCPU Xeon VM): 64 and 128 alike, 256 about
-# 3 % slower, 32 and 512 about 6 to 9 % slower.
-_VANDERMONDE_BLOCK = 128
+# more rows: the length of the packed rows, built once per dimension.  The
+# outcome does not depend on it.  Timed as the CPU time of check_vandermonde
+# on the 564 dimensions whose scan the classify walk of (3,1) and (3,2) up to
+# n = 4000 reaches, best of 25 in three interleaved runs (Python 3.11, shared
+# 2-vCPU Xeon VM): 64 took 0.042-0.050 s, 32 and 128 0.053-0.059 s, 256
+# 0.064-0.071 s.  On all 8000 dimensions of those shapes, best of 7: 64
+# 0.113 s, 128 0.122 s, 32 0.143 s, 256 0.152 s.  Shorter rows cost more
+# blocks, longer ones a longer row build than most scans use.
+_VANDERMONDE_BLOCK = 64
 
 
 def _geometric_row(first: int, ratio: int, length: int, q: int) -> list[int]:
     """[first * ratio**t % q for t in range(length)]."""
-    row = [first % q]
-    for _ in range(length - 1):
-        row.append(row[-1] * ratio % q)
-    return row
+    x = first % q
+    return [x] + [x := x * ratio % q for _ in range(length - 1)]
+
+
+def _lane_scan(weights: list[int], ratios: list[int], target: int, block: int, q: int):
+    """Yield, for t0 = 0, block, 2*block, ..., the smallest j < block with
+    sum(w * r**(t0 + j) for w, r in zip(weights, ratios)) = target (mod q),
+    or None when the block has no such j.  Needs two or more rows and q an
+    odd prime below 2**64; the packed-lane scan is described in
+    check_vandermonde."""
+    *heads, r_last = ratios
+    inv_last = pow(r_last, -1, q)
+    steps = [pow(r * inv_last % q, block, q) for r in heads]
+    target_step = pow(inv_last, block, q)
+    width = (len(ratios) * q * q).bit_length()  # W: every lane stays below 2**W
+    stride = 64 * -(-2 * width // 64)  # bits per lane: whole words, at least 2W
+    lanes = "<" + ("Q" + "x" * (stride // 8 - 8)) * block
+    *head_rows, last_row = [
+        int.from_bytes(struct.pack(lanes, *_geometric_row(w, r, block, q)), "little")
+        for w, r in zip(weights, ratios)
+    ]
+    ones = int.from_bytes(struct.pack(lanes, *[1] * block), "little")
+    top = (1 << width) - 1
+    low = top * ones  # the low W bits of every lane
+    miss = (top - top // q) * ones  # carries a lane x * q^-1 into bit W iff q does not divide x
+    flags = ones << width  # bit W of every lane
+    q_inverse = pow(q, -1, 1 << width)
+    coeffs = [1] * len(heads)
+    while True:
+        v = sum(map(mul, coeffs, head_rows), last_row + (q - target) * ones)
+        hits = flags & ~((v * q_inverse & low) + miss)
+        yield ((hits & -hits).bit_length() - 1) // stride if hits else None
+        coeffs = [c * s % q for c, s in zip(coeffs, steps)]
+        target = target * target_step % q
 
 
 def check_vandermonde(shape: QuasiCrossShape) -> CriterionOutcome:
@@ -227,16 +262,38 @@ def check_vandermonde(shape: QuasiCrossShape) -> CriterionOutcome:
     odd sum vanish, so the first zero power is 1.
 
     Each parity class is a sum of terms w * g**t.  Dividing it by its last
-    term, P = 0 becomes sum(w * r**t) = -w_last with r = g / g_last, over one
-    row fewer; a class of one term never vanishes.  A class left with one row
-    (the odd class when k_plus - k_minus == 2, the even class when
-    k_plus == 2) asks for the smallest t with r**t = -w_last / w, a bounded
-    discrete logarithm.  Those classes are solved first.  The classes of two
-    or more rows are then scanned only below the smallest zero found so far,
-    or below n + 1: their rows are built for a block of t at once, advanced
-    to the next block with one multiplication per entry, and their raw sums,
-    which lie below rows * q, are compared with -w_last + j*q for each
-    j < rows.  The scan stops at the first block with a zero.
+    term, P = 0 becomes sum(w_i * r_i**t) = a with r_i = g_i / g_last and
+    a = -w_last, over one row fewer; a class of one term never vanishes.  A
+    class left with one row (the odd class when k_plus - k_minus == 2, the
+    even class when k_plus == 2) asks for the smallest t with r**t = a / w,
+    a bounded discrete logarithm.  Those classes are solved first.  The
+    classes of m >= 2 rows are then scanned only below the smallest zero
+    found so far, or below n + 1, a block of B values of t at a time.
+
+    The scan keeps its rows fixed and moves only scalars.  For t = t0 + j
+    with j < B, dividing the equation by r_m**t0 (row m is the class's last
+    row) gives sum(c_i * R_i[j]) = T with the fixed rows R_i[j] = w_i * r_i**j,
+    the scalars c_i = (r_i / r_m)**t0, so c_m = 1, and T = a / r_m**t0.  The
+    rows are built once per dimension; from one block to the next c_i gains
+    a factor (r_i / r_m)**B and T a factor r_m**(-B), and nothing else moves.
+
+    Each row is packed into one integer, one lane per j.  Its entries lie
+    below q, and q < 2**64 since is_prime refuses larger moduli, so each
+    packs as one little-endian 64-bit word.  A block then costs a few
+    big-integer operations: v = sum(c_i * R_i for i < m) + R_m
+    + (q - T) * ONES holds in lane j a value x_j < m * q**2 < 2**W, and x_j
+    is 0 mod q exactly when t0 + j solves the equation.  The lane stride is
+    a whole number of 64-bit words and at least 2W bits, so the lanes of
+    v * q^-1 do not overlap, with q^-1 the inverse of q mod 2**W.  Here q is
+    an odd prime, and x_j = 0 (mod q) if and only if x_j * q^-1 mod 2**W is
+    at most floor((2**W - 1) / q): multiplication by q^-1 permutes the
+    residues mod 2**W and maps each multiple k * q below 2**W to k (the
+    exact-division test of T. Granlund and P. L. Montgomery, "Division by
+    invariant integers using multiplication", PLDI 1994).  Adding
+    2**W - 1 - floor((2**W - 1) / q) to each lane masked to W bits carries
+    into bit W exactly in the lanes that miss, so the lowest lane without
+    that bit is the smallest t of the block.  The scan stops at the first
+    block with a zero in either class.
     """
     q = shape.group_order
     n = shape.n
@@ -268,26 +325,14 @@ def check_vandermonde(shape: QuasiCrossShape) -> CriterionOutcome:
     if multi and limit:
         block = min(_VANDERMONDE_BLOCK, limit)
         scans = [
-            (
-                offset,
-                [_geometric_row(w, r, block, q) for w, r in zip(weights, ratios)],
-                [pow(r, block, q) for r in ratios],
-                [target + j * q for j in range(len(ratios))],
-            )
+            (offset, _lane_scan(weights, ratios, target, block, q))
             for offset, weights, ratios, target in multi
         ]
         for t in range(0, limit, block):
-            hits = []
-            for offset, rows, _, targets in scans:
-                sums = rows[0]
-                for row in rows[1:]:
-                    sums = list(map(add, sums, row))
-                hits += [2 * (t + sums.index(x)) + offset for x in targets if x in sums]
+            hits = [2 * (t + j) + offset for offset, scan in scans if (j := next(scan)) is not None]
             if hits:
                 first = min(first, *hits)
                 break
-            for _, rows, factors, _ in scans:
-                rows[:] = [[x * f % q for x in row] for row, f in zip(rows, factors)]
     if first <= n:
         return _inconclusive("vandermonde", first_zero_power=first)
     return _ruled_out("vandermonde", q=q, powers_checked=n)

@@ -211,6 +211,17 @@ def test_tiling_evidence_runs_every_criterion(monkeypatch):
     assert all(o.status is not CriterionStatus.RULED_OUT for o in outcome_rows(run)[6])
 
 
+def test_classify_range_refuses_q_past_64_bits():
+    # q = n * (k_plus + k_minus) + 1; the walk's last q must fit in 64 bits.
+    run = classify_range(2**64 - 3, 1, 1)  # q = 2**64 - 1, the largest allowed
+    assert [(v.q, v.status) for v in run.verdicts] == [(2**64 - 1, VerdictStatus.TILES)]
+    with pytest.raises(ValueError, match=r"^dimensions up to 1 reach q=18446744073709551616; "):
+        classify_range(2**64 - 2, 1, 1)
+    # 4n + 1 >= 2**64 from n = 2**62 on; refused at once, not after a walk.
+    with pytest.raises(ValueError, match="group orders must fit in 64 bits"):
+        classify_range(3, 1, 2**62)
+
+
 def test_registry_validation():
     with pytest.raises(ValueError):
         Registry(3, 1, (5, 5))

@@ -277,6 +277,22 @@ def test_classify_arms_past_any_prime_sieve(capsys):
     assert out == f"n,q,status,criterion,witness\n1,{2**62 + 2},tiles,,trivial\n"
 
 
+def test_dimensions_past_64_bit_q_exit_2(capsys):
+    # 4 * 10**20 + 1 >= 2**64: refused before the walk, which could never end.
+    big = "99999999999999999999"
+    err_line = (
+        f"error: dimensions up to {big} reach q=399999999999999999997; "
+        "group orders must fit in 64 bits\n"
+    )
+    for argv in (
+        ("check", "--kplus", "3", "--kminus", "1", "--n", big),
+        ("classify", "--kplus", "3", "--kminus", "1", "--max-n", big),
+        ("summarize", "--kplus", "3", "--kminus", "1", "--max-n", big),
+    ):
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out, err) == (2, "", err_line), argv
+
+
 def test_boolean_integer_fields_exit_2(tmp_path, capsys):
     store = tmp_path / "certs.jsonl"
     store.write_text('{"q": 25, "k_plus": 3, "k_minus": true, "splitters": [1, 5, 6, 11, 16, 21]}\n')
@@ -480,7 +496,7 @@ def test_reproduce_tables_prints_both_summaries(capsys):
 
 def test_reproduce_tables_rejects_nonpositive_max_n(capsys):
     script = reproduce_tables()
-    for value in ("0", "-3"):
+    for value in ("0", "-3", "99999999999999999999"):
         with pytest.raises(SystemExit) as exc:
             script.main(["--max-n", value])
         assert exc.value.code != 0

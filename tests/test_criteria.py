@@ -3,6 +3,7 @@ import tracemalloc
 
 import pytest
 
+from quasicross import criteria
 from quasicross.classify import classify_range
 from quasicross.criteria import (
     CRITERION_ORDER,
@@ -148,13 +149,24 @@ def _power_sum_vanishes(sh, i):
     return sum(pow(m, i, q) for m in multiplier_set(sh).residues) % q == 0
 
 
-def test_vandermonde_matches_power_sum_definition():
+def test_vandermonde_matches_power_sum_definition(monkeypatch):
+    # The lane labels below are for blocks of 64 values of t; the outcome
+    # does not depend on the block length.
+    monkeypatch.setattr(criteria, "_VANDERMONDE_BLOCK", 64)
     sweep = [(kp, km, n) for kp in range(1, 7) for km in range(1, kp + 1) for n in range(1, 301)]
     # The first vanishing sum of these lies at exponent n + 1, just past the range.
     beyond_n = [(7, 3, 3), (7, 3, 27), (5, 3, 527)]
+    # Prime q past 2**16, so that rows * q**2 >= 2**32 and a lane spans two
+    # 64-bit words: zeros at t = 286, 193, 103, 13, 30 and 298, two shapes
+    # with no zero up to n, and classes of 3, 4 and 5 rows.
+    two_words = [
+        (3, 1, 12004), (3, 1, 12007), (5, 2, 12118), (5, 1, 12046), (5, 1, 12003),
+        (6, 1, 12090), (6, 1, 12964), (6, 4, 13557),
+    ]
     seen = set()
-    for k_plus, k_minus, n in sweep + beyond_n:
+    for k_plus, k_minus, n in sweep + beyond_n + two_words:
         sh = shape(k_plus, k_minus, n)
+        q = sh.group_order
         out = check_vandermonde(sh)
         status, witness = _vandermonde_by_definition(sh)
         assert (out.status, out.witness) == (status, witness), (k_plus, k_minus, n)
@@ -163,7 +175,14 @@ def test_vandermonde_matches_power_sum_definition():
         assert sh.n < sh.group_order - 1
         if status is INAPPLICABLE:
             seen.add("composite q")
-        elif status is RULED_OUT:
+            continue
+        # The even class scans k_plus - 1 rows when that is 2 or more, unless
+        # a one-row odd class vanishes at exponent 1 and leaves nothing to scan.
+        if k_plus >= 3 and (k_plus - 1) * q * q >= 2**32 and witness != {"first_zero_power": 1}:
+            seen.add("two-word lanes")
+            if k_plus >= 4:
+                seen.add("three or more rows, two-word lanes")
+        if status is RULED_OUT:
             if _power_sum_vanishes(sh, n + 1):
                 seen.add("zero at n + 1")
                 # n + 1 odd: the zero belongs to the class solved as a discrete log.
@@ -185,11 +204,41 @@ def test_vandermonde_matches_power_sum_definition():
                     seen.add("one-term hit bounds the scan")
             if k_plus == 2 and i % 2 == 0:
                 seen.add("one-term even class")
+            # The class of exponent i has 2 or more rows, so the scan found
+            # this zero, at t = (i - 1) // 2.
+            if (k_plus - k_minus >= 3 if i % 2 else k_plus >= 3):
+                t = (i - 1) // 2
+                seen.add({0: "zero in lane 0", 63: "zero in the last lane of the first block",
+                          64: "zero in the first lane of the second block"}.get(t, "zero in a scan"))
+                # Both classes scanned: does the other one vanish in this block too?
+                if k_plus - k_minus >= 3 and (n + 1) // 2 >= 64:
+                    t0 = t // 64 * 64
+                    other = 2 if i % 2 else 1
+                    if any(_power_sum_vanishes(sh, 2 * u + other) for u in range(t0, t0 + 64)):
+                        seen.add("both classes vanish in one block")
     assert seen == {
         "composite q", "ruled out", "zero at n + 1", "symmetric arms", "odd exponent",
         "even exponent", "past the first block", "one-term odd class", "one-term even class",
-        "one-term hit bounds the scan", "one-term zero past n",
+        "one-term hit bounds the scan", "one-term zero past n", "two-word lanes",
+        "three or more rows, two-word lanes", "zero in a scan", "zero in lane 0",
+        "zero in the last lane of the first block", "zero in the first lane of the second block",
+        "both classes vanish in one block",
     }
+
+
+@pytest.mark.parametrize("q", [48017, 2**31 - 1, 2**61 - 1, 2**64 - 59])
+def test_lane_scan_matches_direct_sums(q):
+    # The packed scan of check_vandermonde against the sums themselves, with
+    # lanes of 2, 2, 4 and 5 words, two and four rows, and the target planted
+    # at t = 0, 63, 64 and 130: lane 0, the last lane of a block, the first
+    # lane of the next and a lane of the third block.
+    assert is_prime(q)
+    for w, r in (([3, 5], [2, 3]), ([3, 5, 7, 11], [2, 3, q - 5, 7])):
+        for planted in (0, 63, 64, 130):
+            sums = [sum(x * pow(y, t, q) for x, y in zip(w, r)) % q for t in range(planted + 1)]
+            first = sums.index(sums[planted])
+            scan = criteria._lane_scan(w, r, sums[planted], 64, q)
+            assert [next(scan) for _ in range(first // 64 + 1)] == [None] * (first // 64) + [first % 64]
 
 
 def test_vandermonde_counts_to_4000():
