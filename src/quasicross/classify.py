@@ -26,7 +26,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .criteria import CRITERION_ORDER, CriterionOutcome, VerdictStatus, outcomes
+from .criteria import CRITERION_ORDER, CriterionOutcome, CriterionStatus, VerdictStatus, outcomes
 from .splitting import QuasiCrossShape, Splitting, check_arms, from_json_line, to_json_line, verify_splitting
 
 __all__ = [
@@ -165,8 +165,9 @@ def _certificates(path, lines: Sequence[bytes], lineno: int) -> tuple[Splitting,
     return tuple(out)
 
 
-# The last store read: its bytes up to their last line end, the number of
-# lines in them, and their certificates, in order and as a set.  It is one
+# The last store read, with the lines this process appended to it since:
+# its bytes up to their last line end, the number of lines in them, and
+# their certificates, in order and as a set.  It is one
 # tuple, read and replaced whole, so a reader always sees a consistent entry
 # and at worst parses bytes another reader has just parsed.
 _last_store: tuple[bytes, int, tuple[Splitting, ...], frozenset[Splitting]] = (b"", 0, (), frozenset())
@@ -213,7 +214,10 @@ def store_certificate(splitting: Splitting, path) -> bool:
     Returns True when a line was written, False when the certificate was
     already present.  Refuses to store anything that fails verification,
     before the file is opened, and to append to a store that fails to load.
+    When the memo of the last store read (see _parse_store) holds every
+    byte the append read, it is extended by the line written.
     """
+    global _last_store
     check = verify_splitting(splitting)
     if not check:
         raise ValueError(f"refusing to store unverified splitting: {check.reason}")
@@ -228,6 +232,11 @@ def store_certificate(splitting: Splitting, path) -> bool:
             # The last line lacks its newline; ours must not run into it.
             line = b"\n" + line
         fh.write(line)
+    prefix, lineno, certs, seen = _last_store
+    if prefix == data:
+        # data + line parse to certs + (splitting,), so the next read of
+        # this store parses nothing this append wrote.
+        _last_store = (data + line, lineno + 1, certs + (splitting,), seen | {splitting})
     return True
 
 
@@ -287,7 +296,11 @@ def classify_range(
     verdicts: list[Verdict] = []
     for n in range(1, n_max + 1):
         shape = QuasiCrossShape(k_plus, k_minus, n)
-        fired = next((out for out in outcomes(shape, oracle) if out.fired), None)
+        fired = None
+        for out in outcomes(shape, oracle):
+            if out.status is CriterionStatus.RULED_OUT:
+                fired = out
+                break
         tiles_source = evidence.get(n)
         if tiles_source is not None:
             if fired is not None:
@@ -415,21 +428,25 @@ def report_csv(run: ClassificationRun) -> str:
     return "\n".join(lines) + "\n"
 
 
+_encode_json = json.JSONEncoder(separators=(",", ":")).encode
+
+
 def report_json(run: ClassificationRun) -> str:
-    """JSON array report ordered by n (byte-stable)."""
-    items = []
+    """JSON array report ordered by n (byte-stable).
+
+    Each row is written directly: its keys are fixed, and the status,
+    source and criterion are identifiers that JSON quotes as they are.  Only
+    the witness goes through the encoder, so the output is the bytes of
+    json.dumps(rows, separators=(",", ":")) without building the rows."""
+    rows = []
     for v in run.verdicts:
-        items.append(
-            {
-                "n": v.n,
-                "q": v.q,
-                "status": v.status.value,
-                "source": v.source.value if v.source is not None else None,
-                "criterion": v.criterion_id,
-                "witness": v.witness,
-            }
+        source = f'"{v.source.value}"' if v.source is not None else "null"
+        criterion = f'"{v.criterion_id}"' if v.criterion_id is not None else "null"
+        rows.append(
+            f'{{"n":{v.n},"q":{v.q},"status":"{v.status.value}","source":{source},'
+            f'"criterion":{criterion},"witness":{_encode_json(v.witness)}}}'
         )
-    return json.dumps(items, separators=(",", ":")) + "\n"
+    return "[" + ",".join(rows) + "]\n"
 
 
 def report_text(run: ClassificationRun) -> str:

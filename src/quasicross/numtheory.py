@@ -34,6 +34,24 @@ _UINT64_MAX = 2**64 - 1
 # Witness set proven sufficient for all 64-bit integers.
 _MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
+# (bound, bases): the shortest prefix of _MILLER_RABIN_BASES proven to decide
+# every m < bound.  Each bound but the last is the least strong pseudoprime
+# to all bases of its prefix (OEIS A014233, see is_prime).
+_MILLER_RABIN_PREFIXES = tuple(
+    (bound, _MILLER_RABIN_BASES[:k])
+    for bound, k in (
+        (2_047, 1),
+        (1_373_653, 2),
+        (25_326_001, 3),
+        (3_215_031_751, 4),
+        (2_152_302_898_747, 5),
+        (3_474_749_660_383, 6),
+        (341_550_071_728_321, 7),
+        (3_825_123_056_546_413_051, 9),
+        (2**64, 12),
+    )
+)
+
 _TRIAL_LIMIT = 10**6
 
 
@@ -48,6 +66,17 @@ def _check_range(m: int, what: str = "m") -> None:
 def is_prime(m: int) -> bool:
     """Deterministic Miller-Rabin primality test for 64-bit integers.
 
+    After trial division by the twelve prime bases, m runs through
+    Miller-Rabin on the shortest prefix of them proven to decide every
+    integer below its bound: base 2 below 2 047, bases 2 and 3 below
+    1 373 653, and so on, up to all twelve from 3 825 123 056 546 413 051
+    on.  The bounds are the least strong pseudoprimes to all of the first k
+    prime bases (OEIS A014233): through k = 8 from G. Jaeschke, "On strong
+    pseudoprimes to several bases", Math. Comp. 61 (1993), 915-926; k = 9
+    from Y. Jiang and Y. Deng, Math. Comp. 83 (2014), 2915-2924; and the
+    twelve bases past 2**64 from J. Sorenson and J. Webster, Math. Comp. 86
+    (2017), 985-1003.
+
     Cached: the criteria re-test the same group orders constantly, and
     legendre/quartic_class validate their modulus on every call.
     """
@@ -57,10 +86,13 @@ def is_prime(m: int) -> bool:
     for p in _MILLER_RABIN_BASES:
         if m % p == 0:
             return m == p
+    for bound, bases in _MILLER_RABIN_PREFIXES:
+        if m < bound:
+            break
     d = m - 1
     r = (d & -d).bit_length() - 1
     d >>= r
-    for a in _MILLER_RABIN_BASES:
+    for a in bases:
         x = pow(a, d, m)
         if x == 1 or x == m - 1:
             continue
@@ -123,11 +155,13 @@ class Factorization:
 def factorize(m: int) -> Factorization:
     """Factor a positive 64-bit integer.
 
-    Trial division runs through 10**6 (enough to finish any value this
-    project produces); a deterministic Brent-rho fallback splits whatever
-    survives, so arbitrary 64-bit inputs still factor correctly.
+    A prime m is returned as ((m, 1),) at once, without trial division.
+    Otherwise trial division runs through 10**6 (enough to finish any value
+    this project produces); a deterministic Brent-rho fallback splits
+    whatever survives, so arbitrary 64-bit inputs still factor correctly.
     """
-    _check_range(m)
+    if is_prime(m):  # is_prime checks the range
+        return Factorization(m, ((m, 1),))
     value = m
     out: list[tuple[int, int]] = []
     for p in (2, 3, 5):

@@ -13,7 +13,7 @@ phi(x_1..x_n) = sum x_i s_i mod q.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from operator import mul
 from typing import Sequence
@@ -50,27 +50,24 @@ class QuasiCrossShape:
     dimension n.  The cyclic group split by a lattice tiling has order
     q = n*(k_plus + k_minus) + 1.
 
-    The shape also carries the facts about q that several criteria read:
-    its factorization is computed once, on first use, and kept on the
-    instance, outside the fields, so equality, hashing and repr see only
-    (k_plus, k_minus, n)."""
+    The shape also carries the facts that several criteria read: arm_sum
+    and group_order are stored once, at construction, and the factorization
+    of q is computed once, on first use.  None of them takes part in
+    equality, hashing or repr, which see only (k_plus, k_minus, n)."""
 
     k_plus: int
     k_minus: int
     n: int
+    arm_sum: int = field(init=False, compare=False, repr=False)
+    group_order: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         check_arms(self.k_plus, self.k_minus)
         if self.n < 1:
             raise ValueError(f"dimension must be >= 1, got {self.n}")
-
-    @property
-    def arm_sum(self) -> int:
-        return self.k_plus + self.k_minus
-
-    @property
-    def group_order(self) -> int:
-        return self.n * self.arm_sum + 1
+        arm_sum = self.k_plus + self.k_minus
+        object.__setattr__(self, "arm_sum", arm_sum)
+        object.__setattr__(self, "group_order", self.n * arm_sum + 1)
 
     @cached_property
     def factorization(self) -> Factorization:
@@ -288,8 +285,10 @@ def lattice_basis(splitting: Splitting) -> LatticeBasis:
     """Canonical basis of the tiling lattice of a verified splitting.
 
     Rejects splittings that fail verification.  Postconditions are checked,
-    under python -O too: |det| equals q and every row maps to 0 under phi;
-    a failure raises AssertionError.
+    under python -O too: |det| equals q, every row is zero left of its
+    diagonal and positive on it (so the diagonal product that
+    LatticeBasis.determinant takes is the determinant), and every row maps
+    to 0 under phi; a failure raises AssertionError.
     """
     check = verify_splitting(splitting)
     if not check:
@@ -298,9 +297,11 @@ def lattice_basis(splitting: Splitting) -> LatticeBasis:
     basis = LatticeBasis(tuple(map(tuple, phi_kernel_basis(q, splitters))))
     if abs(basis.determinant) != q:
         raise AssertionError(f"basis determinant {basis.determinant} is not +-{q}")
-    for i, row in enumerate(basis.rows, start=1):
+    for i, row in enumerate(basis.rows):
+        if row[i] <= 0 or any(row[:i]):
+            raise AssertionError(f"basis row {i + 1} is not upper triangular with a positive diagonal")
         if sum(map(mul, row, splitters)) % q:
-            raise AssertionError(f"basis row {i} is not in the kernel of phi mod {q}")
+            raise AssertionError(f"basis row {i + 1} is not in the kernel of phi mod {q}")
     return basis
 
 

@@ -516,6 +516,96 @@ def test_store_opens_the_store_once(tmp_path, monkeypatch):
     assert path.read_bytes() == Q5_LINE + b"\n" + Q25_LINE + b"\n"
 
 
+def test_append_then_load_parses_nothing(tmp_path, parsed_lines):
+    path = tmp_path / "certs.jsonl"
+    assert store_certificate(Q5, path) is True
+    assert store_certificate(Q25_CERT, path) is True
+    assert store_certificate(Q5, path) is False
+    assert load_certificates(path) == (Q5, Q25_CERT)
+    assert parsed_lines == []
+
+
+def test_load_after_appends_equals_a_parse_from_scratch(tmp_path, monkeypatch, parsed_lines):
+    path = tmp_path / "certs.jsonl"
+    path.write_bytes(Q25_LINE + b"\n")
+    for cert in (Q5, Q5_OTHER):
+        assert store_certificate(cert, path) is True
+    remembered = load_certificates(path)
+    monkeypatch.setattr(classify, "_last_store", (b"", 0, (), frozenset()))
+    parsed_lines.clear()
+    assert load_certificates(path) == remembered == (Q25_CERT, Q5, Q5_OTHER)
+    assert len(parsed_lines) == 3
+
+
+def test_append_after_a_last_line_without_newline_is_parsed_again(tmp_path, parsed_lines):
+    path = tmp_path / "certs.jsonl"
+    path.write_bytes(Q5_LINE)
+    assert store_certificate(Q25_CERT, path) is True
+    parsed_lines.clear()
+    assert load_certificates(path) == (Q5, Q25_CERT)
+    assert parsed_lines == [Q5_LINE.decode(), Q25_LINE.decode()]
+
+
+def test_lines_of_another_writer_are_parsed_after_an_append(tmp_path, parsed_lines):
+    path = tmp_path / "certs.jsonl"
+    assert store_certificate(Q5, path) is True
+    with open(path, "ab") as fh:
+        fh.write(Q25_LINE + b"\n")
+    assert load_certificates(path) == (Q5, Q25_CERT)
+    assert parsed_lines == [Q25_LINE.decode()]
+
+
+def test_a_line_appended_between_the_read_and_the_write_is_parsed(tmp_path, monkeypatch, parsed_lines):
+    path = tmp_path / "certs.jsonl"
+    other_line = Q5_LINE.replace(b"[1]", b"[2]") + b"\n"
+
+    def racing_to_json_line(cert):
+        with open(path, "ab") as fh:
+            fh.write(other_line)
+        return splitting.to_json_line(cert)
+
+    monkeypatch.setattr(classify, "to_json_line", racing_to_json_line)
+    assert store_certificate(Q25_CERT, path) is True
+    assert path.read_bytes() == other_line + Q25_LINE + b"\n"
+    assert load_certificates(path) == (Q5_OTHER, Q25_CERT)
+    assert len(parsed_lines) == 2
+
+
+def report_json_oracle(run):
+    """report_json as one json.dumps over a list of dicts."""
+    items = [
+        {
+            "n": v.n,
+            "q": v.q,
+            "status": v.status.value,
+            "source": v.source.value if v.source is not None else None,
+            "criterion": v.criterion_id,
+            "witness": v.witness,
+        }
+        for v in run.verdicts
+    ]
+    return json.dumps(items, separators=(",", ":")) + "\n"
+
+
+def test_report_json_matches_a_dict_per_row():
+    certificates = load_certificates(default_certificates_path())
+    runs = [
+        classify_range(3, 1, 4000, registry=default_registry(3, 1)),
+        classify_range(3, 2, 4000, registry=default_registry(3, 2)),
+        classify_range(2, 2, 1000),
+        classify_range(5, 1, 1000),
+        classify_range(6, 1, 300),
+        classify_range(7, 1, 300),
+        classify_range(3, 1, 200, certificates=certificates),
+    ]
+    for run in runs:
+        assert report_json(run) == report_json_oracle(run)
+    verdicts = [v for run in runs for v in run.verdicts]
+    assert {v.status for v in verdicts} == set(VerdictStatus)
+    assert {v.source for v in verdicts} == set(TilesSource) | {None}
+    assert {v.criterion_id for v in verdicts} == set(CRITERION_ORDER) | {None}
+
+
 def test_summarize_counts():
     run = classify_range(3, 1, 10)
     summary = summarize(run)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -52,6 +53,9 @@ def test_is_prime_examples():
     assert is_prime(1009) == trial_division_is_prime(1009)
     assert is_prime(2)
     assert not is_prime(4)
+    # 2047 = 23 * 89 falls to trial division; 8321 = 53 * 157 is the least
+    # strong pseudoprime to base 2 that does not.
+    assert not is_prime(8321)
 
 
 def test_is_prime_matches_trial_division_exhaustively():
@@ -71,6 +75,59 @@ def test_is_prime_rejects_out_of_range():
         is_prime(-7)
     with pytest.raises(ValueError):
         is_prime(2**64)
+
+
+# OEIS A014233 below 2**64: the least strong pseudoprime to all of the first
+# k prime bases, with the k that is_prime is proven to need just below it
+# (the value for k = 8 equals the one for k = 7, and those for k = 10 and 11
+# equal the one for k = 9).
+A014233_BELOW_2_64 = (
+    (2_047, 1),
+    (1_373_653, 2),
+    (25_326_001, 3),
+    (3_215_031_751, 4),
+    (2_152_302_898_747, 5),
+    (3_474_749_660_383, 6),
+    (341_550_071_728_321, 7),
+    (3_825_123_056_546_413_051, 9),
+)
+FIRST_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def assert_strong_pseudoprime(m, bases):
+    """m is odd and composite, yet passes the strong probable-prime test to
+    every one of bases: the test run on those bases alone would call m prime."""
+    assert m % 2 == 1 and not sympy.isprime(m)
+    d, r = m - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in bases:
+        x = pow(a, d, m)
+        assert x in (1, m - 1) or any(pow(x, 2**i, m) == m - 1 for i in range(1, r)), (m, a)
+
+
+@pytest.mark.parametrize("psi, k", A014233_BELOW_2_64, ids=[str(k) for _, k in A014233_BELOW_2_64])
+def test_is_prime_past_each_base_set_bound(psi, k):
+    # Just below psi the first k bases decide; psi itself fools them, so
+    # is_prime must switch to a longer base set exactly at psi.
+    assert_strong_pseudoprime(psi, FIRST_PRIMES[:k])
+    assert not is_prime(psi)
+    assert is_prime(psi - 2) == sympy.isprime(psi - 2)
+
+
+@given(
+    st.one_of(
+        st.integers(min_value=1, max_value=2**64 - 1),
+        st.integers(min_value=3, max_value=2**64 - 1).map(sympy.prevprime),
+    )
+)
+def test_is_prime_matches_sympy_below_2_64(m):
+    assert is_prime(m) == sympy.isprime(m)
+
+
+def test_factorize_large_primes():
+    for p in (2**64 - 59, 2**61 - 1):
+        assert factorize(p).factors == ((p, 1),)
 
 
 def test_factorize_examples():

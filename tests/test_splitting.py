@@ -41,6 +41,15 @@ def test_group_order():
     assert QuasiCrossShape(3, 2, 13).group_order == 66
 
 
+def test_shape_identity_is_its_arms_and_dimension():
+    shape = QuasiCrossShape(3, 2, 13)
+    assert (shape.arm_sum, shape.group_order) == (5, 66)
+    assert repr(shape) == "QuasiCrossShape(k_plus=3, k_minus=2, n=13)"
+    shape.factorization  # cached on the instance
+    assert shape == QuasiCrossShape(3, 2, 13) and hash(shape) == hash(QuasiCrossShape(3, 2, 13))
+    assert shape != QuasiCrossShape(3, 2, 12)
+
+
 def test_multiplier_set_examples():
     assert multiplier_set(QuasiCrossShape(3, 1, 1)).residues == (4, 1, 2, 3)
     assert multiplier_set(QuasiCrossShape(3, 1, 3)).residues == (12, 1, 2, 3)
@@ -197,6 +206,22 @@ def test_lattice_basis_raises_on_a_wrong_basis(monkeypatch):
     monkeypatch.setattr(splitting, "phi_kernel_basis", lambda q, s: diagonal)
     with pytest.raises(AssertionError, match="row 1 is not in the kernel"):
         lattice_basis(cert)
+
+
+def test_lattice_basis_raises_on_a_basis_that_is_not_triangular(monkeypatch):
+    # Every row in the kernel and a diagonal product of 25, so only the
+    # shape of the rows tells these bases from a Hermite basis.
+    cert = Splitting(25, 3, 1, Q25_SPLITTERS)
+    rows = [list(row) for row in lattice_basis(cert).rows]
+    below = [row[:] for row in rows]
+    below[5][0] += 25  # 25 * e_1 is in the kernel
+    negated = [row[:] for row in rows]
+    negated[0] = [-a for a in rows[0]]
+    negated[1] = [-a for a in rows[1]]
+    for bad, row in ((below, 6), (negated, 1)):
+        monkeypatch.setattr(splitting, "phi_kernel_basis", lambda q, s, bad=bad: bad)
+        with pytest.raises(AssertionError, match=f"row {row} is not upper triangular with a positive diagonal"):
+            lattice_basis(cert)
 
 
 def test_lattice_basis_rejects_unverified():
