@@ -5,7 +5,8 @@ outcomes for one dimension), search (splitter-set search with certificate
 storage), verify (certificate store verification), summarize (firing
 statistics).  Exit codes: 0 success, 1 usage error, 2 verification failure
 or contradiction.  Reports go to stdout and are byte-identical across
-identical invocations; diagnostics and timings go to stderr.
+identical invocations, except that search --time-budget makes the search's
+outcome depend on wall time; diagnostics and timings go to stderr.
 """
 
 from __future__ import annotations
@@ -105,7 +106,10 @@ def _build_parser() -> _Parser:
     p.add_argument("--q", type=_positive_int, required=True, help="group order")
     p.add_argument("--node-budget", type=_positive_int, default=1_000_000)
     p.add_argument(
-        "--time-budget", type=_positive_float, default=None, help="advisory wall-clock cap, seconds"
+        "--time-budget",
+        type=_positive_float,
+        default=None,
+        help="wall-clock cap, seconds; the outcome then depends on timing",
     )
     store = p.add_mutually_exclusive_group()
     # The default is None, not the file name: argparse compares a value with

@@ -194,12 +194,12 @@ def check_power_cube(shape: QuasiCrossShape) -> CriterionOutcome:
     return _inconclusive("power_cube", n_mod_8=r)
 
 
-# Values of t scanned at a time by check_vandermonde in the classes of two or
-# more rows: the length of the packed rows, built once per dimension.  The
-# outcome does not depend on it.  Timed as the CPU time of check_vandermonde
-# on the 564 dimensions whose scan the classify walk of (3,1) and (3,2) up to
-# n = 4000 reaches, best of 25 in three interleaved runs (Python 3.11, shared
-# 2-vCPU Xeon VM): 64 took 0.042-0.050 s, 32 and 128 0.053-0.059 s, 256
+# Values of t scanned at a time by _first_solution for two or more rows: the
+# length of the packed rows, built once per class.  The outcome does not
+# depend on it.  Timed as the CPU time of check_vandermonde on the 564
+# dimensions whose scan the classify walk of (3,1) and (3,2) up to n = 4000
+# reaches, best of 25 in three interleaved runs (Python 3.11, shared 2-vCPU
+# Xeon VM): 64 took 0.042-0.050 s, 32 and 128 0.053-0.059 s, 256
 # 0.064-0.071 s.  On all 8000 dimensions of those shapes, best of 7: 64
 # 0.113 s, 128 0.122 s, 32 0.143 s, 256 0.152 s.  Shorter rows cost more
 # blocks, longer ones a longer row build than most scans use.
@@ -212,12 +212,20 @@ def _geometric_row(first: int, ratio: int, length: int, q: int) -> list[int]:
     return [x] + [x := x * ratio % q for _ in range(length - 1)]
 
 
-def _lane_scan(weights: list[int], ratios: list[int], target: int, block: int, q: int):
-    """Yield, for t0 = 0, block, 2*block, ..., the smallest j < block with
-    sum(w * r**(t0 + j) for w, r in zip(weights, ratios)) = target (mod q),
-    or None when the block has no such j.  Needs two or more rows and q an
-    odd prime below 2**64; the packed-lane scan is described in
-    check_vandermonde."""
+def _first_solution(
+    weights: list[int], ratios: list[int], target: int, bound: int, q: int
+) -> int | None:
+    """The smallest t with 0 <= t < bound and
+    sum(w * r**t for w, r in zip(weights, ratios)) = target (mod q), or
+    None.  q must be an odd prime below 2**64, and weights and ratios units
+    mod q.  One row is a bounded discrete logarithm; two or more rows are
+    scanned a block of values of t at a time, as check_vandermonde
+    describes, and the first block with a hit ends the scan."""
+    if len(ratios) == 1:
+        return discrete_log(ratios[0], target * pow(weights[0], -1, q), q, bound)
+    if bound <= 0:
+        return None
+    block = min(_VANDERMONDE_BLOCK, bound)
     *heads, r_last = ratios
     inv_last = pow(r_last, -1, q)
     steps = [pow(r * inv_last % q, block, q) for r in heads]
@@ -236,12 +244,15 @@ def _lane_scan(weights: list[int], ratios: list[int], target: int, block: int, q
     flags = ones << width  # bit W of every lane
     q_inverse = pow(q, -1, 1 << width)
     coeffs = [1] * len(heads)
-    while True:
+    for t0 in range(0, bound, block):
         v = sum(map(mul, coeffs, head_rows), last_row + (q - target) * ones)
         hits = flags & ~((v * q_inverse & low) + miss)
-        yield ((hits & -hits).bit_length() - 1) // stride if hits else None
+        if hits:
+            t = t0 + ((hits & -hits).bit_length() - 1) // stride
+            return t if t < bound else None
         coeffs = [c * s % q for c, s in zip(coeffs, steps)]
         target = target * target_step % q
+    return None
 
 
 def check_vandermonde(shape: QuasiCrossShape) -> CriterionOutcome:
@@ -263,19 +274,19 @@ def check_vandermonde(shape: QuasiCrossShape) -> CriterionOutcome:
 
     Each parity class is a sum of terms w * g**t.  Dividing it by its last
     term, P = 0 becomes sum(w_i * r_i**t) = a with r_i = g_i / g_last and
-    a = -w_last, over one row fewer; a class of one term never vanishes.  A
-    class left with one row (the odd class when k_plus - k_minus == 2, the
-    even class when k_plus == 2) asks for the smallest t with r**t = a / w,
-    a bounded discrete logarithm.  Those classes are solved first.  The
-    classes of m >= 2 rows are then scanned only below the smallest zero
-    found so far, or below n + 1, a block of B values of t at a time.
+    a = -w_last, over one row fewer; a class of one term never vanishes.
+    The odd class is solved first, below n + 1, then the even class below
+    the odd class's zero if it has one.  A class left with one row (the odd
+    class when k_plus - k_minus == 2, the even class when k_plus == 2) asks
+    for the smallest t with r**t = a / w, a bounded discrete logarithm.  A
+    class of m >= 2 rows is scanned a block of B values of t at a time.
 
     The scan keeps its rows fixed and moves only scalars.  For t = t0 + j
     with j < B, dividing the equation by r_m**t0 (row m is the class's last
     row) gives sum(c_i * R_i[j]) = T with the fixed rows R_i[j] = w_i * r_i**j,
     the scalars c_i = (r_i / r_m)**t0, so c_m = 1, and T = a / r_m**t0.  The
-    rows are built once per dimension; from one block to the next c_i gains
-    a factor (r_i / r_m)**B and T a factor r_m**(-B), and nothing else moves.
+    rows are built once per class; from one block to the next c_i gains a
+    factor (r_i / r_m)**B and T a factor r_m**(-B), and nothing else moves.
 
     Each row is packed into one integer, one lane per j.  Its entries lie
     below q, and q < 2**64 since is_prime refuses larger moduli, so each
@@ -292,50 +303,30 @@ def check_vandermonde(shape: QuasiCrossShape) -> CriterionOutcome:
     invariant integers using multiplication", PLDI 1994).  Adding
     2**W - 1 - floor((2**W - 1) / q) to each lane masked to W bits carries
     into bit W exactly in the lanes that miss, so the lowest lane without
-    that bit is the smallest t of the block.  The scan stops at the first
-    block with a zero in either class.
+    that bit is the smallest t of the block.
     """
     q = shape.group_order
-    n = shape.n
-    if n >= q - 1 or not is_prime(q):
+    if not is_prime(q):
         return _inapplicable("vandermonde")
     k_plus, k_minus = shape.k_plus, shape.k_minus
     if k_plus == k_minus:
         return _inconclusive("vandermonde", first_zero_power=1)
     odd = [(j, j * j) for j in range(k_minus + 1, k_plus + 1)]
     even = [(2, 1)] + [((2 if j <= k_minus else 1) * j * j, j * j) for j in range(2, k_plus + 1)]
-    first = n + 1  # the smallest vanishing exponent found so far, or n + 1
-    multi = []  # (exponent offset, weights, ratios, target) of the classes of 2+ rows
+    first = shape.n + 1  # the smallest vanishing exponent found so far, or n + 1
     for offset, terms in ((1, odd), (2, even)):
         if len(terms) > 1:
             *rest, (w_last, g_last) = terms
             inverse = pow(g_last, -1, q)
-            weights = [w for w, _ in rest]
             ratios = [g * inverse % q for _, g in rest]
-            target = -w_last % q
-            if len(rest) > 1:
-                multi.append((offset, weights, ratios, target))
-                continue
             # t with 2t + offset < first.
             bound = (first - offset + 1) // 2
-            t = discrete_log(ratios[0], target * pow(weights[0], -1, q), q, bound)
+            t = _first_solution([w for w, _ in rest], ratios, -w_last % q, bound, q)
             if t is not None:
                 first = 2 * t + offset
-    limit = first // 2  # t with 2t + 1 < first
-    if multi and limit:
-        block = min(_VANDERMONDE_BLOCK, limit)
-        scans = [
-            (offset, _lane_scan(weights, ratios, target, block, q))
-            for offset, weights, ratios, target in multi
-        ]
-        for t in range(0, limit, block):
-            hits = [2 * (t + j) + offset for offset, scan in scans if (j := next(scan)) is not None]
-            if hits:
-                first = min(first, *hits)
-                break
-    if first <= n:
+    if first <= shape.n:
         return _inconclusive("vandermonde", first_zero_power=first)
-    return _ruled_out("vandermonde", q=q, powers_checked=n)
+    return _ruled_out("vandermonde", q=q, powers_checked=shape.n)
 
 
 def check_psquare(shape: QuasiCrossShape) -> CriterionOutcome:

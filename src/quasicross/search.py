@@ -53,7 +53,9 @@ q = |M| + 1, a one-splitter search, or with |M| not dividing q - 1.
 
 Budgets are node counts first (one node per candidate placement attempt; a
 spent budget of B nodes reports B nodes), which keeps Exhausted/TimedOut
-outcomes reproducible; wall-clock budgets are advisory on top.
+outcomes reproducible.  A wall-clock budget, checked every 1024 nodes, can
+stop the search earlier; with one, the status and node count depend on how
+fast the machine runs, and the same arguments can give different outcomes.
 """
 
 from __future__ import annotations
@@ -211,8 +213,9 @@ def find_splitting(
     under the first candidate for residue 1 was closed, and every splitting
     has a unit multiple in that tree or, when M = -M, a unit multiple whose
     +-class representative lies in it (see the module docstring); TIMED_OUT
-    reports a spent budget.  Identical arguments (including node budget)
-    give identical outcomes.
+    reports a spent budget.  Without time_budget_s, identical arguments
+    (including node budget) give identical outcomes; with it, the outcome
+    also depends on wall time.
     """
     first, _count, closed, nodes, elapsed, note = _explore(
         q, multipliers, node_budget, time_budget_s, stop_at_first=True

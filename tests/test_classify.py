@@ -220,6 +220,8 @@ def test_classify_range_refuses_q_past_64_bits():
     # 4n + 1 >= 2**64 from n = 2**62 on; refused at once, not after a walk.
     with pytest.raises(ValueError, match="group orders must fit in 64 bits"):
         classify_range(3, 1, 2**62)
+    with pytest.raises(ValueError, match="^n_max must be >= 1, got 0$"):
+        classify_range(3, 1, 0)
 
 
 def test_registry_validation():
@@ -237,6 +239,9 @@ def test_load_registry(tmp_path):
     path.write_text(json.dumps({"k_plus": 3, "k_minus": 1, "dimensions": [6, 1], "source": "t"}))
     reg = load_registry(path)
     assert reg.dimensions == (1, 6) and reg.source == "t"
+    path.write_text(json.dumps([3, 1, [6]]))  # valid JSON, not an object
+    with pytest.raises(ValueError, match=r"^registry .*reg\.json: expected a JSON object$"):
+        load_registry(path)
     path.write_text(json.dumps({"k_plus": 3, "dimensions": []}))
     with pytest.raises(ValueError, match="missing fields"):
         load_registry(path)

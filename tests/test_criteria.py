@@ -23,8 +23,8 @@ from quasicross.criteria import (
     evaluate_all,
     outcomes,
 )
-from quasicross.numtheory import gcd, is_prime
-from quasicross.search import count_splittings
+from quasicross.numtheory import discrete_log, gcd, is_prime
+from quasicross.search import SearchStatus, count_splittings, find_splitting
 from quasicross.splitting import QuasiCrossShape, interval_multipliers, multiplier_set
 
 RULED_OUT = CriterionStatus.RULED_OUT
@@ -204,6 +204,11 @@ def test_vandermonde_matches_power_sum_definition(monkeypatch):
                     seen.add("one-term hit bounds the scan")
             if k_plus == 2 and i % 2 == 0:
                 seen.add("one-term even class")
+            # Both classes have 2 or more rows, and the odd class's zero cuts
+            # off a zero of the even class below n + 1.
+            if k_plus - k_minus >= 3 and i % 2:
+                if any(_power_sum_vanishes(sh, e) for e in range(i + 1, n + 1, 2)):
+                    seen.add("the odd class's scan bounds a multi-row even class")
             # The class of exponent i has 2 or more rows, so the scan found
             # this zero, at t = (i - 1) // 2.
             if (k_plus - k_minus >= 3 if i % 2 else k_plus >= 3):
@@ -222,23 +227,30 @@ def test_vandermonde_matches_power_sum_definition(monkeypatch):
         "one-term hit bounds the scan", "one-term zero past n", "two-word lanes",
         "three or more rows, two-word lanes", "zero in a scan", "zero in lane 0",
         "zero in the last lane of the first block", "zero in the first lane of the second block",
-        "both classes vanish in one block",
+        "both classes vanish in one block", "the odd class's scan bounds a multi-row even class",
     }
 
 
 @pytest.mark.parametrize("q", [48017, 2**31 - 1, 2**61 - 1, 2**64 - 59])
-def test_lane_scan_matches_direct_sums(q):
-    # The packed scan of check_vandermonde against the sums themselves, with
-    # lanes of 2, 2, 4 and 5 words, two and four rows, and the target planted
-    # at t = 0, 63, 64 and 130: lane 0, the last lane of a block, the first
-    # lane of the next and a lane of the third block.
+def test_first_solution_matches_direct_sums(q):
+    # The solver of check_vandermonde against the sums themselves.  One row
+    # is a discrete logarithm; two and four rows are the packed scan, with
+    # lanes of 2, 2, 4 and 5 words.  The target is planted at t = 0, 63, 64
+    # and 130: lane 0, the last lane of a block, the first lane of the next
+    # and a lane of the third block.  The bounds are 0, the first solution
+    # itself, one past it, and 100, which ends inside the second block.
     assert is_prime(q)
-    for w, r in (([3, 5], [2, 3]), ([3, 5, 7, 11], [2, 3, q - 5, 7])):
+    for w, r in (([3], [2]), ([5], [q - 5]), ([3, 5], [2, 3]), ([3, 5, 7, 11], [2, 3, q - 5, 7])):
         for planted in (0, 63, 64, 130):
             sums = [sum(x * pow(y, t, q) for x, y in zip(w, r)) % q for t in range(planted + 1)]
-            first = sums.index(sums[planted])
-            scan = criteria._lane_scan(w, r, sums[planted], 64, q)
-            assert [next(scan) for _ in range(first // 64 + 1)] == [None] * (first // 64) + [first % 64]
+            target = sums[planted]
+            first = sums.index(target)
+            for bound in (0, first, first + 1, 100):
+                expected = first if first < bound else None
+                got = criteria._first_solution(w, r, target, bound, q)
+                assert got == expected, (w, planted, bound)
+                if len(w) == 1:
+                    assert got == discrete_log(r[0], target * pow(w[0], -1, q), q, bound)
 
 
 def test_vandermonde_counts_to_4000():
@@ -381,6 +393,23 @@ def test_soundness_against_exhaustive_search():
                 q = n * (k_plus + k_minus) + 1
                 counted = count_splittings(q, interval_multipliers(k_plus, k_minus, q))
                 assert counted.complete and counted.count == 0, (k_plus, k_minus, n)
+
+
+def test_vandermonde_firings_are_exhausted_by_search():
+    # Every firing of the power-sum test on arms up to 7 and q <= 500 must
+    # close the search tree.  The power-sum test applies only to prime q, and
+    # Z_q is the only group of prime order q, so each exhausted search is a
+    # proof on its own.
+    firings = 0
+    for k_plus in range(1, 8):
+        for k_minus in range(1, k_plus + 1):
+            for n in range(1, 499 // (k_plus + k_minus) + 1):
+                sh = shape(k_plus, k_minus, n)
+                if check_vandermonde(sh).fired:
+                    out = find_splitting(sh.group_order, multiplier_set(sh))
+                    assert out.status is SearchStatus.EXHAUSTED, (k_plus, k_minus, n)
+                    firings += 1
+    assert firings == 389
 
 
 def test_quadratic_subsumes_three_mod_six_list():

@@ -178,6 +178,8 @@ def test_factorization_validates():
         Factorization(12, ((3, 1), (2, 2)))
     with pytest.raises(ValueError):
         Factorization(8, ((8, 1),))
+    with pytest.raises(ValueError, match="^exponent of 3 must be >= 1, got 0$"):
+        Factorization(2, ((2, 1), (3, 0)))
 
 
 def test_divisors():

@@ -69,6 +69,8 @@ def test_multiplier_set_validation():
         assert str(info.value) == message
     with pytest.raises(ValueError, match="empty"):
         MultiplierSet(5, ())
+    with pytest.raises(ValueError, match="^group order must be >= 2, got 1$"):
+        MultiplierSet(1, (1,))
 
 
 def test_verify_q5():
@@ -116,6 +118,8 @@ def test_structural_errors_differ_from_verification_failure():
         with pytest.raises(ValueError) as info:
             Splitting(13, 3, 1, splitters)
         assert str(info.value) == message
+    with pytest.raises(ValueError, match=r"^q=4 too small for arms \(3, 1\)$"):
+        Splitting(4, 3, 1, (1,))
     # whereas a wrong-but-well-formed splitting just fails verification
     assert not verify_splitting(Splitting(13, 3, 1, (1, 2, 3)))
 
@@ -191,6 +195,10 @@ def test_phi_kernel_basis_without_splitting():
     assert phi_kernel_basis(12, (-8, 18)) == [[3, 0], [0, 2]]
     for q, splitters in ((12, (0, -4, 16, 8, 8)), (30, (0, 0)), (7, (14, -7, 3))):
         _check_basis_postconditions(q, splitters, phi_kernel_basis(q, splitters))
+    with pytest.raises(ValueError, match="^need at least one splitter$"):
+        phi_kernel_basis(13, ())
+    with pytest.raises(ValueError, match="^group order must be >= 2, got 1$"):
+        phi_kernel_basis(1, (1,))
 
 
 def test_lattice_basis_raises_on_a_wrong_basis(monkeypatch):
