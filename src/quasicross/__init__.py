@@ -25,7 +25,6 @@ from .criteria import (
     CriterionOutcome,
     CriterionStatus,
     VerdictStatus,
-    evaluate_all,
 )
 from .search import (
     DEFAULT_NODE_BUDGET,

@@ -1,14 +1,17 @@
-"""Aggregation pipeline: per-dimension verdicts over a range, known-tilings
-registry, certificate store, summaries and report emission.
+"""Aggregation pipeline: per-dimension verdicts, known-tilings registry,
+certificate store, summaries and report emission.
 
-classify_range walks n = 1..n_max in ascending order so the divisor
-recursion always sees complete verdicts for the smaller dimensions it can
-reach (every reachable n' satisfies n' < n, so one pass is a fixpoint).
+Every verdict is made by Verdicts.verdict, on a memo that maps n to the
+status of each dimension classified so far and is the divisor recursion's
+oracle.  A dimension the recursion reads that the memo does not hold yet is
+classified on that lookup, and every reachable n' satisfies n' < n, so the
+recursion always ends.  classify_range asks the memo for n = 1..n_max in
+ascending order, and check asks only for the dimensions its one n reaches.
 Unknown is the default: the pipeline never guesses existence, it only
 accepts registry entries, verified certificates, and the trivial dimension.
 
 A verdict needs only the first criterion that fires in reporting order, so
-at each dimension the walk takes the outcomes of criteria.outcomes (the
+at each dimension the memo takes the outcomes of criteria.outcomes (the
 shape criteria, then the divisor recursion) up to that one.  A dimension
 with tiling evidence thus runs every criterion unless one fires, and a
 firing there aborts the run as a contradiction either way.  A run keeps
@@ -36,6 +39,7 @@ __all__ = [
     "Summary",
     "TilesSource",
     "Verdict",
+    "Verdicts",
     "classify_range",
     "default_certificates_path",
     "default_registry",
@@ -252,56 +256,73 @@ class ClassificationRun:
     verdicts: tuple[Verdict, ...]
 
 
-def classify_range(
-    k_plus: int,
-    k_minus: int,
-    n_max: int,
-    registry: Registry | None = None,
-    certificates: Sequence[Splitting] = (),
-) -> ClassificationRun:
-    """Classify every dimension 1..n_max for one shape.
+class Verdicts(dict):
+    """The verdict memo of one shape: n -> VerdictStatus for every dimension
+    classified so far, and the divisor recursion's oracle.  Reading a
+    dimension it does not hold classifies that dimension first.
 
-    Dimension 1 always tiles (S = {1} splits trivially).  A registry or
-    certificate hit yields Tiles; otherwise the first ruling criterion (in
-    reporting order) yields NoTiling; otherwise Unknown.  The criteria run
-    in reporting order up to the first that fires.  So at a dimension with
-    tiling evidence every criterion runs, unless one fires, which aborts the
-    run as a contradiction.
+    The constructor checks the inputs of a classification up to n_max, the
+    largest dimension a caller will ask for, before any dimension is
+    classified: n_max >= 1, the group order of n_max fits in 64 bits, the
+    registry is for this shape, and every certificate for this shape
+    verifies.  Dimension 1 always tiles (S = {1} splits trivially); a
+    registry or certificate hit yields Tiles.
     """
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
-    # numtheory refuses moduli past 64 bits, so a walk to a larger q could
-    # never reach its end; refuse it before the first dimension.
-    q_max = n_max * (k_plus + k_minus) + 1
-    if q_max.bit_length() > 64:
-        raise ValueError(f"dimensions up to {n_max} reach q={q_max}; group orders must fit in 64 bits")
-    if registry is not None and (registry.k_plus, registry.k_minus) != (k_plus, k_minus):
-        raise ValueError(
-            f"registry is for shape ({registry.k_plus},{registry.k_minus}), "
-            f"classifying ({k_plus},{k_minus})"
-        )
-    # Tiling evidence per dimension; later entries win, so the precedence is
-    # trivial > registry > certificate.  Every certificate for this shape is
-    # verified here, before the walk.
-    evidence = {
-        _verified(cert).dimension: TilesSource.CERTIFICATE
-        for cert in certificates
-        if (cert.k_plus, cert.k_minus) == (k_plus, k_minus)
-    }
-    if registry is not None:
-        evidence.update(dict.fromkeys(registry.dimensions, TilesSource.REGISTRY))
-    evidence[1] = TilesSource.TRIVIAL
 
-    oracle: dict[int, VerdictStatus] = {}
-    verdicts: list[Verdict] = []
-    for n in range(1, n_max + 1):
-        shape = QuasiCrossShape(k_plus, k_minus, n)
+    def __init__(
+        self,
+        k_plus: int,
+        k_minus: int,
+        n_max: int,
+        registry: Registry | None = None,
+        certificates: Sequence[Splitting] = (),
+    ):
+        super().__init__()
+        if n_max < 1:
+            raise ValueError(f"n_max must be >= 1, got {n_max}")
+        # numtheory refuses moduli past 64 bits, so a walk to a larger q could
+        # never reach its end; refuse it before the first dimension.
+        q_max = n_max * (k_plus + k_minus) + 1
+        if q_max.bit_length() > 64:
+            raise ValueError(f"dimensions up to {n_max} reach q={q_max}; group orders must fit in 64 bits")
+        if registry is not None and (registry.k_plus, registry.k_minus) != (k_plus, k_minus):
+            raise ValueError(
+                f"registry is for shape ({registry.k_plus},{registry.k_minus}), "
+                f"classifying ({k_plus},{k_minus})"
+            )
+        self.k_plus = k_plus
+        self.k_minus = k_minus
+        # Tiling evidence per dimension; later entries win, so the precedence
+        # is trivial > registry > certificate.  Every certificate for this
+        # shape is verified here, before the first dimension.
+        self.evidence = {
+            _verified(cert).dimension: TilesSource.CERTIFICATE
+            for cert in certificates
+            if (cert.k_plus, cert.k_minus) == (k_plus, k_minus)
+        }
+        if registry is not None:
+            self.evidence.update(dict.fromkeys(registry.dimensions, TilesSource.REGISTRY))
+        self.evidence[1] = TilesSource.TRIVIAL
+
+    def __missing__(self, n: int) -> VerdictStatus:
+        return self.verdict(n).status
+
+    def verdict(self, n: int) -> Verdict:
+        """Classify dimension n and record its status.
+
+        Tiling evidence yields Tiles; otherwise the first ruling criterion
+        (in reporting order) yields NoTiling; otherwise Unknown.  The
+        criteria run in reporting order up to the first that fires.  So at a
+        dimension with tiling evidence every criterion runs, unless one
+        fires, which raises ContradictionError and records nothing.
+        """
+        shape = QuasiCrossShape(self.k_plus, self.k_minus, n)
         fired = None
-        for out in outcomes(shape, oracle):
+        for out in outcomes(shape, self):
             if out.status is CriterionStatus.RULED_OUT:
                 fired = out
                 break
-        tiles_source = evidence.get(n)
+        tiles_source = self.evidence.get(n)
         if tiles_source is not None:
             if fired is not None:
                 raise ContradictionError(n, tiles_source, fired)
@@ -316,9 +337,22 @@ def classify_range(
             )
         else:
             verdict = Verdict(n, shape.group_order, VerdictStatus.UNKNOWN)
-        verdicts.append(verdict)
-        oracle[n] = verdict.status
-    return ClassificationRun(k_plus, k_minus, n_max, tuple(verdicts))
+        self[n] = verdict.status
+        return verdict
+
+
+def classify_range(
+    k_plus: int,
+    k_minus: int,
+    n_max: int,
+    registry: Registry | None = None,
+    certificates: Sequence[Splitting] = (),
+) -> ClassificationRun:
+    """Classify every dimension 1..n_max for one shape, in ascending order,
+    with Verdicts.verdict; the inputs are checked first, as Verdicts
+    describes.  The first contradiction aborts the run."""
+    memo = Verdicts(k_plus, k_minus, n_max, registry, certificates)
+    return ClassificationRun(k_plus, k_minus, n_max, tuple(map(memo.verdict, range(1, n_max + 1))))
 
 
 @dataclass(frozen=True)
@@ -452,10 +486,10 @@ def report_json(run: ClassificationRun) -> str:
 def report_text(run: ClassificationRun) -> str:
     """Aligned-column text report ordered by n (byte-stable)."""
     rows = list(_rows(run))
-    wn = max(len("n"), *(len(str(r[0])) for r in rows))
-    wq = max(len("q"), *(len(str(r[1])) for r in rows))
-    ws = max(len("status"), *(len(r[2]) for r in rows))
-    wc = max(len("criterion"), *(len(r[3]) for r in rows))
+    wn = max([len("n"), *(len(str(r[0])) for r in rows)])
+    wq = max([len("q"), *(len(str(r[1])) for r in rows)])
+    ws = max([len("status"), *(len(r[2]) for r in rows)])
+    wc = max([len("criterion"), *(len(r[3]) for r in rows)])
     lines = [f"{'n':>{wn}} {'q':>{wq}} {'status':<{ws}} {'criterion':<{wc}} witness"]
     for n, q, status, criterion, witness in rows:
         lines.append(f"{n:>{wn}} {q:>{wq}} {status:<{ws}} {criterion:<{wc}} {witness}".rstrip())

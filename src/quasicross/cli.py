@@ -17,8 +17,9 @@ import sys
 from typing import Sequence
 
 from .classify import (
-    ClassificationRun,
     ContradictionError,
+    Registry,
+    Verdicts,
     classify_range,
     default_certificates_path,
     default_registry,
@@ -31,7 +32,7 @@ from .classify import (
     summarize,
     witness_text,
 )
-from .criteria import CRITERION_ORDER, evaluate_all
+from .criteria import CRITERION_ORDER, outcomes
 from .search import SearchStatus, find_splitting
 from .splitting import QuasiCrossShape, Splitting, check_arms, interval_multipliers
 
@@ -133,8 +134,8 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _classify(args, n_max: int) -> ClassificationRun:
-    """classify_range over 1..n_max for the shape and evidence flags in args."""
+def _evidence(args) -> tuple[Registry | None, tuple[Splitting, ...]]:
+    """The registry and certificates that the evidence flags in args select."""
     if args.no_registry:
         registry = None
     elif args.registry:
@@ -142,19 +143,26 @@ def _classify(args, n_max: int) -> ClassificationRun:
     else:
         registry = default_registry(args.kplus, args.kminus)
     certificates = load_certificates(args.certificates) if args.certificates else ()
-    return classify_range(args.kplus, args.kminus, n_max, registry=registry, certificates=certificates)
+    return registry, certificates
 
 
 def _cmd_classify(args) -> int:
-    run = _classify(args, args.max_n)
+    run = classify_range(args.kplus, args.kminus, args.max_n, *_evidence(args))
     render = {"text": report_text, "csv": report_csv, "json": report_json}[args.format]
     sys.stdout.write(render(run))
     return 0
 
 
 def _cmd_check(args) -> int:
-    run = _classify(args, args.n)
-    verdict = run.verdicts[args.n - 1]
+    memo = Verdicts(args.kplus, args.kminus, args.n, *_evidence(args))
+    # classify_range over 1..n stops at the first evidence dimension where a
+    # criterion fires.  Classifying the evidence dimensions below n in
+    # ascending order raises that same contradiction: each reaches only
+    # smaller dimensions, whose evidence is then classified already.
+    for m in sorted(memo.evidence):
+        if m < args.n:
+            memo.verdict(m)
+    verdict = memo.verdict(args.n)
     print(f"shape ({args.kplus},{args.kminus}) n={args.n} q={verdict.q}")
     if verdict.source is not None:
         print(f"verdict: {verdict.status.value} ({verdict.source.value})")
@@ -162,8 +170,7 @@ def _cmd_check(args) -> int:
         print(f"verdict: {verdict.status.value}")
     print("criteria:")
     width = max(len(cid) for cid in CRITERION_ORDER)
-    oracle = {v.n: v.status for v in run.verdicts}
-    for out in evaluate_all(QuasiCrossShape(args.kplus, args.kminus, args.n), oracle):
+    for out in outcomes(QuasiCrossShape(args.kplus, args.kminus, args.n), memo):
         wtxt = witness_text(out.witness)
         line = f"  {out.criterion_id:<{width}}  {out.status.value:<12}  {wtxt}".rstrip()
         print(line)
@@ -209,7 +216,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_summarize(args) -> int:
-    run = _classify(args, args.max_n)
+    run = classify_range(args.kplus, args.kminus, args.max_n, *_evidence(args))
     sys.stdout.write(summarize(run).to_text())
     return 0
 

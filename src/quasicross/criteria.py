@@ -41,7 +41,6 @@ __all__ = [
     "check_quadratic_balance",
     "check_quartic_generic",
     "check_vandermonde",
-    "evaluate_all",
     "outcomes",
 ]
 
@@ -361,8 +360,10 @@ def check_divisors(
     p <= k_plus that divide q; P divides q, so unlike k_plus# it stays
     small for every k_plus.
 
-    The oracle must hold a verdict for every reachable n' (all satisfy
-    n' < n); a missing entry is a hard error, never a silent pass.
+    The oracle is read only at the reachable n' (all satisfy n' < n), in
+    ascending order of d, and only until a divisor rules n out.  It may
+    compute a verdict on lookup, as classify.Verdicts does.  A lookup that
+    raises KeyError is a hard error (LookupError), never a silent pass.
     """
     q = shape.group_order
     factors = shape.factorization
@@ -374,12 +375,14 @@ def check_divisors(
         if (q - d) % (step * d) != 0:
             return _ruled_out("divisors", d=d)
         n_prime = (q - d) // (step * d)
-        if n_prime not in verdict_oracle:
+        try:
+            status = verdict_oracle[n_prime]
+        except KeyError:
             raise LookupError(
                 f"divisor recursion at n={shape.n} reached n'={n_prime} (d={d}) "
                 "with no verdict available"
-            )
-        if verdict_oracle[n_prime] is VerdictStatus.NO_TILING:
+            ) from None
+        if status is VerdictStatus.NO_TILING:
             return _ruled_out("divisors", d=d, n_prime=n_prime)
     return _inconclusive("divisors")
 
@@ -415,10 +418,3 @@ def outcomes(
         yield check(shape)
     if start < len(CRITERION_ORDER):
         yield check_divisors(shape, verdict_oracle)
-
-
-def evaluate_all(
-    shape: QuasiCrossShape, verdict_oracle: Mapping[int, VerdictStatus]
-) -> tuple[CriterionOutcome, ...]:
-    """Run every criterion on a shape, in reporting order."""
-    return tuple(outcomes(shape, verdict_oracle))

@@ -15,7 +15,7 @@ from quasicross.criteria import (
     check_char4_literal,
     check_quadratic_balance,
     check_vandermonde,
-    evaluate_all,
+    outcomes,
 )
 from quasicross.numtheory import is_prime
 from quasicross.search import SearchStatus, count_splittings, find_splitting
@@ -101,7 +101,7 @@ def test_03_vandermonde_count():
             if n not in REGISTRY_3_1
             and not any(
                 o.fired and o.criterion_id != "vandermonde"
-                for o in evaluate_all(QuasiCrossShape(3, 1, n), oracle)
+                for o in outcomes(QuasiCrossShape(3, 1, n), oracle)
             )
         )
         print(

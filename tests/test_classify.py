@@ -7,6 +7,7 @@ from quasicross.classify import (
     ContradictionError,
     Registry,
     TilesSource,
+    Verdicts,
     classify_range,
     default_certificates_path,
     default_registry,
@@ -18,7 +19,7 @@ from quasicross.classify import (
     store_certificate,
     summarize,
 )
-from quasicross.criteria import CRITERION_ORDER, CriterionStatus, VerdictStatus, evaluate_all
+from quasicross.criteria import CRITERION_ORDER, CriterionStatus, VerdictStatus, outcomes
 from quasicross.numtheory import is_prime
 from quasicross.splitting import QuasiCrossShape, Splitting, lattice_basis, verify_cover, verify_splitting
 
@@ -125,10 +126,10 @@ def test_contradiction_aborts():
 
 
 def outcome_rows(run):
-    """evaluate_all at every n of run, with its verdicts as the oracle."""
+    """Every criterion's outcome at every n of run, with its verdicts as the oracle."""
     oracle = {v.n: v.status for v in run.verdicts}
     return {
-        v.n: evaluate_all(QuasiCrossShape(run.k_plus, run.k_minus, v.n), oracle) for v in run.verdicts
+        v.n: tuple(outcomes(QuasiCrossShape(run.k_plus, run.k_minus, v.n), oracle)) for v in run.verdicts
     }
 
 
@@ -209,6 +210,24 @@ def test_tiling_evidence_runs_every_criterion(monkeypatch):
     for n in (1, 6):
         assert [cid for cid, shape in calls if shape.n == n] == list(CRITERION_ORDER[:-1])
     assert all(o.status is not CriterionStatus.RULED_OUT for o in outcome_rows(run)[6])
+
+
+@pytest.mark.parametrize(
+    "k_plus, k_minus, registry",
+    [(3, 1, default_registry(3, 1)), (3, 2, default_registry(3, 2)), (5, 1, None)],
+)
+def test_memo_answers_one_dimension_as_the_walk_does(k_plus, k_minus, registry):
+    # A fresh memo asked for one n classifies only the dimensions the divisor
+    # recursion reaches from n; its verdict, every criterion's outcome and
+    # every status it holds must be the walk's.
+    run = classify_range(k_plus, k_minus, 1000, registry=registry)
+    oracle = {v.n: v.status for v in run.verdicts}
+    for v in run.verdicts:
+        memo = Verdicts(k_plus, k_minus, v.n, registry)
+        assert memo.verdict(v.n) == v
+        sh = QuasiCrossShape(k_plus, k_minus, v.n)
+        assert tuple(outcomes(sh, memo)) == tuple(outcomes(sh, oracle))
+        assert all(oracle[n] is status for n, status in memo.items())
 
 
 def test_classify_range_refuses_q_past_64_bits():
@@ -661,5 +680,10 @@ def test_report_csv_row_content():
 def test_summarize_empty_rejected():
     from quasicross.classify import ClassificationRun
 
+    empty = ClassificationRun(3, 1, 0, ())
     with pytest.raises(ValueError):
-        summarize(ClassificationRun(3, 1, 0, ()))
+        summarize(empty)
+    # The reports of a run with no verdicts are their header lines.
+    assert report_csv(empty) == "n,q,status,criterion,witness\n"
+    assert report_json(empty) == "[]\n"
+    assert report_text(empty) == "n q status criterion witness\n"

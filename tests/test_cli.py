@@ -9,8 +9,15 @@ from pathlib import Path
 import pytest
 
 import quasicross
+from quasicross import cli
 from quasicross.cli import run
-from quasicross.classify import classify_range, default_certificates_path, default_registry, report_text
+from quasicross.classify import (
+    Verdicts,
+    classify_range,
+    default_certificates_path,
+    default_registry,
+    report_text,
+)
 
 # summarize --max-n 250 with the packaged registries: the paper's tables.
 SUMMARY_250 = {
@@ -180,6 +187,33 @@ def test_check_tiles_dimension(capsys):
     code, out, _ = invoke(capsys, "check", "--kplus", "3", "--kminus", "1", "--n", "6")
     assert code == 0
     assert "verdict: tiles (registry)" in out
+
+
+def test_check_raises_the_walks_first_contradiction(tmp_path, capsys):
+    # psquare rules out n = 20, which this registry claims tiles.
+    registry = write_registry(tmp_path, 3, 1, [1, 6, 20])
+    shape = ("--kplus", "3", "--kminus", "1", "--registry", registry)
+    code, _, walk_err = invoke(capsys, "classify", *shape, "--max-n", "30")
+    assert code == 2 and walk_err.startswith("contradiction: dimension 20: ")
+    assert invoke(capsys, "check", *shape, "--n", "30") == (2, "", walk_err)
+    code, out, _ = invoke(capsys, "check", *shape, "--n", "19")
+    assert code == 0 and out.startswith("shape (3,1) n=19 q=77\n")
+
+
+def test_check_classifies_only_what_it_reaches(monkeypatch, capsys):
+    memos = []
+
+    class Recorded(Verdicts):
+        def __init__(self, *args):
+            super().__init__(*args)
+            memos.append(self)
+
+    monkeypatch.setattr(cli, "Verdicts", Recorded)
+    code, out, _ = invoke(capsys, "check", "--kplus", "3", "--kminus", "1", "--n", "400000")
+    assert code == 0 and out.startswith("shape (3,1) n=400000 q=1600001\n")
+    # The 15 registry dimensions, which check classifies to find any
+    # contradiction below n, and the few its divisor recursion reaches.
+    assert len(memos) == 1 and len(memos[0]) <= 20
 
 
 def test_search_finds_stores_and_verifies(tmp_path, capsys):
