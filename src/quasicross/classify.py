@@ -23,11 +23,10 @@ criteria.outcomes for just the criteria after that one.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
-from importlib import resources
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .criteria import CRITERION_ORDER, CriterionOutcome, CriterionStatus, VerdictStatus, outcomes
 from .splitting import QuasiCrossShape, Splitting, check_arms, from_json_line, to_json_line, verify_splitting
@@ -61,8 +60,7 @@ class TilesSource(Enum):
     CERTIFICATE = "certificate"
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     n: int
     q: int
     status: VerdictStatus
@@ -71,23 +69,20 @@ class Verdict:
     witness: dict | None = None
 
 
-@dataclass(frozen=True)
-class Registry:
-    """Externally supplied dimensions with known tilings for one shape."""
+class Registry(namedtuple("Registry", "k_plus k_minus dimensions source")):
+    """Externally supplied dimensions with known tilings for one shape,
+    stored sorted."""
 
-    k_plus: int
-    k_minus: int
-    dimensions: tuple[int, ...]
-    source: str = ""
+    __slots__ = ()
 
-    def __post_init__(self):
-        check_arms(self.k_plus, self.k_minus)
-        dims = tuple(sorted(self.dimensions))
+    def __new__(cls, k_plus: int, k_minus: int, dimensions: Sequence[int], source: str = ""):
+        check_arms(k_plus, k_minus)
+        dims = tuple(sorted(dimensions))
         if len(set(dims)) != len(dims):
             raise ValueError("registry dimensions must be distinct")
         if dims and dims[0] < 1:
             raise ValueError("registry dimensions must be >= 1")
-        object.__setattr__(self, "dimensions", dims)
+        return super().__new__(cls, k_plus, k_minus, dims, source)
 
 
 class ContradictionError(RuntimeError):
@@ -127,10 +122,20 @@ def load_registry(path) -> Registry:
         raise ValueError(f"registry {path}: {exc}") from exc
 
 
+def _data_path(name: str) -> Path:
+    """Path of a file in the package's data directory."""
+    # Imported here, not with the module: on Python 3.12 and later
+    # importlib.resources imports inspect, which importing the package
+    # should not pay for.
+    from importlib import resources
+
+    return Path(str(resources.files("quasicross").joinpath("data", name)))
+
+
 def default_registry_path(k_plus: int, k_minus: int) -> Path | None:
     """Packaged registry file for a shape, if one ships with the library."""
-    ref = resources.files("quasicross").joinpath("data", f"registry_{k_plus}_{k_minus}.json")
-    return Path(str(ref)) if ref.is_file() else None
+    path = _data_path(f"registry_{k_plus}_{k_minus}.json")
+    return path if path.is_file() else None
 
 
 def default_registry(k_plus: int, k_minus: int) -> Registry | None:
@@ -140,7 +145,7 @@ def default_registry(k_plus: int, k_minus: int) -> Registry | None:
 
 def default_certificates_path() -> Path:
     """Certificate store shipped with the library."""
-    return Path(str(resources.files("quasicross").joinpath("data", "certificates.jsonl")))
+    return _data_path("certificates.jsonl")
 
 
 def _verified(cert: Splitting) -> Splitting:
@@ -244,8 +249,7 @@ def store_certificate(splitting: Splitting, path) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class ClassificationRun:
+class ClassificationRun(NamedTuple):
     """Verdicts for n = 1..n_max, in order.  The per-criterion outcomes at
     any n follow from them: criteria.outcomes on the shape, with the verdict
     statuses as the divisor recursion's oracle."""
@@ -355,8 +359,7 @@ def classify_range(
     return ClassificationRun(k_plus, k_minus, n_max, tuple(map(memo.verdict, range(1, n_max + 1))))
 
 
-@dataclass(frozen=True)
-class Summary:
+class Summary(NamedTuple):
     k_plus: int
     k_minus: int
     n_max: int

@@ -15,11 +15,10 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from operator import mul
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, NamedTuple
 
 from .numtheory import discrete_log, gcd, is_prime, legendre, quartic_class
 from .splitting import QuasiCrossShape, multiplier_set
@@ -60,8 +59,7 @@ class VerdictStatus(Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class CriterionOutcome:
+class CriterionOutcome(NamedTuple):
     criterion_id: str
     status: CriterionStatus
     witness: dict | None = None
@@ -81,7 +79,8 @@ def _inconclusive(cid: str, **witness) -> CriterionOutcome:
 
 @lru_cache(maxsize=None)
 def _inapplicable(cid: str) -> CriterionOutcome:
-    """One shared outcome per criterion: it is frozen and carries no witness."""
+    """One shared outcome per criterion: an immutable tuple with no
+    witness dict, so no caller can change it."""
     return CriterionOutcome(cid, CriterionStatus.INAPPLICABLE)
 
 

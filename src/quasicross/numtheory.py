@@ -10,7 +10,7 @@ the deterministic primality guarantee honest.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import IntEnum
 from functools import lru_cache
 
@@ -117,17 +117,19 @@ def primes_upto(limit: int) -> list[int]:
     return [i for i in range(2, limit + 1) if sieve[i]]
 
 
-@dataclass(frozen=True)
-class Factorization:
-    """Prime factorization as (prime, exponent) pairs with primes ascending."""
+class Factorization(namedtuple("Factorization", "value factors")):
+    """Prime factorization as (prime, exponent) pairs with primes ascending.
 
-    value: int
-    factors: tuple[tuple[int, int], ...]
+    A tuple (value, factors).  Construction checks that the primes are
+    prime and ascend, that every exponent is >= 1, and that the factors
+    multiply back to the value."""
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __new__(cls, value: int, factors: tuple[tuple[int, int], ...]):
         prod = 1
         last = 1
-        for p, e in self.factors:
+        for p, e in factors:
             if p <= last:
                 raise ValueError("factor primes must be strictly increasing")
             if e < 1:
@@ -136,8 +138,9 @@ class Factorization:
                 raise ValueError(f"factor {p} is not prime")
             prod *= p**e
             last = p
-        if prod != self.value:
-            raise ValueError(f"factors multiply to {prod}, not {self.value}")
+        if prod != value:
+            raise ValueError(f"factors multiply to {prod}, not {value}")
+        return super().__new__(cls, value, factors)
 
     def divisors(self) -> list[int]:
         """All positive divisors of the value, ascending."""

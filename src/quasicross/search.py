@@ -61,8 +61,8 @@ fast the machine runs, and the same arguments can give different outcomes.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .splitting import MultiplierSet, verify_cover
 
@@ -84,8 +84,7 @@ class SearchStatus(Enum):
     TIMED_OUT = "timed_out"
 
 
-@dataclass(frozen=True)
-class SearchOutcome:
+class SearchOutcome(NamedTuple):
     status: SearchStatus
     splitters: tuple[int, ...] | None
     nodes: int
@@ -93,8 +92,7 @@ class SearchOutcome:
     diagnostic: str | None = None
 
 
-@dataclass(frozen=True)
-class CountOutcome:
+class CountOutcome(NamedTuple):
     """Exact number of splitter sets when complete; a partial count (budget
     ran out) is flagged complete=False and must not be used."""
 

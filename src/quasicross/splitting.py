@@ -13,10 +13,10 @@ phi(x_1..x_n) = sum x_i s_i mod q.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cached_property, lru_cache
 from operator import mul
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .numtheory import Factorization, factorize
 
@@ -44,30 +44,28 @@ def check_arms(k_plus: int, k_minus: int) -> None:
         raise ValueError(f"arms must satisfy 1 <= k_minus <= k_plus, got ({k_plus}, {k_minus})")
 
 
-@dataclass(frozen=True)
-class QuasiCrossShape:
+class QuasiCrossShape(namedtuple("QuasiCrossShape", "k_plus k_minus n")):
     """Arm lengths (k_plus forward, k_minus backward along each axis) and
     dimension n.  The cyclic group split by a lattice tiling has order
     q = n*(k_plus + k_minus) + 1.
 
-    The shape also carries the facts that several criteria read: arm_sum
-    and group_order are stored once, at construction, and the factorization
-    of q is computed once, on first use.  None of them takes part in
-    equality, hashing or repr, which see only (k_plus, k_minus, n)."""
+    The shape is the tuple (k_plus, k_minus, n), so equality, hashing and
+    repr see only those.  It also carries, in its instance __dict__, the
+    facts that several criteria read: arm_sum and group_order are stored
+    once, at construction, and the factorization of q is computed once, on
+    first use.  Assigning any attribute raises AttributeError."""
 
-    k_plus: int
-    k_minus: int
-    n: int
-    arm_sum: int = field(init=False, compare=False, repr=False)
-    group_order: int = field(init=False, compare=False, repr=False)
+    def __new__(cls, k_plus: int, k_minus: int, n: int):
+        check_arms(k_plus, k_minus)
+        if n < 1:
+            raise ValueError(f"dimension must be >= 1, got {n}")
+        self = super().__new__(cls, k_plus, k_minus, n)
+        arm_sum = k_plus + k_minus
+        self.__dict__.update(arm_sum=arm_sum, group_order=n * arm_sum + 1)
+        return self
 
-    def __post_init__(self):
-        check_arms(self.k_plus, self.k_minus)
-        if self.n < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.n}")
-        arm_sum = self.k_plus + self.k_minus
-        object.__setattr__(self, "arm_sum", arm_sum)
-        object.__setattr__(self, "group_order", self.n * arm_sum + 1)
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     @cached_property
     def factorization(self) -> Factorization:
@@ -86,19 +84,18 @@ def _check_residues(values: Sequence[int], q: int, what: str) -> None:
         seen.add(v)
 
 
-@dataclass(frozen=True)
-class MultiplierSet:
+class MultiplierSet(namedtuple("MultiplierSet", "q residues")):
     """Distinct nonzero residues mod q acting as multipliers."""
 
-    q: int
-    residues: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.q < 2:
-            raise ValueError(f"group order must be >= 2, got {self.q}")
-        if not self.residues:
+    def __new__(cls, q: int, residues: tuple[int, ...]):
+        if q < 2:
+            raise ValueError(f"group order must be >= 2, got {q}")
+        if not residues:
             raise ValueError("multiplier set must not be empty")
-        _check_residues(self.residues, self.q, "multiplier residue")
+        _check_residues(residues, q, "multiplier residue")
+        return super().__new__(cls, q, residues)
 
 
 def interval_multipliers(k_plus: int, k_minus: int, q: int) -> MultiplierSet:
@@ -115,8 +112,7 @@ def multiplier_set(shape: QuasiCrossShape) -> MultiplierSet:
     return interval_multipliers(shape.k_plus, shape.k_minus, shape.group_order)
 
 
-@dataclass(frozen=True)
-class Splitting:
+class Splitting(namedtuple("Splitting", "q k_plus k_minus splitters")):
     """Splitter-set certificate for the interval multiplier set of a
     (k_plus, k_minus) quasi-cross over Z_q.
 
@@ -126,18 +122,15 @@ class Splitting:
     for certificate deduplication.
     """
 
-    q: int
-    k_plus: int
-    k_minus: int
-    splitters: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        check_arms(self.k_plus, self.k_minus)
-        if self.q <= self.k_plus + self.k_minus:
-            raise ValueError(f"q={self.q} too small for arms ({self.k_plus}, {self.k_minus})")
-        ordered = tuple(sorted(self.splitters))
-        _check_residues(ordered, self.q, "splitter")
-        object.__setattr__(self, "splitters", ordered)
+    def __new__(cls, q: int, k_plus: int, k_minus: int, splitters: Sequence[int]):
+        check_arms(k_plus, k_minus)
+        if q <= k_plus + k_minus:
+            raise ValueError(f"q={q} too small for arms ({k_plus}, {k_minus})")
+        ordered = tuple(sorted(splitters))
+        _check_residues(ordered, q, "splitter")
+        return super().__new__(cls, q, k_plus, k_minus, ordered)
 
     @property
     def multipliers(self) -> MultiplierSet:
@@ -148,8 +141,9 @@ class Splitting:
         return len(self.splitters)
 
 
-@dataclass(frozen=True)
-class VerificationResult:
+class VerificationResult(NamedTuple):
+    """Whether a cover holds, and if not, why.  Its truth value is ok."""
+
     ok: bool
     reason: str | None = None
 
@@ -190,8 +184,8 @@ def verify_splitting(splitting: Splitting) -> VerificationResult:
     """verify_cover applied to a candidate certificate.
 
     This is the one place that decides whether a certificate verifies.  The
-    result is memoized by the frozen Splitting, whose equality is (q,
-    k_plus, k_minus, sorted splitters), so each distinct certificate is
+    result is memoized by the Splitting, an immutable tuple (q, k_plus,
+    k_minus, sorted splitters), so each distinct certificate is
     covered once per process, whichever of store, load, classify_range or
     lattice_basis asks first.  A failing result is memoized too; every
     caller still raises on it, on every call.
@@ -199,8 +193,7 @@ def verify_splitting(splitting: Splitting) -> VerificationResult:
     return verify_cover(splitting.q, splitting.multipliers.residues, splitting.splitters)
 
 
-@dataclass(frozen=True)
-class LatticeBasis:
+class LatticeBasis(NamedTuple):
     """Row basis in Hermite form (upper triangular, positive diagonal)."""
 
     rows: tuple[tuple[int, ...], ...]

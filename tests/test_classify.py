@@ -21,7 +21,15 @@ from quasicross.classify import (
 )
 from quasicross.criteria import CRITERION_ORDER, CriterionStatus, VerdictStatus, outcomes
 from quasicross.numtheory import is_prime
-from quasicross.splitting import QuasiCrossShape, Splitting, lattice_basis, verify_cover, verify_splitting
+from quasicross.search import count_splittings, find_splitting
+from quasicross.splitting import (
+    QuasiCrossShape,
+    Splitting,
+    interval_multipliers,
+    lattice_basis,
+    verify_cover,
+    verify_splitting,
+)
 
 Q25_CERT = Splitting(25, 3, 1, (1, 5, 6, 11, 16, 21))
 # Well formed, but 1*2 and 2*1 collide at 2.
@@ -244,13 +252,37 @@ def test_classify_range_refuses_q_past_64_bits():
 
 
 def test_registry_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^registry dimensions must be distinct$"):
         Registry(3, 1, (5, 5))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^registry dimensions must be >= 1$"):
         Registry(3, 1, (0, 2))
-    with pytest.raises(ValueError, match="arms must satisfy"):
+    with pytest.raises(ValueError, match=r"^arms must satisfy 1 <= k_minus <= k_plus, got \(1, 3\)$"):
         Registry(1, 3, (2,))
-    assert Registry(3, 1, (6, 1)).dimensions == (1, 6)
+    registry = Registry(3, 1, (6, 1))
+    assert registry.dimensions == (1, 6) and registry.source == ""
+    other = Registry(3, 1, [1, 6])
+    assert registry == other and hash(registry) == hash(other)
+    for name in ("k_plus", "k_minus", "dimensions", "source"):
+        with pytest.raises(AttributeError):
+            setattr(registry, name, 1)
+
+
+def test_records_refuse_assignment():
+    run = classify_range(3, 1, 6, registry=default_registry(3, 1))
+    records = (
+        run,
+        run.verdicts[-1],
+        summarize(run),
+        next(outcomes(QuasiCrossShape(3, 1, 6), statuses(run))),
+        find_splitting(25, interval_multipliers(3, 1, 25)),
+        count_splittings(5, interval_multipliers(3, 1, 5)),
+        verify_cover(5, (4, 1, 2, 3), (1,)),
+        lattice_basis(Q25_CERT),
+    )
+    for record in records:
+        for name in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
 
 
 def test_load_registry(tmp_path):

@@ -452,6 +452,19 @@ def test_module_entry_point(tmp_path):
     assert "6,25,unknown,," in first.stdout
 
 
+def test_importing_the_package_loads_no_dataclasses_or_inspect():
+    # -S keeps site-packages hooks, which may import either, out of the check.
+    src = str(Path(quasicross.__file__).resolve().parents[1])
+    code = "import sys, quasicross, quasicross.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")
+
+
 def test_deeply_nested_certificate_line_exits_2(tmp_path):
     store = tmp_path / "deep.jsonl"
     store.write_text("[" * 100_000)

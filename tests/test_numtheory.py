@@ -172,14 +172,17 @@ def test_factorize_uses_rho_beyond_trial_range():
 
 
 def test_factorization_validates():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^factors multiply to 2, not 10$"):
         Factorization(10, ((2, 1),))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^factor primes must be strictly increasing$"):
         Factorization(12, ((3, 1), (2, 2)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^factor 8 is not prime$"):
         Factorization(8, ((8, 1),))
     with pytest.raises(ValueError, match="^exponent of 3 must be >= 1, got 0$"):
         Factorization(2, ((2, 1), (3, 0)))
+    for name in ("value", "factors"):
+        with pytest.raises(AttributeError):
+            setattr(factorize(12), name, 1)
 
 
 def test_divisors():

@@ -12,6 +12,7 @@ from quasicross.splitting import (
     MultiplierSet,
     QuasiCrossShape,
     Splitting,
+    VerificationResult,
     from_json_line,
     interval_multipliers,
     lattice_basis,
@@ -28,11 +29,11 @@ Q25_SPLITTERS = (1, 5, 6, 11, 16, 21)
 def test_shape_validation():
     QuasiCrossShape(3, 1, 1)
     QuasiCrossShape(3, 3, 2)  # equal arms admitted
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^arms must satisfy 1 <= k_minus <= k_plus, got \(1, 2\)$"):
         QuasiCrossShape(1, 2, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^arms must satisfy 1 <= k_minus <= k_plus, got \(3, 0\)$"):
         QuasiCrossShape(3, 0, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^dimension must be >= 1, got 0$"):
         QuasiCrossShape(3, 1, 0)
 
 
@@ -48,6 +49,10 @@ def test_shape_identity_is_its_arms_and_dimension():
     shape.factorization  # cached on the instance
     assert shape == QuasiCrossShape(3, 2, 13) and hash(shape) == hash(QuasiCrossShape(3, 2, 13))
     assert shape != QuasiCrossShape(3, 2, 12)
+    for name in ("k_plus", "k_minus", "n", "arm_sum", "group_order", "factorization"):
+        with pytest.raises(AttributeError):
+            setattr(shape, name, 1)
+    assert (shape.n, shape.group_order, shape.factorization.value) == (13, 66, 66)
 
 
 def test_multiplier_set_examples():
@@ -71,6 +76,8 @@ def test_multiplier_set_validation():
         MultiplierSet(5, ())
     with pytest.raises(ValueError, match="^group order must be >= 2, got 1$"):
         MultiplierSet(1, (1,))
+    with pytest.raises(AttributeError):
+        MultiplierSet(10, (1, 9)).residues = (1,)
 
 
 def test_verify_q5():
@@ -106,6 +113,9 @@ def test_verify_zero_product():
     result = verify_cover(10, (5,), (2, 3))
     assert not result
     assert "zero product" in result.reason
+    # A non-empty tuple is truthy; every `if not check:` relies on __bool__.
+    assert bool(VerificationResult(False, "r")) is False
+    assert bool(VerificationResult(True)) is True
 
 
 def test_structural_errors_differ_from_verification_failure():
@@ -120,6 +130,8 @@ def test_structural_errors_differ_from_verification_failure():
         assert str(info.value) == message
     with pytest.raises(ValueError, match=r"^q=4 too small for arms \(3, 1\)$"):
         Splitting(4, 3, 1, (1,))
+    with pytest.raises(ValueError, match=r"^arms must satisfy 1 <= k_minus <= k_plus, got \(1, 3\)$"):
+        Splitting(13, 1, 3, (1,))
     # whereas a wrong-but-well-formed splitting just fails verification
     assert not verify_splitting(Splitting(13, 3, 1, (1, 2, 3)))
 
@@ -127,6 +139,11 @@ def test_structural_errors_differ_from_verification_failure():
 def test_splitters_canonically_sorted():
     s = Splitting(25, 3, 1, (21, 1, 16, 5, 11, 6))
     assert s.splitters == Q25_SPLITTERS
+    other = Splitting(25, 3, 1, [6, 11, 5, 16, 1, 21])
+    assert s == other and hash(s) == hash(other)
+    for name in ("q", "k_plus", "k_minus", "splitters"):
+        with pytest.raises(AttributeError):
+            setattr(s, name, 1)
 
 
 def test_verified_size_invariant():
