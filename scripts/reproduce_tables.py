@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Rebuild the dimension-by-dimension classification tables for the two
-smallest open quasi-cross shapes, (3,1) and (3,2), using the packaged
-known-tilings registries, and print the firing statistics."""
+smallest open quasi-cross shapes, (3,1) and (3,2), with the packaged
+certificate store as the registry of known tilings, and print the firing
+statistics."""
 
 import argparse
 import sys

@@ -4,16 +4,13 @@ criteria, and dimension-by-dimension classification."""
 from .classify import (
     ClassificationRun,
     ContradictionError,
-    Registry,
     Summary,
     TilesSource,
     Verdict,
     classify_range,
     default_certificates_path,
     default_registry,
-    default_registry_path,
     load_certificates,
-    load_registry,
     report_csv,
     report_json,
     report_text,

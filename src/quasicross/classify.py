@@ -1,5 +1,6 @@
-"""Aggregation pipeline: per-dimension verdicts, known-tilings registry,
-certificate store, summaries and report emission.
+"""Aggregation pipeline: per-dimension verdicts, certificate store (whose
+packaged copy is the registry of known tilings), summaries and report
+emission.
 
 Every verdict is made by Verdicts.verdict, on a memo that maps n to the
 status of each dimension classified so far and is the divisor recursion's
@@ -8,7 +9,7 @@ classified on that lookup, and every reachable n' satisfies n' < n, so the
 recursion always ends.  classify_range asks the memo for n = 1..n_max in
 ascending order, and check asks only for the dimensions its one n reaches.
 Unknown is the default: the pipeline never guesses existence, it only
-accepts registry entries, verified certificates, and the trivial dimension.
+accepts verified certificates and the trivial dimension.
 
 A verdict needs only the first criterion that fires in reporting order, so
 at each dimension the memo takes the outcomes of criteria.outcomes (the
@@ -23,18 +24,16 @@ criteria.outcomes for just the criteria after that one.
 from __future__ import annotations
 
 import json
-from collections import namedtuple
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
 from .criteria import CRITERION_ORDER, CriterionOutcome, CriterionStatus, VerdictStatus, outcomes
-from .splitting import QuasiCrossShape, Splitting, check_arms, from_json_line, to_json_line, verify_splitting
+from .splitting import QuasiCrossShape, Splitting, from_json_line, to_json_line, verify_splitting
 
 __all__ = [
     "ClassificationRun",
     "ContradictionError",
-    "Registry",
     "Summary",
     "TilesSource",
     "Verdict",
@@ -42,9 +41,7 @@ __all__ = [
     "classify_range",
     "default_certificates_path",
     "default_registry",
-    "default_registry_path",
     "load_certificates",
-    "load_registry",
     "report_csv",
     "report_json",
     "report_text",
@@ -69,22 +66,6 @@ class Verdict(NamedTuple):
     witness: dict | None = None
 
 
-class Registry(namedtuple("Registry", "k_plus k_minus dimensions source")):
-    """Externally supplied dimensions with known tilings for one shape,
-    stored sorted."""
-
-    __slots__ = ()
-
-    def __new__(cls, k_plus: int, k_minus: int, dimensions: Sequence[int], source: str = ""):
-        check_arms(k_plus, k_minus)
-        dims = tuple(sorted(dimensions))
-        if len(set(dims)) != len(dims):
-            raise ValueError("registry dimensions must be distinct")
-        if dims and dims[0] < 1:
-            raise ValueError("registry dimensions must be >= 1")
-        return super().__new__(cls, k_plus, k_minus, dims, source)
-
-
 class ContradictionError(RuntimeError):
     """A dimension with tiling evidence was simultaneously ruled out."""
 
@@ -98,30 +79,6 @@ class ContradictionError(RuntimeError):
         )
 
 
-def load_registry(path) -> Registry:
-    """Read a registry file: {"k_plus", "k_minus", "dimensions", "source"}."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except (ValueError, RecursionError) as exc:  # malformed, too deeply nested or not UTF-8
-            raise ValueError(f"registry {path}: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise ValueError(f"registry {path}: expected a JSON object")
-    missing = [k for k in ("k_plus", "k_minus", "dimensions") if k not in obj]
-    if missing:
-        raise ValueError(f"registry {path}: missing fields: {', '.join(missing)}")
-    kp, km, dims = obj["k_plus"], obj["k_minus"], obj["dimensions"]
-    # type() rather than isinstance(): JSON true/false must not pass as 1/0.
-    if not (type(kp) is int and type(km) is int):
-        raise ValueError(f"registry {path}: k_plus and k_minus must be integers")
-    if not isinstance(dims, list) or not all(type(d) is int for d in dims):
-        raise ValueError(f"registry {path}: dimensions must be a list of integers")
-    try:
-        return Registry(kp, km, tuple(dims), obj.get("source", ""))
-    except ValueError as exc:  # arms out of order, repeated or non-positive dimensions
-        raise ValueError(f"registry {path}: {exc}") from exc
-
-
 def _data_path(name: str) -> Path:
     """Path of a file in the package's data directory."""
     # Imported here, not with the module: on Python 3.12 and later
@@ -132,20 +89,20 @@ def _data_path(name: str) -> Path:
     return Path(str(resources.files("quasicross").joinpath("data", name)))
 
 
-def default_registry_path(k_plus: int, k_minus: int) -> Path | None:
-    """Packaged registry file for a shape, if one ships with the library."""
-    path = _data_path(f"registry_{k_plus}_{k_minus}.json")
-    return path if path.is_file() else None
-
-
-def default_registry(k_plus: int, k_minus: int) -> Registry | None:
-    path = default_registry_path(k_plus, k_minus)
-    return load_registry(path) if path is not None else None
-
-
 def default_certificates_path() -> Path:
     """Certificate store shipped with the library."""
     return _data_path("certificates.jsonl")
+
+
+def default_registry(k_plus: int, k_minus: int) -> tuple[Splitting, ...]:
+    """The packaged store's certificates for one shape: the registry of
+    known tilings.  Every line was found by find_splitting, and regenerates
+    with quasicross search --store."""
+    return tuple(
+        cert
+        for cert in load_certificates(default_certificates_path())
+        if (cert.k_plus, cert.k_minus) == (k_plus, k_minus)
+    )
 
 
 def _verified(cert: Splitting) -> Splitting:
@@ -267,10 +224,10 @@ class Verdicts(dict):
 
     The constructor checks the inputs of a classification up to n_max, the
     largest dimension a caller will ask for, before any dimension is
-    classified: n_max >= 1, the group order of n_max fits in 64 bits, the
-    registry is for this shape, and every certificate for this shape
-    verifies.  Dimension 1 always tiles (S = {1} splits trivially); a
-    registry or certificate hit yields Tiles.
+    classified: n_max >= 1, the group order of n_max fits in 64 bits, and
+    every registry or certificate entry for this shape verifies; entries
+    for other shapes are ignored.  Dimension 1 always tiles (S = {1} splits
+    trivially); a registry or certificate hit yields Tiles.
     """
 
     def __init__(
@@ -278,7 +235,7 @@ class Verdicts(dict):
         k_plus: int,
         k_minus: int,
         n_max: int,
-        registry: Registry | None = None,
+        registry: Sequence[Splitting] = (),
         certificates: Sequence[Splitting] = (),
     ):
         super().__init__()
@@ -289,23 +246,17 @@ class Verdicts(dict):
         q_max = n_max * (k_plus + k_minus) + 1
         if q_max.bit_length() > 64:
             raise ValueError(f"dimensions up to {n_max} reach q={q_max}; group orders must fit in 64 bits")
-        if registry is not None and (registry.k_plus, registry.k_minus) != (k_plus, k_minus):
-            raise ValueError(
-                f"registry is for shape ({registry.k_plus},{registry.k_minus}), "
-                f"classifying ({k_plus},{k_minus})"
-            )
         self.k_plus = k_plus
         self.k_minus = k_minus
         # Tiling evidence per dimension; later entries win, so the precedence
-        # is trivial > registry > certificate.  Every certificate for this
-        # shape is verified here, before the first dimension.
+        # is trivial > registry > certificate.  Every entry for this shape is
+        # verified here, before the first dimension.
         self.evidence = {
-            _verified(cert).dimension: TilesSource.CERTIFICATE
-            for cert in certificates
+            _verified(cert).dimension: source
+            for certs, source in ((certificates, TilesSource.CERTIFICATE), (registry, TilesSource.REGISTRY))
+            for cert in certs
             if (cert.k_plus, cert.k_minus) == (k_plus, k_minus)
         }
-        if registry is not None:
-            self.evidence.update(dict.fromkeys(registry.dimensions, TilesSource.REGISTRY))
         self.evidence[1] = TilesSource.TRIVIAL
 
     def __missing__(self, n: int) -> VerdictStatus:
@@ -349,7 +300,7 @@ def classify_range(
     k_plus: int,
     k_minus: int,
     n_max: int,
-    registry: Registry | None = None,
+    registry: Sequence[Splitting] = (),
     certificates: Sequence[Splitting] = (),
 ) -> ClassificationRun:
     """Classify every dimension 1..n_max for one shape, in ascending order,

@@ -18,13 +18,11 @@ from typing import Sequence
 
 from .classify import (
     ContradictionError,
-    Registry,
     Verdicts,
     classify_range,
     default_certificates_path,
     default_registry,
     load_certificates,
-    load_registry,
     report_csv,
     report_json,
     report_text,
@@ -76,16 +74,10 @@ def _build_parser() -> _Parser:
         p.add_argument("--kminus", type=_positive_int, required=True, help="backward arm length")
 
     def add_evidence(p):
-        registry = p.add_mutually_exclusive_group()
-        registry.add_argument(
-            "--registry",
-            help="registry JSON file of known tiling dimensions "
-            "(default: the packaged registry for the shape, when one exists)",
-        )
-        registry.add_argument(
+        p.add_argument(
             "--no-registry",
             action="store_true",
-            help="run with an empty registry even when a packaged one exists",
+            help="do not use the packaged certificate store as tiling evidence",
         )
         p.add_argument(
             "--certificates", help="JSON-lines certificate store to use as tiling evidence"
@@ -134,15 +126,10 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _evidence(args) -> tuple[Registry | None, tuple[Splitting, ...]]:
+def _evidence(args) -> tuple[tuple[Splitting, ...], tuple[Splitting, ...]]:
     """The registry and certificates that the evidence flags in args select."""
-    if args.no_registry:
-        registry = None
-    elif args.registry:
-        registry = load_registry(args.registry)
-    else:
-        registry = default_registry(args.kplus, args.kminus)
-    certificates = load_certificates(args.certificates) if args.certificates else ()
+    registry = () if args.no_registry else default_registry(args.kplus, args.kminus)
+    certificates = () if args.certificates is None else load_certificates(args.certificates)
     return registry, certificates
 
 
@@ -207,7 +194,7 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    path = args.certificates if args.certificates else default_certificates_path()
+    path = default_certificates_path() if args.certificates is None else args.certificates
     certs = load_certificates(path)  # raises on the first bad certificate
     for i, cert in enumerate(certs, start=1):
         print(f"certificate {i}: ok q={cert.q} arms=({cert.k_plus},{cert.k_minus}) n={cert.dimension}")

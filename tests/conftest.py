@@ -1,0 +1,25 @@
+import pytest
+
+from quasicross import criteria
+from quasicross.criteria import CriterionOutcome, CriterionStatus
+
+
+@pytest.fixture
+def firing_at(monkeypatch):
+    """firing_at(criterion_id, dims) makes that entry of the criterion table
+    criteria.outcomes reads rule out the dimensions in dims too, as a wrong
+    criterion would."""
+
+    def wrong(criterion_id, dims, cid, fn):
+        def check(shape):
+            if shape.n in dims:
+                return CriterionOutcome(cid, CriterionStatus.RULED_OUT, {"n": shape.n})
+            return fn(shape)
+
+        return check if cid == criterion_id else fn
+
+    def patch(criterion_id, dims):
+        table = tuple((cid, wrong(criterion_id, dims, cid, fn)) for cid, fn in criteria.SHAPE_CRITERIA)
+        monkeypatch.setattr(criteria, "SHAPE_CRITERIA", table)
+
+    return patch

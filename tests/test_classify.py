@@ -5,14 +5,12 @@ import pytest
 from quasicross import classify, criteria, splitting
 from quasicross.classify import (
     ContradictionError,
-    Registry,
     TilesSource,
     Verdicts,
     classify_range,
     default_certificates_path,
     default_registry,
     load_certificates,
-    load_registry,
     report_csv,
     report_json,
     report_text,
@@ -66,7 +64,7 @@ def test_31_small_range_attribution():
 
 
 def test_32_small_range_attribution():
-    run = classify_range(3, 2, 6, registry=Registry(3, 2, (1,)))
+    run = classify_range(3, 2, 6, registry=default_registry(3, 2))
     attr = attributions(run)
     assert attr[2] == "geometry"
     assert attr[3] == "arm_gcd"
@@ -76,8 +74,7 @@ def test_32_small_range_attribution():
 
 
 def test_registry_marks_tiles():
-    reg = Registry(3, 1, (1, 6), "test")
-    run = classify_range(3, 1, 6, registry=reg)
+    run = classify_range(3, 1, 6, registry=[Q25_CERT])
     v = run.verdicts[5]
     assert v.status is VerdictStatus.TILES and v.source is TilesSource.REGISTRY
 
@@ -86,11 +83,6 @@ def test_certificates_mark_tiles():
     run = classify_range(3, 1, 6, certificates=[Q25_CERT])
     v = run.verdicts[5]
     assert v.status is VerdictStatus.TILES and v.source is TilesSource.CERTIFICATE
-
-
-def test_registry_shape_mismatch_rejected():
-    with pytest.raises(ValueError, match="registry is for shape"):
-        classify_range(3, 1, 5, registry=Registry(3, 2, (1,)))
 
 
 def test_unverified_certificate_rejected():
@@ -104,12 +96,13 @@ def test_unverified_certificate_rejected():
 
 def test_tiling_evidence_precedence():
     # Trivial beats registry beats certificate when they name the same dimension.
-    run = classify_range(
-        3, 1, 6, registry=Registry(3, 1, (1, 6)), certificates=[Splitting(5, 3, 1, (1,)), Q25_CERT]
-    )
+    five = Splitting(5, 3, 1, (1,))
+    run = classify_range(3, 1, 6, registry=[five, Q25_CERT], certificates=[five, Q25_CERT])
     assert [run.verdicts[n - 1].source for n in (1, 6)] == [TilesSource.TRIVIAL, TilesSource.REGISTRY]
-    # A certificate for another shape is neither evidence nor verified.
-    run = classify_range(3, 1, 6, certificates=[Splitting(13, 2, 1, (1, 2, 3))])
+    # An entry for another shape is neither evidence nor verified, in the
+    # registry or among the certificates.
+    other = Splitting(13, 2, 1, (1, 2, 3))
+    run = classify_range(3, 1, 6, registry=[other], certificates=[other])
     assert run.verdicts == classify_range(3, 1, 6).verdicts
 
 
@@ -118,17 +111,17 @@ def test_evidence_is_checked_before_the_walk(monkeypatch):
     bad = Splitting(13, 3, 1, (1, 2, 3))  # dimension 3, past n_max
     with pytest.raises(ValueError, match="certificate q=13 does not verify"):
         classify_range(3, 1, 2, certificates=[Q25_CERT, bad])
-    with pytest.raises(ValueError, match="registry is for shape"):
-        classify_range(3, 1, 2, registry=Registry(3, 2, (1,)), certificates=[bad])
+    with pytest.raises(ValueError, match="certificate q=13 does not verify"):
+        classify_range(3, 1, 2, registry=[Q25_CERT, bad])
     assert calls == []
 
 
-def test_contradiction_aborts():
-    reg = Registry(3, 1, (1, 3), "bogus: 3 is ruled out")
+def test_contradiction_aborts(firing_at):
+    firing_at("quadratic_balance", {6})
     with pytest.raises(ContradictionError) as exc_info:
-        classify_range(3, 1, 5, registry=reg)
+        classify_range(3, 1, 8, registry=[Q25_CERT])
     err = exc_info.value
-    assert err.n == 3
+    assert err.n == 6
     assert err.outcome.criterion_id == "quadratic_balance"
     assert "registry" in str(err) and "witness" in str(err)
 
@@ -162,7 +155,7 @@ def test_verdicts_independent_of_criterion_order():
 def test_independent_counts_equal_evaluate_all(k_plus, k_minus, registry):
     # summarize runs only the criteria after each verdict's first firing one;
     # its counts must be those of every criterion at every n.
-    run = classify_range(k_plus, k_minus, 300, registry=registry)
+    run = classify_range(k_plus, k_minus, 300, registry=registry or ())
     expected = dict.fromkeys(CRITERION_ORDER, 0)
     for row in outcome_rows(run).values():
         for out in row:
@@ -205,16 +198,22 @@ def test_verdicts_stop_at_the_first_firing_criterion(monkeypatch):
 
 
 def test_tiling_evidence_runs_every_criterion(monkeypatch):
+    # No certificate verifies at a ruled-out dimension, so the evidence is
+    # claimed in the memo itself.  psquare rules out (3,1) n = 20.
+    memo = Verdicts(3, 1, 25)
+    memo.evidence[20] = TilesSource.REGISTRY
     with pytest.raises(ContradictionError) as info:
-        classify_range(3, 1, 25, registry=Registry(3, 1, (1, 20)))
+        memo.verdict(20)
     assert info.value.n == 20
     assert info.value.outcome.criterion_id == "psquare" == CRITERION_ORDER[9]
     # (3,2) n = 4 is ruled out by the divisor recursion alone.
+    memo = Verdicts(3, 2, 6)
+    memo.evidence[4] = TilesSource.REGISTRY
     with pytest.raises(ContradictionError) as info:
-        classify_range(3, 2, 6, registry=Registry(3, 2, (1, 4)))
+        memo.verdict(4)
     assert info.value.n == 4 and info.value.outcome.criterion_id == "divisors"
     calls = counting_criteria(monkeypatch)
-    run = classify_range(3, 1, 6, registry=Registry(3, 1, (1, 6)))
+    run = classify_range(3, 1, 6, registry=[Q25_CERT])
     for n in (1, 6):
         assert [cid for cid, shape in calls if shape.n == n] == list(CRITERION_ORDER[:-1])
     assert all(o.status is not CriterionStatus.RULED_OUT for o in outcome_rows(run)[6])
@@ -228,6 +227,7 @@ def test_memo_answers_one_dimension_as_the_walk_does(k_plus, k_minus, registry):
     # A fresh memo asked for one n classifies only the dimensions the divisor
     # recursion reaches from n; its verdict, every criterion's outcome and
     # every status it holds must be the walk's.
+    registry = registry or ()
     run = classify_range(k_plus, k_minus, 1000, registry=registry)
     oracle = {v.n: v.status for v in run.verdicts}
     for v in run.verdicts:
@@ -251,22 +251,6 @@ def test_classify_range_refuses_q_past_64_bits():
         classify_range(3, 1, 0)
 
 
-def test_registry_validation():
-    with pytest.raises(ValueError, match="^registry dimensions must be distinct$"):
-        Registry(3, 1, (5, 5))
-    with pytest.raises(ValueError, match="^registry dimensions must be >= 1$"):
-        Registry(3, 1, (0, 2))
-    with pytest.raises(ValueError, match=r"^arms must satisfy 1 <= k_minus <= k_plus, got \(1, 3\)$"):
-        Registry(1, 3, (2,))
-    registry = Registry(3, 1, (6, 1))
-    assert registry.dimensions == (1, 6) and registry.source == ""
-    other = Registry(3, 1, [1, 6])
-    assert registry == other and hash(registry) == hash(other)
-    for name in ("k_plus", "k_minus", "dimensions", "source"):
-        with pytest.raises(AttributeError):
-            setattr(registry, name, 1)
-
-
 def test_records_refuse_assignment():
     run = classify_range(3, 1, 6, registry=default_registry(3, 1))
     records = (
@@ -285,39 +269,18 @@ def test_records_refuse_assignment():
                 setattr(record, name, None)
 
 
-def test_load_registry(tmp_path):
-    path = tmp_path / "reg.json"
-    path.write_text(json.dumps({"k_plus": 3, "k_minus": 1, "dimensions": [6, 1], "source": "t"}))
-    reg = load_registry(path)
-    assert reg.dimensions == (1, 6) and reg.source == "t"
-    path.write_text(json.dumps([3, 1, [6]]))  # valid JSON, not an object
-    with pytest.raises(ValueError, match=r"^registry .*reg\.json: expected a JSON object$"):
-        load_registry(path)
-    path.write_text(json.dumps({"k_plus": 3, "dimensions": []}))
-    with pytest.raises(ValueError, match="missing fields"):
-        load_registry(path)
-    path.write_text(json.dumps({"k_plus": 3, "k_minus": 1, "dimensions": [True, 6]}))
-    with pytest.raises(ValueError, match="dimensions must be a list of integers"):
-        load_registry(path)
-    for kp, km in ((3, True), ("3", 1), (3.0, 1)):
-        path.write_text(json.dumps({"k_plus": kp, "k_minus": km, "dimensions": [1]}))
-        with pytest.raises(ValueError, match="k_plus and k_minus must be integers"):
-            load_registry(path)
-    path.write_text(json.dumps({"k_plus": 1, "k_minus": 3, "dimensions": [2]}))
-    with pytest.raises(ValueError, match=r"^registry .*reg\.json: arms must satisfy"):
-        load_registry(path)
-    path.write_text(json.dumps({"k_plus": 3, "k_minus": 1, "dimensions": [6, 6]}))
-    with pytest.raises(ValueError, match=r"^registry .*reg\.json: registry dimensions must be distinct"):
-        load_registry(path)
-
-
 def test_default_registries_ship():
+    # The packaged store is the registry, and derived data: find_splitting
+    # returns exactly the splitters of every line, so quasicross search
+    # --store regenerates it.
+    certs = load_certificates(default_certificates_path())
+    for cert in certs:
+        found = find_splitting(cert.q, interval_multipliers(cert.k_plus, cert.k_minus, cert.q))
+        assert found.splitters == cert.splitters, cert.q
     reg31 = default_registry(3, 1)
-    assert reg31 is not None
-    assert set(reg31.dimensions) == {1, 6, 31, 156} | {37, 43, 97, 102, 115, 139, 163, 169, 186, 199, 216}
-    reg32 = default_registry(3, 2)
-    assert reg32 is not None and reg32.dimensions == (1,)
-    assert default_registry(9, 4) is None
+    assert {c.dimension for c in reg31} == {1, 6, 31, 156} | {37, 43, 97, 102, 115, 139, 163, 169, 186, 199, 216}
+    assert {c.dimension for c in default_registry(3, 2)} == {1}
+    assert len(certs) == len(reg31) + 1 and default_registry(9, 4) == ()
 
 
 def test_shipped_certificates_verify():

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import quasicross
-from quasicross import cli
+from quasicross import classify, cli
 from quasicross.cli import run
 from quasicross.classify import (
     Verdicts,
@@ -70,19 +70,15 @@ def invoke(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def write_registry(tmp_path, k_plus, k_minus, dims):
-    path = tmp_path / f"reg_{k_plus}_{k_minus}.json"
-    path.write_text(
-        json.dumps({"k_plus": k_plus, "k_minus": k_minus, "dimensions": dims, "source": "test"})
-    )
-    return str(path)
+def packaged_store(monkeypatch, path):
+    """Make the CLI read path as the packaged certificate store."""
+    monkeypatch.setattr(classify, "default_certificates_path", lambda: path)
 
 
-def test_classify_csv_golden(tmp_path, capsys):
-    reg = write_registry(tmp_path, 3, 1, [1])
+def test_classify_csv_golden(capsys):
     code, out, _ = invoke(
         capsys, "classify", "--kplus", "3", "--kminus", "1", "--max-n", "8",
-        "--registry", reg, "--format", "csv",
+        "--no-registry", "--format", "csv",
     )
     assert code == 0
     assert out == (
@@ -98,21 +94,17 @@ def test_classify_csv_golden(tmp_path, capsys):
     )
 
 
-def test_classify_stdout_is_byte_identical(tmp_path, capsys):
-    reg = write_registry(tmp_path, 3, 1, [1, 6])
-    argv = ["classify", "--kplus", "3", "--kminus", "1", "--max-n", "30",
-            "--registry", reg, "--format", "text"]
+def test_classify_stdout_is_byte_identical(capsys):
+    argv = ["classify", "--kplus", "3", "--kminus", "1", "--max-n", "30", "--format", "text"]
     code1, out1, _ = invoke(capsys, *argv)
     code2, out2, _ = invoke(capsys, *argv)
     assert code1 == code2 == 0
     assert out1 == out2
 
 
-def test_classify_json_format(tmp_path, capsys):
-    reg = write_registry(tmp_path, 3, 2, [1])
+def test_classify_json_format(capsys):
     code, out, _ = invoke(
-        capsys, "classify", "--kplus", "3", "--kminus", "2", "--max-n", "13",
-        "--registry", reg, "--format", "json",
+        capsys, "classify", "--kplus", "3", "--kminus", "2", "--max-n", "13", "--format", "json",
     )
     assert code == 0
     payload = json.loads(out)
@@ -120,13 +112,13 @@ def test_classify_json_format(tmp_path, capsys):
     assert payload[1]["criterion"] == "geometry"
 
 
-def test_classify_contradiction_exits_2(tmp_path, capsys):
-    reg = write_registry(tmp_path, 3, 1, [1, 3])
-    code, _, err = invoke(
-        capsys, "classify", "--kplus", "3", "--kminus", "1", "--max-n", "5", "--registry", reg,
-    )
+def test_classify_contradiction_exits_2(firing_at, capsys):
+    # The packaged certificate for n = 6 verifies; the criterion is wrong.
+    firing_at("quadratic_balance", {6})
+    code, _, err = invoke(capsys, "classify", "--kplus", "3", "--kminus", "1", "--max-n", "8")
     assert code == 2
-    assert "contradiction" in err
+    assert err.startswith("contradiction: dimension 6: tiling evidence (registry) contradicts "
+                          "criterion quadratic_balance firing"), err
 
 
 def test_check_lists_all_criteria(capsys):
@@ -189,15 +181,17 @@ def test_check_tiles_dimension(capsys):
     assert "verdict: tiles (registry)" in out
 
 
-def test_check_raises_the_walks_first_contradiction(tmp_path, capsys):
-    # psquare rules out n = 20, which this registry claims tiles.
-    registry = write_registry(tmp_path, 3, 1, [1, 6, 20])
-    shape = ("--kplus", "3", "--kminus", "1", "--registry", registry)
-    code, _, walk_err = invoke(capsys, "classify", *shape, "--max-n", "30")
-    assert code == 2 and walk_err.startswith("contradiction: dimension 20: ")
-    assert invoke(capsys, "check", *shape, "--n", "30") == (2, "", walk_err)
-    code, out, _ = invoke(capsys, "check", *shape, "--n", "19")
-    assert code == 0 and out.startswith("shape (3,1) n=19 q=77\n")
+def test_check_raises_the_walks_first_contradiction(firing_at, capsys):
+    # A wrong psquare rules out n = 31 and 37, which packaged certificates
+    # show to tile; the walk meets 31 first.
+    firing_at("psquare", {31, 37})
+    shape = ("--kplus", "3", "--kminus", "1")
+    code, _, walk_err = invoke(capsys, "classify", *shape, "--max-n", "40")
+    assert code == 2 and walk_err.startswith("contradiction: dimension 31: ")
+    assert "criterion psquare firing" in walk_err
+    assert invoke(capsys, "check", *shape, "--n", "40") == (2, "", walk_err)
+    code, out, _ = invoke(capsys, "check", *shape, "--n", "30")
+    assert code == 0 and out.startswith("shape (3,1) n=30 q=121\n")
 
 
 def test_check_classifies_only_what_it_reaches(monkeypatch, capsys):
@@ -266,16 +260,18 @@ def test_verify_shipped_store(capsys):
     code, out, _ = invoke(capsys, "verify")
     assert code == 0
     assert "q=25" in out
+    assert out.endswith("\n16 certificate(s) verified\n")
 
 
 def test_verify_mutated_certificate_exits_2(tmp_path, capsys):
     store = tmp_path / "certs.jsonl"
     lines = default_certificates_path().read_text().splitlines()
-    mutated = lines[-1].replace("21", "22")
-    store.write_text("\n".join(lines[:-1] + [mutated]) + "\n")
+    (i,) = [i for i, line in enumerate(lines) if line.startswith('{"q": 25,')]
+    lines[i] = lines[i].replace("21", "22")
+    store.write_text("\n".join(lines) + "\n")
     code, _, err = invoke(capsys, "verify", "--certificates", str(store))
     assert code == 2
-    assert "does not verify" in err
+    assert f"line {i + 1}: certificate q=25 does not verify" in err
 
 
 def test_non_utf8_certificate_store_names_the_file(tmp_path, capsys):
@@ -333,21 +329,24 @@ def test_boolean_integer_fields_exit_2(tmp_path, capsys):
     code, _, err = invoke(capsys, "verify", "--certificates", str(store))
     assert code == 2
     assert "integers" in err
-    reg = write_registry(tmp_path, 3, 1, [True, 6])
     code, out, err = invoke(capsys, "classify", "--kplus", "3", "--kminus", "1",
-                            "--max-n", "6", "--registry", reg)
+                            "--max-n", "6", "--certificates", str(store))
     assert code == 2 and out == ""
     assert "integers" in err
 
 
-def test_unreadable_registry_names_the_file(tmp_path, capsys):
-    for name, data in (("notes.md", b"# not JSON\n"), ("latin1.json", b'{"source": "\xe9"}')):
+def test_unreadable_registry_names_the_file(tmp_path, monkeypatch, capsys):
+    # The registry is the packaged store; a bad one is named with its line.
+    for name, data in (("notes.md", b"# not JSON\n"), ("latin1.jsonl", b'{"source": "\xe9"}\n')):
         reg = tmp_path / name
         reg.write_bytes(data)
-        code, out, err = invoke(capsys, "classify", "--kplus", "3", "--kminus", "1",
-                                "--max-n", "3", "--registry", str(reg))
+        packaged_store(monkeypatch, reg)
+        code, out, err = invoke(capsys, "classify", "--kplus", "3", "--kminus", "1", "--max-n", "3")
         assert code == 2 and out == ""
-        assert err.startswith(f"error: registry {reg}: "), err
+        assert err.startswith(f"error: {reg}, line 1: "), err
+        code, out, _ = invoke(capsys, "classify", "--kplus", "3", "--kminus", "1", "--max-n", "3",
+                              "--no-registry")
+        assert code == 0 and out.endswith("3 13 no_tiling quadratic_balance qr=3 qnr=1\n")
 
 
 def test_usage_errors_exit_1(capsys):
@@ -361,18 +360,6 @@ def test_usage_errors_exit_1(capsys):
     code, _, err = invoke(capsys, "search", "--kplus", "3", "--kminus", "1", "--q", "25",
                           "--node-budget", "many")
     assert code == 1
-
-
-def test_registry_flags_exclude_each_other(tmp_path, capsys):
-    # --no-registry must not silently drop --registry FILE, even a missing one.
-    for argv in (
-        ("classify", "--kplus", "3", "--kminus", "1", "--max-n", "5"),
-        ("check", "--kplus", "3", "--kminus", "1", "--n", "5"),
-        ("summarize", "--kplus", "3", "--kminus", "1", "--max-n", "5"),
-    ):
-        code, out, err = invoke(capsys, *argv, "--registry", str(tmp_path / "absent.json"), "--no-registry")
-        assert code == 1 and out == "", argv
-        assert "argument --no-registry: not allowed with argument --registry" in err
 
 
 def test_store_flags_exclude_each_other(tmp_path, monkeypatch, capsys):
@@ -394,12 +381,27 @@ def test_search_stores_in_certificates_jsonl_by_default(tmp_path, monkeypatch, c
     assert [path.name for path in tmp_path.iterdir()] == ["certificates.jsonl"]
 
 
-def test_missing_registry_exits_1(tmp_path, capsys):
-    reg = tmp_path / "absent.json"
-    code, out, err = invoke(capsys, "classify", "--kplus", "3", "--kminus", "1", "--max-n", "5",
-                            "--registry", str(reg))
+def test_missing_registry_exits_1(tmp_path, monkeypatch, capsys):
+    # As from an installation that lacks the packaged store.
+    reg = tmp_path / "absent.jsonl"
+    packaged_store(monkeypatch, reg)
+    code, out, err = invoke(capsys, "classify", "--kplus", "3", "--kminus", "1", "--max-n", "5")
     assert code == 1 and out == ""
     assert err.startswith("error: ") and f"No such file or directory: '{reg}'" in err
+
+
+def test_missing_or_empty_certificates_path_exits_1(tmp_path, capsys):
+    # An empty path is unreadable like any other, not "no store given".
+    for path in (str(tmp_path / "missing.jsonl"), ""):
+        for argv in (
+            ("classify", "--kplus", "3", "--kminus", "1", "--max-n", "5"),
+            ("check", "--kplus", "3", "--kminus", "1", "--n", "5"),
+            ("summarize", "--kplus", "3", "--kminus", "1", "--max-n", "5"),
+            ("verify",),
+        ):
+            code, out, err = invoke(capsys, *argv, "--certificates", path)
+            assert (code, out) == (1, ""), (argv, path)
+            assert err.startswith("error: ") and f"No such file or directory: '{path}'" in err
 
 
 @pytest.mark.parametrize(
@@ -442,9 +444,8 @@ def run_module(*args):
     return subprocess.run(argv, capture_output=True, text=True, env=env)
 
 
-def test_module_entry_point(tmp_path):
-    reg = write_registry(tmp_path, 3, 1, [1])
-    argv = ["classify", "--kplus", "3", "--kminus", "1", "--max-n", "6", "--registry", reg, "--format", "csv"]
+def test_module_entry_point():
+    argv = ["classify", "--kplus", "3", "--kminus", "1", "--max-n", "6", "--no-registry", "--format", "csv"]
     first = run_module(*argv)
     second = run_module(*argv)
     assert first.returncode == second.returncode == 0
@@ -474,13 +475,13 @@ def test_deeply_nested_certificate_line_exits_2(tmp_path):
     assert "Traceback" not in result.stderr
 
 
-def test_deeply_nested_registry_exits_2(tmp_path):
-    reg = tmp_path / "deep.json"
+def test_deeply_nested_registry_exits_2(tmp_path, monkeypatch, capsys):
+    reg = tmp_path / "deep.jsonl"
     reg.write_text("[" * 100_000)
-    result = run_module("classify", "--kplus", "3", "--kminus", "1", "--max-n", "3", "--registry", str(reg))
-    assert (result.returncode, result.stdout) == (2, "")
-    assert result.stderr.startswith(f"error: registry {reg}: "), result.stderr
-    assert "Traceback" not in result.stderr
+    packaged_store(monkeypatch, reg)
+    code, out, err = invoke(capsys, "classify", "--kplus", "3", "--kminus", "1", "--max-n", "3")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {reg}, line 1: bad certificate line: "), err
 
 
 def test_shape_flag_validation_is_usage_error(capsys):
