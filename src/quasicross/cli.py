@@ -5,14 +5,12 @@ outcomes for one dimension), search (splitter-set search with certificate
 storage), verify (certificate store verification), summarize (firing
 statistics).  Exit codes: 0 success, 1 usage error, 2 verification failure
 or contradiction.  Reports go to stdout and are byte-identical across
-identical invocations, except that search --time-budget makes the search's
-outcome depend on wall time; diagnostics and timings go to stderr.
+identical invocations; diagnostics and timings go to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from typing import Sequence
 
@@ -55,16 +53,6 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _positive_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}") from None
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
-    return value
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(prog="quasicross", description=__doc__, add_help=True)
     sub = parser.add_subparsers(dest="command", metavar="command")
@@ -97,12 +85,11 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("search", help="search for a splitter set over Z_q")
     add_shape(p)
     p.add_argument("--q", type=_positive_int, required=True, help="group order")
-    p.add_argument("--node-budget", type=_positive_int, default=1_000_000)
     p.add_argument(
-        "--time-budget",
-        type=_positive_float,
-        default=None,
-        help="wall-clock cap, seconds; the outcome then depends on timing",
+        "--node-budget",
+        type=_positive_int,
+        default=1_000_000,
+        help="candidate placements to try before giving up (default: 1000000)",
     )
     store = p.add_mutually_exclusive_group()
     # The default is None, not the file name: argparse compares a value with
@@ -168,12 +155,7 @@ def _cmd_search(args) -> int:
     if args.q <= args.kplus + args.kminus:
         raise _UsageError(f"q must exceed kplus + kminus, got q={args.q}")
     multipliers = interval_multipliers(args.kplus, args.kminus, args.q)
-    outcome = find_splitting(
-        args.q,
-        multipliers,
-        node_budget=args.node_budget,
-        time_budget_s=args.time_budget,
-    )
+    outcome = find_splitting(args.q, multipliers, node_budget=args.node_budget)
     print(f"status: {outcome.status.value}")
     print(f"q: {args.q}")
     print(f"multipliers: -{args.kminus}..{args.kplus}")

@@ -51,11 +51,12 @@ q - 1, so the search returns before it builds a table.  Where q <=
 2*k_plus + 1 the interval wraps round, and such a unit comes with
 q = |M| + 1, a one-splitter search, or with |M| not dividing q - 1.
 
-Budgets are node counts first (one node per candidate placement attempt; a
-spent budget of B nodes reports B nodes), which keeps Exhausted/TimedOut
-outcomes reproducible.  A wall-clock budget, checked every 1024 nodes, can
-stop the search earlier; with one, the status and node count depend on how
-fast the machine runs, and the same arguments can give different outcomes.
+The only budget is a node count (one node per candidate placement attempt;
+a spent budget of B nodes reports B nodes), so identical arguments give
+identical outcomes, and an Exhausted or TimedOut outcome can be reproduced.
+Group orders must fit in 64 bits, as everywhere else in the package; a
+larger q is refused before the candidate table, which has one list per
+residue, is built.
 """
 
 from __future__ import annotations
@@ -121,9 +122,11 @@ def _candidate_table(q: int, residues: tuple[int, ...], symmetric: bool) -> list
     return table
 
 
-def _explore(q, multipliers, node_budget, time_budget_s, stop_at_first):
+def _explore(q, multipliers, node_budget, stop_at_first):
     if multipliers.q != q:
         raise ValueError(f"multiplier set was built for q={multipliers.q}, search got q={q}")
+    if q.bit_length() > 64:
+        raise ValueError(f"search got q={q}; group orders must fit in 64 bits")
     residues = multipliers.residues
     k = len(residues)
     if (q - 1) % k != 0:
@@ -151,13 +154,6 @@ def _explore(q, multipliers, node_budget, time_budget_s, stop_at_first):
                 note = f"node budget of {node_budget} exhausted"
                 break
             nodes += 1
-            if (
-                time_budget_s is not None
-                and nodes % 1024 == 0
-                and time.perf_counter() - start > time_budget_s
-            ):
-                note = f"time budget of {time_budget_s}s exhausted"
-                break
             s, cells = candidate
             if not alive[s]:
                 continue
@@ -202,7 +198,6 @@ def find_splitting(
     multipliers: MultiplierSet,
     *,
     node_budget: int = DEFAULT_NODE_BUDGET,
-    time_budget_s: float | None = None,
 ) -> SearchOutcome:
     """Search for a splitter set S with M*S covering Z_q minus 0 exactly.
 
@@ -211,12 +206,11 @@ def find_splitting(
     under the first candidate for residue 1 was closed, and every splitting
     has a unit multiple in that tree or, when M = -M, a unit multiple whose
     +-class representative lies in it (see the module docstring); TIMED_OUT
-    reports a spent budget.  Without time_budget_s, identical arguments
-    (including node budget) give identical outcomes; with it, the outcome
-    also depends on wall time.
+    reports a spent node budget.  Identical arguments (node budget included)
+    give identical outcomes.
     """
     first, _count, closed, nodes, elapsed, note = _explore(
-        q, multipliers, node_budget, time_budget_s, stop_at_first=True
+        q, multipliers, node_budget, stop_at_first=True
     )
     if first is not None:
         check = verify_cover(q, multipliers.residues, first)
@@ -232,7 +226,6 @@ def count_splittings(
     multipliers: MultiplierSet,
     *,
     node_budget: int = DEFAULT_NODE_BUDGET,
-    time_budget_s: float | None = None,
 ) -> CountOutcome:
     """Count all splitter sets for (q, M) by exhausting the search tree.
 
@@ -246,6 +239,6 @@ def count_splittings(
     Intended for small q; budgets cap runaway inputs.
     """
     _first, count, closed, nodes, elapsed, note = _explore(
-        q, multipliers, node_budget, time_budget_s, stop_at_first=False
+        q, multipliers, node_budget, stop_at_first=False
     )
     return CountOutcome(count, closed, nodes, elapsed, note)

@@ -2,6 +2,8 @@ import hashlib
 import importlib.util
 import json
 import os
+import shlex
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -254,6 +256,15 @@ def test_search_stdout_deterministic(tmp_path, capsys):
     _, out2, _ = invoke(capsys, *argv)
     assert out1 == out2
     assert "nodes:" in out1
+    # A spent budget stops at exactly the budget, so it too prints the same
+    # report every time.
+    argv = ["search", "--kplus", "3", "--kminus", "2", "--q", "186", "--no-store",
+            "--node-budget", "2000"]
+    expected = ("status: timed_out\nq: 186\nmultipliers: -2..3\n"
+                "note: node budget of 2000 exhausted\nnodes: 2000\n")
+    for _ in range(2):
+        code, out, _ = invoke(capsys, *argv)
+        assert (code, out) == (0, expected)
 
 
 def test_verify_shipped_store(capsys):
@@ -321,6 +332,15 @@ def test_dimensions_past_64_bit_q_exit_2(capsys):
     ):
         code, out, err = invoke(capsys, *argv)
         assert (code, out, err) == (2, "", err_line), argv
+    # search refuses such a q before it builds its candidate table, one list
+    # per residue; at 10**20 - 1, |M| = 4 does not divide q - 1, which would
+    # otherwise report exhausted.
+    for q in (2**64 + 1, 10**20 - 1):
+        argv = ("search", "--kplus", "3", "--kminus", "1", "--q", str(q), "--no-store",
+                "--node-budget", "10")
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err == f"error: search got q={q}; group orders must fit in 64 bits\n"
 
 
 def test_boolean_integer_fields_exit_2(tmp_path, capsys):
@@ -360,6 +380,11 @@ def test_usage_errors_exit_1(capsys):
     code, _, err = invoke(capsys, "search", "--kplus", "3", "--kminus", "1", "--q", "25",
                           "--node-budget", "many")
     assert code == 1
+    # The search stops on its node budget alone; there is no wall-clock cap.
+    code, out, err = invoke(capsys, "search", "--kplus", "3", "--kminus", "1", "--q", "25",
+                            "--no-store", "--time-budget", "60")
+    assert (code, out) == (1, "")
+    assert "unrecognized arguments: --time-budget 60" in err
 
 
 def test_store_flags_exclude_each_other(tmp_path, monkeypatch, capsys):
@@ -495,18 +520,6 @@ def test_shape_flag_validation_is_usage_error(capsys):
     assert "must exceed" in err
 
 
-def test_time_budget_must_be_positive_finite(capsys):
-    for budget in ("nan", "inf", "-inf", "0", "-1", "soon"):
-        code, out, err = invoke(capsys, "search", "--kplus", "3", "--kminus", "1", "--q", "89",
-                                "--no-store", "--time-budget", budget)
-        assert code == 1 and out == "", budget
-        assert "--time-budget" in err
-    code, out, _ = invoke(capsys, "search", "--kplus", "3", "--kminus", "1", "--q", "25",
-                          "--no-store", "--time-budget", "60")
-    assert code == 0
-    assert "status: found" in out
-
-
 def test_check_uses_certificates(capsys):
     argv = ("check", "--kplus", "3", "--kminus", "1", "--n", "6", "--no-registry")
     code, out, _ = invoke(capsys, *argv)
@@ -519,6 +532,29 @@ def test_check_uses_certificates(capsys):
                           "--no-registry", "--certificates", str(default_certificates_path()),
                           "--format", "csv")
     assert out.splitlines()[-1] == "6,25,tiles,,certificate"
+
+
+def readme_commands():
+    """The quasicross lines of README's "Command line" block, as argv lists."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    argvs = [shlex.split(line, comments=True) for line in block.splitlines()]
+    return [argv[1:] for argv in argvs if argv and argv[0] == "quasicross"]
+
+
+def test_readme_commands_run(tmp_path, monkeypatch, capsys):
+    # A flag the CLI no longer accepts cannot stay documented.  The block's
+    # certificates.jsonl is a copy of the packaged store in the working
+    # directory.
+    shutil.copyfile(default_certificates_path(), tmp_path / "certificates.jsonl")
+    monkeypatch.chdir(tmp_path)
+    argvs = readme_commands()
+    assert [argv[0] for argv in argvs] == [
+        "classify", "check", "check", "search", "verify", "verify", "summarize"
+    ]
+    for argv in argvs:
+        code, _, err = invoke(capsys, *argv)
+        assert code == 0, (argv, err)
 
 
 def reproduce_tables():
