@@ -3,8 +3,9 @@ primality, factorization with divisor enumeration, bounded discrete logarithms,
 and the quadratic/quartic residue characters of Z_q.
 
 Everything here is a pure function of its arguments.  Inputs are capped at
-64 bits; group orders in this project stay far below that, but the cap keeps
-the deterministic primality guarantee honest.
+64 bits, the range on which the Miller-Rabin base set is proven to decide
+primality.  Group orders reach that cap: check accepts every n whose
+q = n(k+ + k-) + 1 fits in 64 bits.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ __all__ = [
     "gcd",
     "is_prime",
     "legendre",
-    "primes_upto",
     "quartic_class",
     "sqrt_minus_one",
 ]
@@ -51,8 +51,6 @@ _MILLER_RABIN_PREFIXES = tuple(
         (2**64, 12),
     )
 )
-
-_TRIAL_LIMIT = 10**6
 
 
 def _check_range(m: int, what: str = "m") -> None:
@@ -105,18 +103,6 @@ def is_prime(m: int) -> bool:
     return True
 
 
-def primes_upto(limit: int) -> list[int]:
-    """All primes <= limit, ascending."""
-    if limit < 2:
-        return []
-    sieve = bytearray([1]) * (limit + 1)
-    sieve[0] = sieve[1] = 0
-    for i in range(2, math.isqrt(limit) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = bytearray(len(range(i * i, limit + 1, i)))
-    return [i for i in range(2, limit + 1) if sieve[i]]
-
-
 class Factorization(namedtuple("Factorization", "value factors")):
     """Prime factorization as (prime, exponent) pairs with primes ascending.
 
@@ -158,43 +144,20 @@ class Factorization(namedtuple("Factorization", "value factors")):
 def factorize(m: int) -> Factorization:
     """Factor a positive 64-bit integer.
 
-    A prime m is returned as ((m, 1),) at once, without trial division.
-    Otherwise trial division runs through 10**6 (enough to finish any value
-    this project produces); a deterministic Brent-rho fallback splits
-    whatever survives, so arbitrary 64-bit inputs still factor correctly.
+    The twelve Miller-Rabin base primes 2 to 37 are divided out first.
+    Brent's rho splits whatever remains: each part is tested for primality
+    before it is split, so a prime cofactor costs one is_prime call.
     """
-    if is_prime(m):  # is_prime checks the range
-        return Factorization(m, ((m, 1),))
+    _check_range(m)
     value = m
-    out: list[tuple[int, int]] = []
-    for p in (2, 3, 5):
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            out.append((p, e))
-    i = 7
-    wheel = (4, 2, 4, 2, 4, 6, 2, 6)
-    w = 0
-    while i <= _TRIAL_LIMIT and i * i <= m:
-        if m % i == 0:
-            e = 0
-            while m % i == 0:
-                m //= i
-                e += 1
-            out.append((i, e))
-        i += wheel[w]
-        w = (w + 1) % 8
+    acc: dict[int, int] = {}
+    for p in _MILLER_RABIN_BASES:
+        while m % p == 0:
+            m //= p
+            acc[p] = acc.get(p, 0) + 1
     if m > 1:
-        if i * i > m or is_prime(m):
-            out.append((m, 1))
-        else:
-            rest: dict[int, int] = {}
-            _rho_split(m, rest)
-            out.extend(sorted(rest.items()))
-    out.sort()
-    return Factorization(value, tuple(out))
+        _rho_split(m, acc)
+    return Factorization(value, tuple(sorted(acc.items())))
 
 
 def _rho_split(n: int, acc: dict[int, int]) -> None:
@@ -207,7 +170,7 @@ def _rho_split(n: int, acc: dict[int, int]) -> None:
 
 
 def _brent_rho(n: int) -> int:
-    # n is an odd composite with no prime factor <= 10**6.  The polynomial
+    # n is an odd composite with no prime factor <= 37.  The polynomial
     # increment c walks a fixed sequence, so the result is deterministic.
     for c in range(1, 100):
         y, r, q = 2, 1, 1

@@ -215,17 +215,19 @@ def test_08_certificate_roundtrip(tmp_path):
 
 
 def test_09_number_theory_substrate():
-    from quasicross.numtheory import legendre, primes_upto, quartic_class
+    import sympy
+
+    from quasicross.numtheory import legendre, quartic_class
 
     t0 = time.perf_counter()
-    for p in primes_upto(10_000):
+    for p in sympy.primerange(10_001):
         if p == 2:
             continue
         assert (legendre(-1, p) == 1) == (p % 4 == 1), p
         assert (legendre(2, p) == 1) == (p % 8 in (1, 7)), p
         assert (legendre(3, p) == 1) == (p % 12 in (1, 11)), p
         assert (legendre(5, p) == 1) == (p % 10 in (1, 9)), p
-    for q in [p for p in primes_upto(1000) if p % 4 == 1]:
+    for q in [p for p in sympy.primerange(1001) if p % 4 == 1]:
         table = [0] + [int(quartic_class(a, q)) for a in range(1, q)]
         for a in range(1, q):
             ta = table[a]

@@ -212,6 +212,84 @@ def test_check_classifies_only_what_it_reaches(monkeypatch, capsys):
     assert len(memos) == 1 and len(memos[0]) <= 20
 
 
+# check at n whose q has 64 bits.  The divisors row needs q's factorization,
+# and each q here leaves a cofactor with no prime factor below 10**6 once its
+# small primes are divided out, which factorize must split or prove prime.
+CHECK_64_BIT = {
+    (3, 1, 922337203685477580): (
+        "shape (3,1) n=922337203685477580 q=3689348814741910321\n"
+        "verdict: no_tiling\n"
+        "criteria:\n"
+        "  geometry           inconclusive  lhs=11 rhs=3689348814741910320\n"
+        "  arm_gcd            inapplicable\n"
+        "  quadratic_balance  inapplicable\n"
+        "  char4_literal      inapplicable\n"
+        "  quartic_generic    inapplicable\n"
+        "  odd_prime_order    inapplicable\n"
+        "  power_square       inconclusive  k=1 kn_mod_9=0\n"
+        "  power_cube         inapplicable\n"
+        "  vandermonde        inapplicable\n"
+        "  psquare            inapplicable\n"
+        "  divisors           ruled_out     d=2551\n"
+    ),
+    (3, 2, 922337203685477580): (
+        "shape (3,2) n=922337203685477580 q=4611686018427387901\n"
+        "verdict: no_tiling\n"
+        "criteria:\n"
+        "  geometry           inconclusive  lhs=14 rhs=4611686018427387900\n"
+        "  arm_gcd            ruled_out     k=3 q=4611686018427387901 gcd=1\n"
+        "  quadratic_balance  inapplicable\n"
+        "  char4_literal      inapplicable\n"
+        "  quartic_generic    inapplicable\n"
+        "  odd_prime_order    inapplicable\n"
+        "  power_square       inapplicable\n"
+        "  power_cube         inapplicable\n"
+        "  vandermonde        inapplicable\n"
+        "  psquare            inapplicable\n"
+        "  divisors           ruled_out     d=37\n"
+    ),
+    (3, 2, 768614336404564650): (
+        "shape (3,2) n=768614336404564650 q=3843071682022823251\n"
+        "verdict: no_tiling\n"
+        "criteria:\n"
+        "  geometry           inconclusive  lhs=14 rhs=3843071682022823250\n"
+        "  arm_gcd            ruled_out     k=3 q=3843071682022823251 gcd=1\n"
+        "  quadratic_balance  inapplicable\n"
+        "  char4_literal      inapplicable\n"
+        "  quartic_generic    inapplicable\n"
+        "  odd_prime_order    inapplicable\n"
+        "  power_square       inapplicable\n"
+        "  power_cube         inapplicable\n"
+        "  vandermonde        inapplicable\n"
+        "  psquare            inapplicable\n"
+        "  divisors           ruled_out     d=17\n"
+    ),
+    (4, 2, 4611686018427387): (
+        "shape (4,2) n=4611686018427387 q=27670116110564323\n"
+        "verdict: no_tiling\n"
+        "criteria:\n"
+        "  geometry           inconclusive  lhs=20 rhs=27670116110564322\n"
+        "  arm_gcd            inapplicable\n"
+        "  quadratic_balance  inapplicable\n"
+        "  char4_literal      inapplicable\n"
+        "  quartic_generic    inapplicable\n"
+        "  odd_prime_order    inapplicable\n"
+        "  power_square       inapplicable\n"
+        "  power_cube         inapplicable\n"
+        "  vandermonde        inapplicable\n"
+        "  psquare            inapplicable\n"
+        "  divisors           ruled_out     d=11\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("k_plus, k_minus, n", list(CHECK_64_BIT))
+def test_check_at_64_bit_n(capsys, k_plus, k_minus, n):
+    code, out, _ = invoke(capsys, "check", "--kplus", str(k_plus), "--kminus", str(k_minus), "--n", str(n))
+    assert code == 0
+    assert out == CHECK_64_BIT[k_plus, k_minus, n]
+
+
 def test_search_finds_stores_and_verifies(tmp_path, capsys):
     store = tmp_path / "certs.jsonl"
     argv = ("search", "--kplus", "3", "--kminus", "1", "--q", "25",

@@ -13,7 +13,6 @@ from quasicross.numtheory import (
     factorize,
     is_prime,
     legendre,
-    primes_upto,
     quartic_class,
     sqrt_minus_one,
 )
@@ -165,10 +164,53 @@ def test_factorize_roundtrip_random(m):
     assert all(is_prime(p) for p, _ in fact.factors)
 
 
-def test_factorize_uses_rho_beyond_trial_range():
+def test_factorize_two_primes_past_a_million():
     p, q = 1_000_003, 1_000_033
     assert is_prime(p) and is_prime(q)
     assert factorize(p * q).factors == ((p, 1), (q, 1))
+
+
+@settings(deadline=None)
+@given(st.integers(min_value=1, max_value=2**64 - 1))
+def test_factorize_matches_sympy_below_2_64(m):
+    assert factorize(m).factors == tuple(sorted(sympy.factorint(m).items()))
+
+
+def test_factorize_prime_powers_past_the_trial_primes():
+    # Every p**e < 2**64 for a prime p past 37, the last trial divisor, so
+    # rho alone splits each power with e >= 2.
+    for p in sympy.primerange(41, 5000):
+        pe, e = p, 1
+        while pe < 2**64:
+            assert factorize(pe).factors == ((p, e),), (p, e)
+            pe, e = pe * p, e + 1
+
+
+def test_factorize_products_of_two_primes_past_the_trial_primes():
+    primes = list(sympy.primerange(41, 1000))
+    for i, a in enumerate(primes):
+        for b in primes[i + 1 :]:
+            assert factorize(a * b).factors == ((a, 1), (b, 1)), (a, b)
+
+
+@pytest.mark.parametrize(
+    "p, q",
+    [
+        (sympy.prevprime(sympy.prevprime(2**32)), sympy.prevprime(2**32)),
+        (sympy.prevprime(2**32 - 10**6), sympy.prevprime(2**32)),
+        (999_983, sympy.prevprime(2**64 // 999_983)),
+    ],
+    ids=["largest-two-below-2**32", "near-2**32", "small-times-large"],
+)
+def test_factorize_products_of_two_large_primes(p, q):
+    assert p * q < 2**64
+    assert factorize(p * q).factors == ((p, 1), (q, 1))
+
+
+def test_factorize_rejects_out_of_range():
+    for m in (0, -7, 2**64):
+        with pytest.raises(ValueError):
+            factorize(m)
 
 
 def test_factorization_validates():
@@ -204,7 +246,7 @@ def test_legendre_examples():
 
 
 def test_legendre_matches_exhaustive_squaring():
-    for p in primes_upto(10_000):
+    for p in sympy.primerange(10_001):
         if p == 2:
             continue
         squares = {x * x % p for x in range(1, p)}
@@ -213,7 +255,7 @@ def test_legendre_matches_exhaustive_squaring():
 
 
 def test_legendre_congruence_rows():
-    for p in primes_upto(10_000):
+    for p in sympy.primerange(10_001):
         if p == 2:
             continue
         assert (legendre(-1, p) == 1) == (p % 4 == 1), p
@@ -222,7 +264,7 @@ def test_legendre_congruence_rows():
         assert (legendre(5, p) == 1) == (p % 10 in (1, 9)), p
 
 
-@given(st.sampled_from([p for p in primes_upto(1000) if p > 2]),
+@given(st.sampled_from([p for p in sympy.primerange(1001) if p > 2]),
        st.integers(min_value=1, max_value=10**6),
        st.integers(min_value=1, max_value=10**6))
 def test_legendre_multiplicative(p, a, b):
@@ -261,14 +303,14 @@ def test_quartic_class_rejects_bad_input():
 
 
 def test_quartic_refines_quadratic():
-    for q in [p for p in primes_upto(1000) if p % 4 == 1]:
+    for q in [p for p in sympy.primerange(1001) if p % 4 == 1]:
         for a in range(1, q):
             cls = quartic_class(a, q)
             assert (cls in (QuarticClass.ONE, QuarticClass.MINUS_ONE)) == (legendre(a, q) == 1)
 
 
 def test_quartic_class_multiplicative_exhaustive():
-    for q in [p for p in primes_upto(1000) if p % 4 == 1]:
+    for q in [p for p in sympy.primerange(1001) if p % 4 == 1]:
         table = np.array([0] + [int(quartic_class(a, q)) for a in range(1, q)], dtype=np.int64)
         a = np.arange(1, q, dtype=np.int64)
         prod = np.outer(a, a) % q
@@ -295,7 +337,7 @@ def multiplicative_order(base, q):
 
 
 def test_discrete_log_matches_brute_force_exhaustively():
-    for q in primes_upto(59):
+    for q in sympy.primerange(60):
         for base in range(1, q):
             order = multiplicative_order(base, q)
             for target in range(1, q):
@@ -304,7 +346,7 @@ def test_discrete_log_matches_brute_force_exhaustively():
                     assert discrete_log(base, target, q, bound) == expected, (base, target, q, bound)
 
 
-@given(st.sampled_from([p for p in primes_upto(5000) if p > 60]), st.data())
+@given(st.sampled_from([p for p in sympy.primerange(5001) if p > 60]), st.data())
 @settings(max_examples=200, deadline=None)
 def test_discrete_log_matches_brute_force(q, data):
     base = data.draw(st.integers(min_value=1, max_value=q - 1))
