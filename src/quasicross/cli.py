@@ -29,7 +29,7 @@ from .classify import (
     witness_text,
 )
 from .criteria import CRITERION_ORDER, outcomes
-from .search import SearchStatus, find_splitting
+from .search import DEFAULT_NODE_BUDGET, SearchStatus, find_splitting
 from .splitting import QuasiCrossShape, Splitting, check_arms, interval_multipliers
 
 
@@ -88,15 +88,10 @@ def _build_parser() -> _Parser:
     p.add_argument(
         "--node-budget",
         type=_positive_int,
-        default=1_000_000,
-        help="candidate placements to try before giving up (default: 1000000)",
+        default=DEFAULT_NODE_BUDGET,
+        help=f"candidate placements to try before giving up (default: {DEFAULT_NODE_BUDGET})",
     )
-    store = p.add_mutually_exclusive_group()
-    # The default is None, not the file name: argparse compares a value with
-    # the default by identity, so the group could pass --store FILE --no-store
-    # whenever FILE is the default's own string object.
-    store.add_argument("--store", help="certificate store to append to (default: certificates.jsonl)")
-    store.add_argument("--no-store", action="store_true", help="do not persist a found splitting")
+    p.add_argument("--store", help="certificate store to append a found splitting to")
 
     p = sub.add_parser("verify", help="verify a certificate store line by line")
     p.add_argument(
@@ -165,13 +160,12 @@ def _cmd_search(args) -> int:
         print(f"note: {outcome.diagnostic}")
     print(f"nodes: {outcome.nodes}")
     print(f"elapsed: {outcome.elapsed_s:.3f}s", file=sys.stderr)
-    if outcome.status is SearchStatus.FOUND and not args.no_store:
+    if outcome.status is SearchStatus.FOUND and args.store is not None:
         cert = Splitting(args.q, args.kplus, args.kminus, outcome.splitters)
-        store = "certificates.jsonl" if args.store is None else args.store
-        if store_certificate(cert, store):
-            print(f"stored certificate in {store}", file=sys.stderr)
+        if store_certificate(cert, args.store):
+            print(f"stored certificate in {args.store}", file=sys.stderr)
         else:
-            print(f"certificate already present in {store}", file=sys.stderr)
+            print(f"certificate already present in {args.store}", file=sys.stderr)
     return 0
 
 

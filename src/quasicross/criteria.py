@@ -192,7 +192,7 @@ def check_power_cube(shape: QuasiCrossShape) -> CriterionOutcome:
     return _inconclusive("power_cube", n_mod_8=r)
 
 
-# Values of t scanned at a time by _first_solution for two or more rows: the
+# Values of t scanned at a time by _first_zero for three or more terms: the
 # length of the packed rows, built once per class.  The outcome does not
 # depend on it.  Timed as the CPU time of check_vandermonde on the 564
 # dimensions whose scan the classify walk of (3,1) and (3,2) up to n = 4000
@@ -210,46 +210,47 @@ def _geometric_row(first: int, ratio: int, length: int, q: int) -> list[int]:
     return [x] + [x := x * ratio % q for _ in range(length - 1)]
 
 
-def _first_solution(
-    weights: list[int], ratios: list[int], target: int, bound: int, q: int
-) -> int | None:
+def _first_zero(terms: list[tuple[int, int]], bound: int, q: int) -> int | None:
     """The smallest t with 0 <= t < bound and
-    sum(w * r**t for w, r in zip(weights, ratios)) = target (mod q), or
-    None.  q must be an odd prime below 2**64, and weights and ratios units
-    mod q.  One row is a bounded discrete logarithm; two or more rows are
-    scanned a block of values of t at a time, as check_vandermonde
-    describes, and the first block with a hit ends the scan."""
-    if len(ratios) == 1:
-        return discrete_log(ratios[0], target * pow(weights[0], -1, q), q, bound)
-    if bound <= 0:
+    sum(w * g**t for w, g in terms) = 0 (mod q), or None.  q must be an odd
+    prime below 2**64, and every w and g a unit mod q.  The empty sum
+    vanishes at t = 0 and one term never does; otherwise the sum is divided
+    once by its last term's g**t, as check_vandermonde describes.  Two terms
+    are then a bounded discrete logarithm; three or more are scanned a block
+    of values of t at a time, and the first block with a hit ends the scan."""
+    if bound <= 0 or len(terms) == 1:
         return None
+    if not terms:
+        return 0
+    *heads, (w_last, g_last) = terms
+    inverse = pow(g_last, -1, q)
+    ratios = [g * inverse % q for _, g in heads]
+    if len(heads) == 1:
+        return discrete_log(ratios[0], -w_last * pow(heads[0][0], -1, q), q, bound)
     block = min(_VANDERMONDE_BLOCK, bound)
-    *heads, r_last = ratios
-    inv_last = pow(r_last, -1, q)
-    steps = [pow(r * inv_last % q, block, q) for r in heads]
-    target_step = pow(inv_last, block, q)
-    width = (len(ratios) * q * q).bit_length()  # W: every lane stays below 2**W
+    steps = [pow(r, block, q) for r in ratios]
+    width = ((len(heads) * q + 1) * q).bit_length()  # W: every lane stays below 2**W
     stride = 64 * -(-2 * width // 64)  # bits per lane: whole words, at least 2W
     lanes = "<" + ("Q" + "x" * (stride // 8 - 8)) * block
-    *head_rows, last_row = [
+    rows = [
         int.from_bytes(struct.pack(lanes, *_geometric_row(w, r, block, q)), "little")
-        for w, r in zip(weights, ratios)
+        for (w, _), r in zip(heads, ratios)
     ]
     ones = int.from_bytes(struct.pack(lanes, *[1] * block), "little")
+    constant = w_last % q * ones
     top = (1 << width) - 1
     low = top * ones  # the low W bits of every lane
     miss = (top - top // q) * ones  # carries a lane x * q^-1 into bit W iff q does not divide x
     flags = ones << width  # bit W of every lane
     q_inverse = pow(q, -1, 1 << width)
-    coeffs = [1] * len(heads)
+    coeffs = [1] * len(rows)
     for t0 in range(0, bound, block):
-        v = sum(map(mul, coeffs, head_rows), last_row + (q - target) * ones)
+        v = sum(map(mul, coeffs, rows), constant)
         hits = flags & ~((v * q_inverse & low) + miss)
         if hits:
             t = t0 + ((hits & -hits).bit_length() - 1) // stride
             return t if t < bound else None
         coeffs = [c * s % q for c, s in zip(coeffs, steps)]
-        target = target * target_step % q
     return None
 
 
@@ -267,61 +268,55 @@ def check_vandermonde(shape: QuasiCrossShape) -> CriterionOutcome:
         P(2t + 2) = 2 + sum(c(j) * j*j * (j*j)**t for 2 <= j <= k_plus)
 
     with c(j) = 2 for j <= k_minus and 1 above; j = 1 gives 0 to the odd sums
-    and 2 to the even ones.  Symmetric arms (k_plus == k_minus) make every
-    odd sum vanish, so the first zero power is 1.
+    and 2 to the even ones.  Each parity class is thus a sum of terms
+    w * g**t, and P = 0 asks for the smallest t with sum(w * g**t) = 0.  The
+    odd class is solved first, below n + 1, then the even class below the
+    odd class's zero if it has one.  The empty class (the odd class of
+    symmetric arms, k_plus = k_minus) vanishes at t = 0, so the first zero
+    power is 1; a class of one term never vanishes.
 
-    Each parity class is a sum of terms w * g**t.  Dividing it by its last
-    term, P = 0 becomes sum(w_i * r_i**t) = a with r_i = g_i / g_last and
-    a = -w_last, over one row fewer; a class of one term never vanishes.
-    The odd class is solved first, below n + 1, then the even class below
-    the odd class's zero if it has one.  A class left with one row (the odd
-    class when k_plus - k_minus == 2, the even class when k_plus == 2) asks
-    for the smallest t with r**t = a / w, a bounded discrete logarithm.  A
-    class of m >= 2 rows is scanned a block of B values of t at a time.
+    A class of m >= 2 terms is divided once by its last term's g**t, which
+    leaves sum(w_i * r_i**t for i < m) + w_m = 0 with r_i = g_i / g_m and
+    the constant w_m.  Two terms (the odd class when k_plus - k_minus == 2,
+    the even class when k_plus == 2) ask for the smallest t with
+    r**t = -w_m / w, a bounded discrete logarithm.  Three or more are
+    scanned a block of B values of t at a time.
 
     The scan keeps its rows fixed and moves only scalars.  For t = t0 + j
-    with j < B, dividing the equation by r_m**t0 (row m is the class's last
-    row) gives sum(c_i * R_i[j]) = T with the fixed rows R_i[j] = w_i * r_i**j,
-    the scalars c_i = (r_i / r_m)**t0, so c_m = 1, and T = a / r_m**t0.  The
-    rows are built once per class; from one block to the next c_i gains a
-    factor (r_i / r_m)**B and T a factor r_m**(-B), and nothing else moves.
+    with j < B the equation reads sum(c_i * R_i[j] for i < m) + w_m = 0 with
+    the fixed rows R_i[j] = w_i * r_i**j and the scalars c_i = r_i**t0.  The
+    rows and the constant row w_m * ONES are built once per class; from one
+    block to the next c_i gains a factor r_i**B, and nothing else moves.
 
     Each row is packed into one integer, one lane per j.  Its entries lie
     below q, and q < 2**64 since is_prime refuses larger moduli, so each
     packs as one little-endian 64-bit word.  A block then costs a few
-    big-integer operations: v = sum(c_i * R_i for i < m) + R_m
-    + (q - T) * ONES holds in lane j a value x_j < m * q**2 < 2**W, and x_j
-    is 0 mod q exactly when t0 + j solves the equation.  The lane stride is
-    a whole number of 64-bit words and at least 2W bits, so the lanes of
-    v * q^-1 do not overlap, with q^-1 the inverse of q mod 2**W.  Here q is
-    an odd prime, and x_j = 0 (mod q) if and only if x_j * q^-1 mod 2**W is
-    at most floor((2**W - 1) / q): multiplication by q^-1 permutes the
-    residues mod 2**W and maps each multiple k * q below 2**W to k (the
-    exact-division test of T. Granlund and P. L. Montgomery, "Division by
-    invariant integers using multiplication", PLDI 1994).  Adding
-    2**W - 1 - floor((2**W - 1) / q) to each lane masked to W bits carries
-    into bit W exactly in the lanes that miss, so the lowest lane without
-    that bit is the smallest t of the block.
+    big-integer operations: v = sum(c_i * R_i for i < m) + w_m * ONES holds
+    in lane j a value x_j < (m - 1) * q**2 + q, and W is chosen with
+    (m - 1) * q**2 + q < 2**W; x_j is 0 mod q exactly when t0 + j solves the
+    equation.  The lane stride is a whole number of 64-bit words and at
+    least 2W bits, so the lanes of v * q^-1 do not overlap, with q^-1 the
+    inverse of q mod 2**W.  Here q is an odd prime, and x_j = 0 (mod q) if
+    and only if x_j * q^-1 mod 2**W is at most floor((2**W - 1) / q):
+    multiplication by q^-1 permutes the residues mod 2**W and maps each
+    multiple k * q below 2**W to k (the exact-division test of T. Granlund
+    and P. L. Montgomery, "Division by invariant integers using
+    multiplication", PLDI 1994).  Adding 2**W - 1 - floor((2**W - 1) / q) to
+    each lane masked to W bits carries into bit W exactly in the lanes that
+    miss, so the lowest lane without that bit is the smallest t of the block.
     """
     q = shape.group_order
     if not is_prime(q):
         return _inapplicable("vandermonde")
     k_plus, k_minus = shape.k_plus, shape.k_minus
-    if k_plus == k_minus:
-        return _inconclusive("vandermonde", first_zero_power=1)
     odd = [(j, j * j) for j in range(k_minus + 1, k_plus + 1)]
     even = [(2, 1)] + [((2 if j <= k_minus else 1) * j * j, j * j) for j in range(2, k_plus + 1)]
     first = shape.n + 1  # the smallest vanishing exponent found so far, or n + 1
     for offset, terms in ((1, odd), (2, even)):
-        if len(terms) > 1:
-            *rest, (w_last, g_last) = terms
-            inverse = pow(g_last, -1, q)
-            ratios = [g * inverse % q for _, g in rest]
-            # t with 2t + offset < first.
-            bound = (first - offset + 1) // 2
-            t = _first_solution([w for w, _ in rest], ratios, -w_last % q, bound, q)
-            if t is not None:
-                first = 2 * t + offset
+        # t with 2t + offset < first.
+        t = _first_zero(terms, (first - offset + 1) // 2, q)
+        if t is not None:
+            first = 2 * t + offset
     if first <= shape.n:
         return _inconclusive("vandermonde", first_zero_power=first)
     return _ruled_out("vandermonde", q=q, powers_checked=shape.n)

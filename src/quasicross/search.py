@@ -76,7 +76,7 @@ __all__ = [
     "find_splitting",
 ]
 
-DEFAULT_NODE_BUDGET = 5_000_000
+DEFAULT_NODE_BUDGET = 1_000_000
 
 
 class SearchStatus(Enum):

@@ -308,13 +308,11 @@ def test_search_finds_stores_and_verifies(tmp_path, capsys):
 
 
 def test_search_exhausted(capsys):
-    code, out, _ = invoke(
-        capsys, "search", "--kplus", "3", "--kminus", "1", "--q", "13", "--no-store",
-    )
+    code, out, _ = invoke(capsys, "search", "--kplus", "3", "--kminus", "1", "--q", "13")
     assert code == 0
     assert "status: exhausted" in out
     # |M| = 4 does not divide q - 1 = 25, so no splitting exists and no node is visited.
-    code, out, _ = invoke(capsys, "search", "--kplus", "3", "--kminus", "1", "--q", "26", "--no-store")
+    code, out, _ = invoke(capsys, "search", "--kplus", "3", "--kminus", "1", "--q", "26")
     assert code == 0
     assert "note: |M| = 4 does not divide q - 1 = 25\n" in out
     assert out.endswith("nodes: 0\n")
@@ -323,21 +321,20 @@ def test_search_exhausted(capsys):
 def test_search_symmetric_exhaustion_stdout(capsys):
     # M = -M, so the search keeps one splitter per +-s pair and exhausts in
     # 35 nodes; searching both splitters of each pair took 393 213.
-    code, out, _ = invoke(capsys, "search", "--kplus", "2", "--kminus", "2", "--q", "77", "--no-store")
+    code, out, _ = invoke(capsys, "search", "--kplus", "2", "--kminus", "2", "--q", "77")
     assert code == 0
     assert out == "status: exhausted\nq: 77\nmultipliers: -2..2\nnodes: 35\n"
 
 
 def test_search_stdout_deterministic(tmp_path, capsys):
-    argv = ["search", "--kplus", "3", "--kminus", "1", "--q", "25", "--no-store"]
+    argv = ["search", "--kplus", "3", "--kminus", "1", "--q", "25"]
     _, out1, _ = invoke(capsys, *argv)
     _, out2, _ = invoke(capsys, *argv)
     assert out1 == out2
     assert "nodes:" in out1
     # A spent budget stops at exactly the budget, so it too prints the same
     # report every time.
-    argv = ["search", "--kplus", "3", "--kminus", "2", "--q", "186", "--no-store",
-            "--node-budget", "2000"]
+    argv = ["search", "--kplus", "3", "--kminus", "2", "--q", "186", "--node-budget", "2000"]
     expected = ("status: timed_out\nq: 186\nmultipliers: -2..3\n"
                 "note: node budget of 2000 exhausted\nnodes: 2000\n")
     for _ in range(2):
@@ -414,8 +411,7 @@ def test_dimensions_past_64_bit_q_exit_2(capsys):
     # per residue; at 10**20 - 1, |M| = 4 does not divide q - 1, which would
     # otherwise report exhausted.
     for q in (2**64 + 1, 10**20 - 1):
-        argv = ("search", "--kplus", "3", "--kminus", "1", "--q", str(q), "--no-store",
-                "--node-budget", "10")
+        argv = ("search", "--kplus", "3", "--kminus", "1", "--q", str(q), "--node-budget", "10")
         code, out, err = invoke(capsys, *argv)
         assert (code, out) == (2, ""), argv
         assert err == f"error: search got q={q}; group orders must fit in 64 bits\n"
@@ -460,28 +456,23 @@ def test_usage_errors_exit_1(capsys):
     assert code == 1
     # The search stops on its node budget alone; there is no wall-clock cap.
     code, out, err = invoke(capsys, "search", "--kplus", "3", "--kminus", "1", "--q", "25",
-                            "--no-store", "--time-budget", "60")
+                            "--time-budget", "60")
     assert (code, out) == (1, "")
     assert "unrecognized arguments: --time-budget 60" in err
 
 
-def test_store_flags_exclude_each_other(tmp_path, monkeypatch, capsys):
-    # --no-store must not silently drop --store FILE, the default name included.
+def test_search_stores_only_with_store(tmp_path, monkeypatch, capsys):
+    # A found splitting is written only to a store that --store names.
     monkeypatch.chdir(tmp_path)
-    for store in ("certificates.jsonl", str(tmp_path / "certs.jsonl")):
-        code, out, err = invoke(capsys, "search", "--kplus", "3", "--kminus", "1", "--q", "25",
-                                "--store", store, "--no-store")
-        assert code == 1 and out == "", store
-        assert "argument --no-store: not allowed with argument --store" in err
-    assert list(tmp_path.iterdir()) == []
-
-
-def test_search_stores_in_certificates_jsonl_by_default(tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)
-    code, _, err = invoke(capsys, "search", "--kplus", "3", "--kminus", "1", "--q", "25")
+    code, out, err = invoke(capsys, "search", "--kplus", "3", "--kminus", "1", "--q", "25")
     assert code == 0
-    assert "stored certificate in certificates.jsonl\n" in err
-    assert [path.name for path in tmp_path.iterdir()] == ["certificates.jsonl"]
+    assert "status: found\n" in out
+    assert "certificate" not in err
+    assert list(tmp_path.iterdir()) == []
+    code, out, err = invoke(capsys, "search", "--kplus", "3", "--kminus", "1", "--q", "25",
+                            "--no-store")
+    assert (code, out) == (1, "")
+    assert "unrecognized arguments: --no-store" in err
 
 
 def test_missing_registry_exits_1(tmp_path, monkeypatch, capsys):

@@ -232,24 +232,33 @@ def test_vandermonde_matches_power_sum_definition(monkeypatch):
 
 @pytest.mark.parametrize("q", [48017, 2**31 - 1, 2**61 - 1, 2**64 - 59])
 def test_first_solution_matches_direct_sums(q):
-    # The solver of check_vandermonde against the sums themselves.  One row
-    # is a discrete logarithm; two and four rows are the packed scan, with
-    # lanes of 2, 2, 4 and 5 words.  The target is planted at t = 0, 63, 64
-    # and 130: lane 0, the last lane of a block, the first lane of the next
-    # and a lane of the third block.  The bounds are 0, the first solution
-    # itself, one past it, and 100, which ends inside the second block.
+    # The solver of check_vandermonde against the sums themselves.  A target
+    # planted at t = 0, 63, 64 and 130 (lane 0, the last lane of a block, the
+    # first lane of the next and a lane of the third block) enters as the
+    # constant term (q - target, 1), once last, where it is the term the
+    # solver divides by, and once first.  One term and the constant are a
+    # discrete logarithm; two and four terms and the constant are the packed
+    # scan, with lanes of 2, 2, 4 and 5 words.  The bounds are 0, the first
+    # solution itself, one past it, and 100, which ends inside the second
+    # block.
     assert is_prime(q)
     for w, r in (([3], [2]), ([5], [q - 5]), ([3, 5], [2, 3]), ([3, 5, 7, 11], [2, 3, q - 5, 7])):
         for planted in (0, 63, 64, 130):
             sums = [sum(x * pow(y, t, q) for x, y in zip(w, r)) % q for t in range(planted + 1)]
             target = sums[planted]
             first = sums.index(target)
-            for bound in (0, first, first + 1, 100):
-                expected = first if first < bound else None
-                got = criteria._first_solution(w, r, target, bound, q)
-                assert got == expected, (w, planted, bound)
-                if len(w) == 1:
-                    assert got == discrete_log(r[0], target * pow(w[0], -1, q), q, bound)
+            rows = list(zip(w, r))
+            for terms in (rows + [(q - target, 1)], [(q - target, 1)] + rows):
+                for bound in (0, first, first + 1, 100):
+                    expected = first if first < bound else None
+                    got = criteria._first_zero(terms, bound, q)
+                    assert got == expected, (w, planted, terms[0], bound)
+                    if len(w) == 1:
+                        assert got == discrete_log(r[0], target * pow(w[0], -1, q), q, bound)
+    # The empty class vanishes at t = 0; a single term never vanishes.
+    for bound in (0, 1, 2, 100):
+        assert criteria._first_zero([], bound, q) == (0 if bound >= 1 else None)
+        assert criteria._first_zero([(3, 2)], bound, q) is None
 
 
 def test_vandermonde_counts_to_4000():
