@@ -23,7 +23,6 @@ criteria.outcomes for just the criteria after that one.
 
 from __future__ import annotations
 
-import json
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
@@ -416,23 +415,44 @@ def report_csv(run: ClassificationRun) -> str:
     return "\n".join(lines) + "\n"
 
 
-_encode_json = json.JSONEncoder(separators=(",", ":")).encode
+def _witness_json(witness: dict | None) -> str:
+    """A witness as JSON: null for no witness, else {"key":value,...} in
+    insertion order, each value an int or a tuple of ints written [a,b,...].
+
+    Its keys are the criterion's keyword names, which JSON quotes as they
+    are.  Any other value (bool, str, float, None, a container other than a
+    tuple, or a tuple holding a non-int) raises TypeError naming its key, so
+    a new kind of witness value fails instead of printing text that is not
+    JSON."""
+    if witness is None:
+        return "null"
+    fields = []
+    for key, value in witness.items():
+        if type(value) is int:
+            fields.append(f'"{key}":{value}')
+        elif type(value) is tuple and all(type(x) is int for x in value):
+            fields.append(f'"{key}":[{",".join(map(str, value))}]')
+        else:
+            raise TypeError(f"witness value of {key!r} is not an int or a tuple of ints: {value!r}")
+    return "{" + ",".join(fields) + "}"
 
 
 def report_json(run: ClassificationRun) -> str:
     """JSON array report ordered by n (byte-stable).
 
-    Each row is written directly: its keys are fixed, and the status,
-    source and criterion are identifiers that JSON quotes as they are.  Only
-    the witness goes through the encoder, so the output is the bytes of
-    json.dumps(rows, separators=(",", ":")) without building the rows."""
+    No row or witness goes through json: each row is written directly.  Its
+    keys are fixed, the status, source and criterion are identifiers that
+    JSON quotes as they are, and the witness is written by _witness_json,
+    which accepts only ints and tuples of ints as values.  So the output is
+    the bytes of json.dumps(rows, separators=(",", ":")) without building
+    the rows."""
     rows = []
     for v in run.verdicts:
         source = f'"{v.source.value}"' if v.source is not None else "null"
         criterion = f'"{v.criterion_id}"' if v.criterion_id is not None else "null"
         rows.append(
             f'{{"n":{v.n},"q":{v.q},"status":"{v.status.value}","source":{source},'
-            f'"criterion":{criterion},"witness":{_encode_json(v.witness)}}}'
+            f'"criterion":{criterion},"witness":{_witness_json(v.witness)}}}'
         )
     return "[" + ",".join(rows) + "]\n"
 

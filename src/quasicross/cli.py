@@ -149,6 +149,10 @@ def _cmd_check(args) -> int:
 def _cmd_search(args) -> int:
     if args.q <= args.kplus + args.kminus:
         raise _UsageError(f"q must exceed kplus + kminus, got q={args.q}")
+    if args.store == "":
+        # Path("") is the current directory, which only fails on the append
+        # after the search has run and printed its result.
+        raise _UsageError(f"--store must name a file, got {args.store!r}")
     multipliers = interval_multipliers(args.kplus, args.kminus, args.q)
     outcome = find_splitting(args.q, multipliers, node_budget=args.node_budget)
     print(f"status: {outcome.status.value}")

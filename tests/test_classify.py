@@ -1,11 +1,16 @@
 import json
+import re
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from quasicross import classify, criteria, splitting
 from quasicross.classify import (
+    ClassificationRun,
     ContradictionError,
     TilesSource,
+    Verdict,
     Verdicts,
     classify_range,
     default_certificates_path,
@@ -623,6 +628,87 @@ def test_report_json_matches_a_dict_per_row():
     assert {v.status for v in verdicts} == set(VerdictStatus)
     assert {v.source for v in verdicts} == set(TilesSource) | {None}
     assert {v.criterion_id for v in verdicts} == set(CRITERION_ORDER) | {None}
+
+
+def one_row(witness):
+    """A run whose one verdict carries the given witness."""
+    verdict = Verdict(2, 9, VerdictStatus.NO_TILING, criterion_id="geometry", witness=witness)
+    return ClassificationRun(3, 1, 2, (verdict,))
+
+
+def is_flat_witness(witness):
+    """None, or a dict whose values are ints or tuples of ints (no bools)."""
+    return witness is None or (
+        type(witness) is dict
+        and all(
+            type(v) is int or (type(v) is tuple and all(type(x) is int for x in v))
+            for v in witness.values()
+        )
+    )
+
+
+def test_every_criterion_witness_is_flat_and_renders_as_json():
+    # Every criterion, the divisor recursion on a verdict memo included, on
+    # every shape with arms up to 6 and n <= 300: each witness of a ruled-out
+    # or inconclusive outcome is flat and report_json writes it as json does.
+    fired = set()
+    tuple_witnesses = 0
+    for k_plus in range(1, 7):
+        for k_minus in range(1, k_plus + 1):
+            memo = Verdicts(k_plus, k_minus, 300)
+            for n in range(1, 301):
+                for out in outcomes(QuasiCrossShape(k_plus, k_minus, n), memo):
+                    if out.status is CriterionStatus.INAPPLICABLE:
+                        continue
+                    assert is_flat_witness(out.witness), out
+                    run = one_row(out.witness)
+                    assert report_json(run) == report_json_oracle(run), out
+                    if out.fired:
+                        fired.add(out.criterion_id)
+                    if out.witness and any(type(v) is tuple for v in out.witness.values()):
+                        tuple_witnesses += 1
+    # The range reaches every criterion's ruling and the tuple values.
+    assert fired == set(CRITERION_ORDER)
+    assert tuple_witnesses > 0
+
+
+WITNESS_KEYS = st.text(alphabet="abcdnpq_0123", min_size=1, max_size=8)
+WITNESS_INTS = st.one_of(st.integers(-(2**16), 2**16), st.integers(-(2**200), 2**200))
+WITNESSES = st.dictionaries(
+    WITNESS_KEYS, st.one_of(WITNESS_INTS, st.lists(WITNESS_INTS, max_size=6).map(tuple)), max_size=6
+)
+NOT_WITNESS_VALUES = st.one_of(
+    st.booleans(),
+    st.text(max_size=4),
+    st.floats(),
+    st.none(),
+    st.lists(WITNESS_INTS, max_size=3),
+    st.dictionaries(WITNESS_KEYS, WITNESS_INTS, max_size=2),
+    st.tuples(WITNESS_INTS, st.lists(WITNESS_INTS, max_size=2).map(tuple)),
+    # A tuple of ints with one more item that is not an int.
+    st.tuples(
+        st.lists(WITNESS_INTS, max_size=3).map(tuple),
+        st.one_of(st.booleans(), st.text(max_size=2), st.floats(), st.none()),
+    ).map(lambda pair: pair[0] + (pair[1],)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(witness=WITNESSES)
+@example({"big": 2**64, "neg": -(2**70), "arms": (2**65, -1, 0), "none": ()})
+def test_report_json_writes_flat_witnesses_as_json_does(witness):
+    run = one_row(witness)
+    assert report_json(run) == report_json_oracle(run)
+
+
+@settings(max_examples=200, deadline=None)
+@given(before=WITNESSES, key=WITNESS_KEYS, bad=NOT_WITNESS_VALUES, after=WITNESSES)
+def test_report_json_rejects_other_witness_values(before, key, bad, after):
+    witness = {k: v for k, v in before.items() if k != key}
+    witness[key] = bad
+    witness.update((k, v) for k, v in after.items() if k != key)
+    with pytest.raises(TypeError, match=re.escape(repr(key))):
+        report_json(one_row(witness))
 
 
 def test_summarize_counts():

@@ -469,6 +469,14 @@ def test_search_stores_only_with_store(tmp_path, monkeypatch, capsys):
     assert "status: found\n" in out
     assert "certificate" not in err
     assert list(tmp_path.iterdir()) == []
+    # An empty store path is a usage error before any search, like an
+    # empty --certificates path, not a directory to append to.
+    code, out, err = invoke(capsys, "search", "--kplus", "3", "--kminus", "1", "--q", "25",
+                            "--store", "")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: --store must name a file, got ''\n")
+    assert "elapsed" not in err
+    assert list(tmp_path.iterdir()) == []
     code, out, err = invoke(capsys, "search", "--kplus", "3", "--kminus", "1", "--q", "25",
                             "--no-store")
     assert (code, out) == (1, "")
