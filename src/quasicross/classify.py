@@ -27,7 +27,8 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
-from .criteria import CRITERION_ORDER, CriterionOutcome, CriterionStatus, VerdictStatus, outcomes
+from .criteria import CRITERION_ORDER, CriterionOutcome, VerdictStatus, outcomes
+from .criteria import _NO_TILING, _RULED_OUT, _TILES, _UNKNOWN
 from .splitting import QuasiCrossShape, Splitting, from_json_line, to_json_line, verify_splitting
 
 __all__ = [
@@ -273,24 +274,24 @@ class Verdicts(dict):
         shape = QuasiCrossShape(self.k_plus, self.k_minus, n)
         fired = None
         for out in outcomes(shape, self):
-            if out.status is CriterionStatus.RULED_OUT:
+            if out.status is _RULED_OUT:
                 fired = out
                 break
         tiles_source = self.evidence.get(n)
         if tiles_source is not None:
             if fired is not None:
                 raise ContradictionError(n, tiles_source, fired)
-            verdict = Verdict(n, shape.group_order, VerdictStatus.TILES, source=tiles_source)
+            verdict = Verdict(n, shape.group_order, _TILES, source=tiles_source)
         elif fired is not None:
             verdict = Verdict(
                 n,
                 shape.group_order,
-                VerdictStatus.NO_TILING,
+                _NO_TILING,
                 criterion_id=fired.criterion_id,
                 witness=fired.witness,
             )
         else:
-            verdict = Verdict(n, shape.group_order, VerdictStatus.UNKNOWN)
+            verdict = Verdict(n, shape.group_order, _UNKNOWN)
         self[n] = verdict.status
         return verdict
 
@@ -349,14 +350,14 @@ def summarize(run: ClassificationRun) -> Summary:
         raise ValueError("nothing to summarize")
     status_counts = {"tiles": 0, "no_tiling": 0, "unknown": 0}
     for v in run.verdicts:
-        status_counts[v.status.value] += 1
-    tiles_dims = tuple(v.n for v in run.verdicts if v.status is VerdictStatus.TILES)
-    unknown_dims = tuple(v.n for v in run.verdicts if v.status is VerdictStatus.UNKNOWN)
+        status_counts[v.status._value_] += 1
+    tiles_dims = tuple(v.n for v in run.verdicts if v.status is _TILES)
+    unknown_dims = tuple(v.n for v in run.verdicts if v.status is _UNKNOWN)
     first_fired = dict.fromkeys(CRITERION_ORDER, 0)
     independent = dict.fromkeys(CRITERION_ORDER, 0)
     oracle = {v.n: v.status for v in run.verdicts}
     for v in run.verdicts:
-        if v.status is VerdictStatus.NO_TILING:
+        if v.status is _NO_TILING:
             first_fired[v.criterion_id] += 1
             independent[v.criterion_id] += 1
             shape = QuasiCrossShape(run.k_plus, run.k_minus, v.n)
@@ -364,8 +365,8 @@ def summarize(run: ClassificationRun) -> Summary:
                 independent[out.criterion_id] += out.fired
 
     mod3_dims = [v for v in run.verdicts if v.n >= 2 and v.n % 3 == 2]
-    mod3_ruled = sum(1 for v in mod3_dims if v.status is VerdictStatus.NO_TILING)
-    survivors = sorted({v.n % 36 for v in run.verdicts if v.n >= 2 and v.status is not VerdictStatus.NO_TILING})
+    mod3_ruled = sum(1 for v in mod3_dims if v.status is _NO_TILING)
+    survivors = sorted({v.n % 36 for v in run.verdicts if v.n >= 2 and v.status is not _NO_TILING})
     sanity = (
         f"n = 2 (mod 3), n >= 2: {mod3_ruled}/{len(mod3_dims)} ruled out",
         "surviving residues mod 36 (n >= 2): "
@@ -399,9 +400,9 @@ def witness_text(witness: dict | None) -> str:
 
 def _rows(run: ClassificationRun) -> Iterable[tuple[int, int, str, str, str]]:
     for v in run.verdicts:
-        if v.status is VerdictStatus.TILES:
-            yield v.n, v.q, "tiles", "", v.source.value
-        elif v.status is VerdictStatus.NO_TILING:
+        if v.status is _TILES:
+            yield v.n, v.q, "tiles", "", v.source._value_
+        elif v.status is _NO_TILING:
             yield v.n, v.q, "no_tiling", v.criterion_id, witness_text(v.witness)
         else:
             yield v.n, v.q, "unknown", "", ""
@@ -448,10 +449,10 @@ def report_json(run: ClassificationRun) -> str:
     the rows."""
     rows = []
     for v in run.verdicts:
-        source = f'"{v.source.value}"' if v.source is not None else "null"
+        source = f'"{v.source._value_}"' if v.source is not None else "null"
         criterion = f'"{v.criterion_id}"' if v.criterion_id is not None else "null"
         rows.append(
-            f'{{"n":{v.n},"q":{v.q},"status":"{v.status.value}","source":{source},'
+            f'{{"n":{v.n},"q":{v.q},"status":"{v.status._value_}","source":{source},'
             f'"criterion":{criterion},"witness":{_witness_json(v.witness)}}}'
         )
     return "[" + ",".join(rows) + "]\n"

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 from typing import Sequence
 
 from .classify import (
@@ -149,10 +150,16 @@ def _cmd_check(args) -> int:
 def _cmd_search(args) -> int:
     if args.q <= args.kplus + args.kminus:
         raise _UsageError(f"q must exceed kplus + kminus, got q={args.q}")
-    if args.store == "":
-        # Path("") is the current directory, which only fails on the append
-        # after the search has run and printed its result.
-        raise _UsageError(f"--store must name a file, got {args.store!r}")
+    if args.store is not None:
+        # A store the append would fail on is refused before the search
+        # runs and prints its result.  Path("") is the current directory.
+        store = Path(args.store)
+        if store.is_dir():
+            raise _UsageError(f"--store must name a file, got {args.store!r}")
+        if not store.parent.is_dir():
+            raise _UsageError(f"--store must name a file in an existing directory, got {args.store!r}")
+        if store.exists():
+            load_certificates(store)  # a store that fails to load exits 2
     multipliers = interval_multipliers(args.kplus, args.kminus, args.q)
     outcome = find_splitting(args.q, multipliers, node_budget=args.node_budget)
     print(f"status: {outcome.status.value}")

@@ -59,6 +59,15 @@ class VerdictStatus(Enum):
     UNKNOWN = "unknown"
 
 
+# Each member read once, here.  On Python 3.10 and 3.11 EnumType defines
+# __getattr__, so a read such as CriterionStatus.RULED_OUT costs several
+# times a module global.  The per-dimension paths, here and in classify, use
+# these names, and classify's rows read a member's _value_, not the slower
+# .value property.
+_RULED_OUT, _INCONCLUSIVE, _INAPPLICABLE = CriterionStatus
+_TILES, _NO_TILING, _UNKNOWN = VerdictStatus
+
+
 class CriterionOutcome(NamedTuple):
     criterion_id: str
     status: CriterionStatus
@@ -66,22 +75,22 @@ class CriterionOutcome(NamedTuple):
 
     @property
     def fired(self) -> bool:
-        return self.status is CriterionStatus.RULED_OUT
+        return self.status is _RULED_OUT
 
 
 def _ruled_out(cid: str, **witness) -> CriterionOutcome:
-    return CriterionOutcome(cid, CriterionStatus.RULED_OUT, witness)
+    return CriterionOutcome(cid, _RULED_OUT, witness)
 
 
 def _inconclusive(cid: str, **witness) -> CriterionOutcome:
-    return CriterionOutcome(cid, CriterionStatus.INCONCLUSIVE, witness or None)
+    return CriterionOutcome(cid, _INCONCLUSIVE, witness or None)
 
 
 @lru_cache(maxsize=None)
 def _inapplicable(cid: str) -> CriterionOutcome:
     """One shared outcome per criterion: an immutable tuple with no
     witness dict, so no caller can change it."""
-    return CriterionOutcome(cid, CriterionStatus.INAPPLICABLE)
+    return CriterionOutcome(cid, _INAPPLICABLE)
 
 
 def check_geometry(shape: QuasiCrossShape) -> CriterionOutcome:
@@ -376,7 +385,7 @@ def check_divisors(
                 f"divisor recursion at n={shape.n} reached n'={n_prime} (d={d}) "
                 "with no verdict available"
             ) from None
-        if status is VerdictStatus.NO_TILING:
+        if status is _NO_TILING:
             return _ruled_out("divisors", d=d, n_prime=n_prime)
     return _inconclusive("divisors")
 

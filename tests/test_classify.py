@@ -630,6 +630,40 @@ def test_report_json_matches_a_dict_per_row():
     assert {v.criterion_id for v in verdicts} == set(CRITERION_ORDER) | {None}
 
 
+def test_module_status_names_are_the_members_of_that_name():
+    # Bound by unpacking each enum, so a reordered enum must not swap two.
+    for member in [*CriterionStatus, *VerdictStatus]:
+        assert getattr(criteria, "_" + member.name) is member
+        assert getattr(classify, "_" + member.name, member) is member
+
+
+class CountingEnum:
+    """Stands in for an Enum class and records each attribute read on it."""
+
+    def __init__(self, enum, reads):
+        self.enum = enum
+        self.reads = reads
+
+    def __getattr__(self, name):
+        self.reads.append(f"{self.enum.__name__}.{name}")
+        return getattr(self.enum, name)
+
+
+def test_classify_and_reports_read_no_status_enum_class(monkeypatch):
+    # Every status on the walk and in the reports is a name the module
+    # bound once, not a read through the enum class.
+    runs = [classify_range(3, k, 300, registry=default_registry(3, k)) for k in (1, 2)]
+    expected = [(report_json(r), report_csv(r), report_text(r), summarize(r)) for r in runs]
+    reads = []
+    for module in (criteria, classify):
+        for name, value in list(vars(module).items()):
+            if value is CriterionStatus or value is VerdictStatus:
+                monkeypatch.setattr(module, name, CountingEnum(value, reads))
+    runs = [classify_range(3, k, 300, registry=default_registry(3, k)) for k in (1, 2)]
+    assert [(report_json(r), report_csv(r), report_text(r), summarize(r)) for r in runs] == expected
+    assert reads == []
+
+
 def one_row(witness):
     """A run whose one verdict carries the given witness."""
     verdict = Verdict(2, 9, VerdictStatus.NO_TILING, criterion_id="geometry", witness=witness)

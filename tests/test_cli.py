@@ -483,6 +483,37 @@ def test_search_stores_only_with_store(tmp_path, monkeypatch, capsys):
     assert "unrecognized arguments: --no-store" in err
 
 
+@pytest.mark.parametrize(
+    "store, code, message",
+    [
+        (".", 1, "error: --store must name a file, got '.'\n"),
+        ("missing/x.jsonl", 1,
+         "error: --store must name a file in an existing directory, got 'missing/x.jsonl'\n"),
+        ("corrupt.jsonl", 2, "error: corrupt.jsonl, line 2: certificate q=16 does not verify: "),
+    ],
+    ids=["directory", "missing-directory", "corrupt-store"],
+)
+def test_search_refuses_a_bad_store_before_the_search(tmp_path, monkeypatch, capsys, store, code,
+                                                      message):
+    # A store the append would fail on exits before find_splitting runs,
+    # with nothing on stdout and nothing written.
+    monkeypatch.chdir(tmp_path)
+    lines = default_certificates_path().read_text().splitlines()
+    lines[1] = lines[1].replace('"q": 6,', '"q": 16,')
+    (tmp_path / "corrupt.jsonl").write_text("\n".join(lines) + "\n")
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr(cli, "find_splitting", no_search)
+    got, out, err = invoke(capsys, "search", "--kplus", "3", "--kminus", "1", "--q", "25",
+                           "--store", store)
+    assert (got, out) == (code, "")
+    assert err.startswith(message), err
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
 def test_missing_registry_exits_1(tmp_path, monkeypatch, capsys):
     # As from an installation that lacks the packaged store.
     reg = tmp_path / "absent.jsonl"
