@@ -52,8 +52,9 @@ q - 1, so the search returns before it builds a table.  Where q <=
 q = |M| + 1, a one-splitter search, or with |M| not dividing q - 1.
 
 The only budget is a node count (one node per candidate placement attempt;
-a spent budget of B nodes reports B nodes), so identical arguments give
-identical outcomes, and an Exhausted or TimedOut outcome can be reproduced.
+a spent budget of B nodes reports B nodes), and the outcomes hold no time,
+so equal arguments give equal outcomes (==, and the same hash), and an
+Exhausted or TimedOut outcome can be reproduced.
 Group orders must fit in 64 bits, as everywhere else in the package; a
 larger q is refused before the candidate table, which has one list per
 residue, is built.
@@ -61,7 +62,6 @@ residue, is built.
 
 from __future__ import annotations
 
-import time
 from enum import Enum
 from typing import NamedTuple
 
@@ -89,7 +89,6 @@ class SearchOutcome(NamedTuple):
     status: SearchStatus
     splitters: tuple[int, ...] | None
     nodes: int
-    elapsed_s: float
     diagnostic: str | None = None
 
 
@@ -100,7 +99,6 @@ class CountOutcome(NamedTuple):
     count: int
     complete: bool
     nodes: int
-    elapsed_s: float
     diagnostic: str | None = None
 
 
@@ -130,8 +128,7 @@ def _explore(q, multipliers, node_budget, stop_at_first):
     residues = multipliers.residues
     k = len(residues)
     if (q - 1) % k != 0:
-        return None, 0, True, 0, 0.0, f"|M| = {k} does not divide q - 1 = {q - 1}"
-    start = time.perf_counter()
+        return None, 0, True, 0, f"|M| = {k} does not divide q - 1 = {q - 1}"
     last = (q - 1) // k - 1  # splitters placed when the next one completes the cover
     symmetric = q > 2 and {q - m for m in residues} == set(residues)
     table = _candidate_table(q, residues, symmetric)
@@ -188,9 +185,8 @@ def _explore(q, multipliers, node_budget, stop_at_first):
                     alive[d[0]] = True
                     for f in d[1]:
                         live[f] += 1
-    elapsed = time.perf_counter() - start
     scale = len(table[1]) << (q - 1) // k if symmetric else len(table[1])
-    return first, count * scale, note is None, nodes, elapsed, note
+    return first, count * scale, note is None, nodes, note
 
 
 def find_splitting(
@@ -206,19 +202,19 @@ def find_splitting(
     under the first candidate for residue 1 was closed, and every splitting
     has a unit multiple in that tree or, when M = -M, a unit multiple whose
     +-class representative lies in it (see the module docstring); TIMED_OUT
-    reports a spent node budget.  Identical arguments (node budget included)
-    give identical outcomes.
+    reports a spent node budget.  Equal arguments (node budget included)
+    give equal outcomes: == holds and the hashes agree.
     """
-    first, _count, closed, nodes, elapsed, note = _explore(
+    first, _count, closed, nodes, note = _explore(
         q, multipliers, node_budget, stop_at_first=True
     )
     if first is not None:
         check = verify_cover(q, multipliers.residues, first)
         if not check:
             raise AssertionError(f"search produced an invalid splitting: {check.reason}")
-        return SearchOutcome(SearchStatus.FOUND, first, nodes, elapsed)
+        return SearchOutcome(SearchStatus.FOUND, first, nodes)
     status = SearchStatus.EXHAUSTED if closed else SearchStatus.TIMED_OUT
-    return SearchOutcome(status, None, nodes, elapsed, note)
+    return SearchOutcome(status, None, nodes, note)
 
 
 def count_splittings(
@@ -238,7 +234,7 @@ def count_splittings(
     2^n as well (see the module docstring).
     Intended for small q; budgets cap runaway inputs.
     """
-    _first, count, closed, nodes, elapsed, note = _explore(
+    _first, count, closed, nodes, note = _explore(
         q, multipliers, node_budget, stop_at_first=False
     )
-    return CountOutcome(count, closed, nodes, elapsed, note)
+    return CountOutcome(count, closed, nodes, note)

@@ -2,6 +2,7 @@ import hashlib
 import importlib.util
 import json
 import os
+import re
 import shlex
 import shutil
 import subprocess
@@ -340,6 +341,27 @@ def test_search_stdout_deterministic(tmp_path, capsys):
     for _ in range(2):
         code, out, _ = invoke(capsys, *argv)
         assert (code, out) == (0, expected)
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (("--kminus", "1", "--q", "25"),
+         "status: found\nq: 25\nmultipliers: -1..3\nsplitters: 1 5 6 11 16 21\nnodes: 15\n"),
+        (("--kminus", "1", "--q", "13"), "status: exhausted\nq: 13\nmultipliers: -1..3\nnodes: 1\n"),
+        (("--kminus", "1", "--q", "26"), "status: exhausted\nq: 26\nmultipliers: -1..3\n"
+                                         "note: |M| = 4 does not divide q - 1 = 25\nnodes: 0\n"),
+        (("--kminus", "2", "--q", "186", "--node-budget", "2000"),
+         "status: timed_out\nq: 186\nmultipliers: -2..3\n"
+         "note: node budget of 2000 exhausted\nnodes: 2000\n"),
+    ],
+    ids=["found", "exhausted", "not-divisible", "timed-out"],
+)
+def test_search_times_the_search_on_stderr(capsys, argv, expected):
+    # The CLI times its find_splitting call; the report on stdout holds no time.
+    code, out, err = invoke(capsys, "search", "--kplus", "3", *argv)
+    assert (code, out) == (0, expected)
+    assert re.fullmatch(r"elapsed: \d+\.\d{3}s\n", err), err
 
 
 def test_verify_shipped_store(capsys):

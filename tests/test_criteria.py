@@ -346,82 +346,85 @@ def test_divisors_missing_oracle_is_hard_error():
 
 
 def test_ruled_out_witnesses_reverify():
-    # Every firing of every criterion on these shapes re-derives from its
-    # witness by direct arithmetic; a criterion with no re-check here fails.
-    primes = set(trial_division_primes(60 * 7 + 1))
+    # Every firing of every criterion on the 21 shapes with arms up to 6
+    # re-derives from its witness by direct arithmetic; a criterion with no
+    # re-check here fails.
+    primes = set(trial_division_primes(150 * 12 + 1))
     fired = set()
-    for k_plus, k_minus in ((3, 1), (3, 2), (4, 1), (6, 1)):
-        run = classify_range(k_plus, k_minus, 60)
-        oracle = {v.n: v.status for v in run.verdicts}
-        for n in range(1, 61):
-            sh = shape(k_plus, k_minus, n)
-            q = sh.group_order
-            for out in outcomes(sh, oracle):
-                if not out.fired:
-                    continue
-                fired.add(out.criterion_id)
-                w = out.witness
-                if out.criterion_id == "geometry":
-                    assert w["lhs"] == 2 * sh.k_plus * (sh.k_minus + 1) - sh.k_minus**2
-                    assert w["rhs"] == sh.n * sh.arm_sum
-                    assert w["lhs"] > w["rhs"]
-                elif out.criterion_id == "arm_gcd":
-                    assert sh.k_minus == sh.k_plus - 1
-                    assert w == {"k": sh.k_plus, "q": q, "gcd": 1} and math.gcd(sh.k_plus, q) == 1
-                elif out.criterion_id == "odd_prime_order":
-                    p = sh.arm_sum
-                    assert p > 2 and p in primes and q in primes
-                    assert w == {"p": p, "n_mod_p": sh.n % p} and sh.n % p != 0
-                elif out.criterion_id == "power_cube":
-                    assert sh.k_minus == 1 and sh.k_plus >= 6 and sh.k_plus % 4 == 2
-                    assert w == {"n_mod_8": sh.n % 8} and sh.n % 8 in (3, 7)
-                elif out.criterion_id == "divisors":
-                    d = w["d"]
-                    assert q % d == 0 and 1 < d < q
-                    assert gcd(d, primorial(sh.k_plus)) == 1
-                    if "n_prime" in w:
-                        assert (q - d) % (sh.arm_sum * d) == 0
-                        assert (q - d) // (sh.arm_sum * d) == w["n_prime"]
-                        assert oracle[w["n_prime"]] is VerdictStatus.NO_TILING
+    for k_plus in range(1, 7):
+        for k_minus in range(1, k_plus + 1):
+            run = classify_range(k_plus, k_minus, 150)
+            oracle = {v.n: v.status for v in run.verdicts}
+            for n in range(1, 151):
+                sh = shape(k_plus, k_minus, n)
+                q = sh.group_order
+                for out in outcomes(sh, oracle):
+                    if not out.fired:
+                        continue
+                    fired.add(out.criterion_id)
+                    w = out.witness
+                    if out.criterion_id == "geometry":
+                        assert w["lhs"] == 2 * sh.k_plus * (sh.k_minus + 1) - sh.k_minus**2
+                        assert w["rhs"] == sh.n * sh.arm_sum
+                        assert w["lhs"] > w["rhs"]
+                    elif out.criterion_id == "arm_gcd":
+                        assert sh.k_minus == sh.k_plus - 1
+                        assert w == {"k": sh.k_plus, "q": q, "gcd": 1}
+                        assert math.gcd(sh.k_plus, q) == 1
+                    elif out.criterion_id == "odd_prime_order":
+                        p = sh.arm_sum
+                        assert p > 2 and p in primes and q in primes
+                        assert w == {"p": p, "n_mod_p": sh.n % p} and sh.n % p != 0
+                    elif out.criterion_id == "power_cube":
+                        assert sh.k_minus == 1 and sh.k_plus >= 6 and sh.k_plus % 4 == 2
+                        assert w == {"n_mod_8": sh.n % 8} and sh.n % 8 in (3, 7)
+                    elif out.criterion_id == "divisors":
+                        d = w["d"]
+                        assert q % d == 0 and 1 < d < q
+                        assert gcd(d, primorial(sh.k_plus)) == 1
+                        if "n_prime" in w:
+                            assert (q - d) % (sh.arm_sum * d) == 0
+                            assert (q - d) // (sh.arm_sum * d) == w["n_prime"]
+                            assert oracle[w["n_prime"]] is VerdictStatus.NO_TILING
+                        else:
+                            assert (q - d) % (sh.arm_sum * d) != 0
+                    elif out.criterion_id == "char4_literal":
+                        assert (sh.k_plus, sh.k_minus) == (3, 1) and sh.n % 2 == 1 and q in primes
+                        assert pow(6, sh.n, q) == w["six_pow_n"] != 1
+                    elif out.criterion_id == "power_square":
+                        assert sh.k_minus == 1 and (sh.k_plus + 1) == 4 * w["k"]
+                        assert w["kn_mod_9"] == w["k"] * sh.n % 9
+                        assert w["kn_mod_9"] in (5, 8)
+                    elif out.criterion_id == "psquare":
+                        p = w["p"]
+                        assert q % (p * p) == 0 and p <= sh.k_plus < p * p
+                        assert sh.n * ((sh.k_plus % p) + (sh.k_minus % p)) != p - 1
+                    elif out.criterion_id == "vandermonde":
+                        residues = multiplier_set(sh).residues
+                        assert all(
+                            sum(pow(m, i, q) for m in residues) % q != 0 for i in range(1, sh.n + 1)
+                        )
+                    elif out.criterion_id == "quadratic_balance":
+                        # Euler's criterion: r is a square mod the prime q iff r**((q-1)/2) = 1.
+                        residues = multiplier_set(sh).residues
+                        qr = sum(pow(r, (q - 1) // 2, q) == 1 for r in residues)
+                        assert q in primes and sh.n % 2 == 1
+                        assert w == {"qr": qr, "qnr": len(residues) - qr} and w["qr"] != w["qnr"]
+                    elif out.criterion_id == "quartic_generic":
+                        c = w["classes"]
+                        assert q in primes and q % 4 == 1 and sh.n % 2 == 1
+                        assert sum(c) == sh.arm_sum and (c[0] != c[2] or c[1] != c[3])
+                        # r**((q-1)/4) is i**j for the class j of r, with i a square
+                        # root of -1; the other root swaps classes 1 and 3.
+                        x = next(x for x in range(2, q) if pow(x, (q - 1) // 2, q) == q - 1)
+                        roots = [pow(x, j * (q - 1) // 4, q) for j in range(4)]
+                        counts = [0, 0, 0, 0]
+                        for r in multiplier_set(sh).residues:
+                            counts[roots.index(pow(r, (q - 1) // 4, q))] += 1
+                        assert (counts[0], counts[2]) == (c[0], c[2])
+                        assert sorted((counts[1], counts[3])) == sorted((c[1], c[3]))
                     else:
-                        assert (q - d) % (sh.arm_sum * d) != 0
-                elif out.criterion_id == "char4_literal":
-                    assert (sh.k_plus, sh.k_minus) == (3, 1) and sh.n % 2 == 1 and q in primes
-                    assert pow(6, sh.n, q) == w["six_pow_n"] != 1
-                elif out.criterion_id == "power_square":
-                    assert sh.k_minus == 1 and (sh.k_plus + 1) == 4 * w["k"]
-                    assert w["kn_mod_9"] == w["k"] * sh.n % 9
-                    assert w["kn_mod_9"] in (5, 8)
-                elif out.criterion_id == "psquare":
-                    p = w["p"]
-                    assert q % (p * p) == 0 and p <= sh.k_plus < p * p
-                    assert sh.n * ((sh.k_plus % p) + (sh.k_minus % p)) != p - 1
-                elif out.criterion_id == "vandermonde":
-                    residues = multiplier_set(sh).residues
-                    assert all(
-                        sum(pow(m, i, q) for m in residues) % q != 0 for i in range(1, sh.n + 1)
-                    )
-                elif out.criterion_id == "quadratic_balance":
-                    # Euler's criterion: r is a square mod the prime q iff r**((q-1)/2) = 1.
-                    residues = multiplier_set(sh).residues
-                    qr = sum(pow(r, (q - 1) // 2, q) == 1 for r in residues)
-                    assert q in primes and sh.n % 2 == 1
-                    assert w == {"qr": qr, "qnr": len(residues) - qr} and w["qr"] != w["qnr"]
-                elif out.criterion_id == "quartic_generic":
-                    c = w["classes"]
-                    assert q in primes and q % 4 == 1 and sh.n % 2 == 1
-                    assert sum(c) == sh.arm_sum and (c[0] != c[2] or c[1] != c[3])
-                    # r**((q-1)/4) is i**j for the class j of r, with i a square
-                    # root of -1; the other root swaps classes 1 and 3.
-                    x = next(x for x in range(2, q) if pow(x, (q - 1) // 2, q) == q - 1)
-                    roots = [pow(x, j * (q - 1) // 4, q) for j in range(4)]
-                    counts = [0, 0, 0, 0]
-                    for r in multiplier_set(sh).residues:
-                        counts[roots.index(pow(r, (q - 1) // 4, q))] += 1
-                    assert (counts[0], counts[2]) == (c[0], c[2])
-                    assert sorted((counts[1], counts[3])) == sorted((c[1], c[3]))
-                else:
-                    pytest.fail(f"no re-check for {out.criterion_id}")
+                        pytest.fail(f"no re-check for {out.criterion_id}")
     assert fired == set(CRITERION_ORDER)
 
 

@@ -50,7 +50,7 @@ def test_divisibility_precondition_short_circuits():
     assert outcome.status is SearchStatus.EXHAUSTED
     assert "does not divide" in outcome.diagnostic
     counted = count_splittings(12, MultiplierSet(12, (11, 1, 2, 3)))
-    assert counted == CountOutcome(0, True, 0, 0.0, counted.diagnostic)
+    assert counted == CountOutcome(0, True, 0, counted.diagnostic)
 
 
 def test_empty_multiplier_set_is_a_value_error():
@@ -256,6 +256,27 @@ def test_determinism():
     a = find_splitting(25, m)
     b = find_splitting(25, m)
     assert (a.status, a.splitters, a.nodes) == (b.status, b.splitters, b.nodes)
+
+
+@pytest.mark.parametrize(
+    "search, k_plus, k_minus, q, budget, status",
+    [
+        (find_splitting, 3, 1, 25, None, SearchStatus.FOUND),
+        (find_splitting, 3, 1, 13, None, SearchStatus.EXHAUSTED),
+        (find_splitting, 3, 2, 186, 2000, SearchStatus.TIMED_OUT),
+        (find_splitting, 3, 1, 26, None, SearchStatus.EXHAUSTED),  # |M| does not divide q - 1
+        (count_splittings, 3, 1, 25, None, True),
+        (count_splittings, 3, 1, 25, 5, False),
+    ],
+    ids=["found", "exhausted", "timed-out", "not-divisible", "count", "count-budget-spent"],
+)
+def test_equal_arguments_give_equal_outcomes(search, k_plus, k_minus, q, budget, status):
+    # Outcomes hold no time, so two calls give the same value and hash.
+    kwargs = {} if budget is None else {"node_budget": budget}
+    a = search(q, interval_multipliers(k_plus, k_minus, q), **kwargs)
+    b = search(q, interval_multipliers(k_plus, k_minus, q), **kwargs)
+    assert a == b and hash(a) == hash(b)
+    assert (a.status if search is find_splitting else a.complete) == status
 
 
 @st.composite
