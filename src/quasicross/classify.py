@@ -12,23 +12,29 @@ Unknown is the default: the pipeline never guesses existence, it only
 accepts verified certificates and the trivial dimension.
 
 A verdict needs only the first criterion that fires in reporting order, so
-at each dimension the memo takes the outcomes of criteria.outcomes (the
-shape criteria, then the divisor recursion) up to that one.  A dimension
-with tiling evidence thus runs every criterion unless one fires, and a
-firing there aborts the run as a contradiction either way.  A run keeps
-only its verdicts: they name each dimension's first firing criterion, and
-none fired where the verdict is tiles or unknown, so summarize asks
-criteria.outcomes for just the criteria after that one.
+at each dimension the memo calls the criteria in that order up to that one,
+and only those that can fire there (criteria.PRIME_Q_ONLY,
+COMPOSITE_Q_ONLY and LAST_FIRING_N): a skipped criterion would not have
+fired, so the verdict is the one criteria.outcomes gives.  A dimension with
+tiling evidence thus runs every criterion that can fire there unless one
+fires, and a firing there aborts the run as a contradiction either way.  A
+run keeps only its verdicts: they name each dimension's first firing
+criterion, and none fired where the verdict is tiles or unknown, so
+summarize asks criteria.outcomes for just the criteria after that one.
 """
 
 from __future__ import annotations
 
 from enum import Enum
+from math import inf
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
-from .criteria import CRITERION_ORDER, CriterionOutcome, VerdictStatus, outcomes
+from . import criteria
+from .criteria import COMPOSITE_Q_ONLY, CRITERION_ORDER, LAST_FIRING_N, PRIME_Q_ONLY
+from .criteria import CriterionOutcome, VerdictStatus, check_divisors, outcomes
 from .criteria import _NO_TILING, _RULED_OUT, _TILES, _UNKNOWN
+from .numtheory import is_prime
 from .splitting import QuasiCrossShape, Splitting, from_json_line, to_json_line, verify_splitting
 
 __all__ = [
@@ -228,6 +234,12 @@ class Verdicts(dict):
     every registry or certificate entry for this shape verifies; entries
     for other shapes are ignored.  Dimension 1 always tiles (S = {1} splits
     trivially); a registry or certificate hit yields Tiles.
+
+    It also builds the verdict walk from criteria.SHAPE_CRITERIA as it
+    reads then: each check paired with the last n at which it can fire, in
+    a head of the criteria before the first that needs one class of q, and
+    a tail for prime q and one for composite q with the rest that can fire
+    at that class.
     """
 
     def __init__(
@@ -258,6 +270,12 @@ class Verdicts(dict):
             if (cert.k_plus, cert.k_minus) == (k_plus, k_minus)
         }
         self.evidence[1] = TilesSource.TRIVIAL
+        last = {cid: last_n(k_plus, k_minus) for cid, last_n in LAST_FIRING_N.items()}
+        walk = [(cid, (last.get(cid, inf), check)) for cid, check in criteria.SHAPE_CRITERIA]
+        split = next(i for i, (cid, _) in enumerate(walk) if cid in PRIME_Q_ONLY | COMPOSITE_Q_ONLY)
+        self.head = tuple(step for _, step in walk[:split])
+        self.prime_tail = tuple(step for cid, step in walk[split:] if cid not in COMPOSITE_Q_ONLY)
+        self.composite_tail = tuple(step for cid, step in walk[split:] if cid not in PRIME_Q_ONLY)
 
     def __missing__(self, n: int) -> VerdictStatus:
         return self.verdict(n).status
@@ -267,16 +285,22 @@ class Verdicts(dict):
 
         Tiling evidence yields Tiles; otherwise the first ruling criterion
         (in reporting order) yields NoTiling; otherwise Unknown.  The
-        criteria run in reporting order up to the first that fires.  So at a
-        dimension with tiling evidence every criterion runs, unless one
-        fires, which raises ContradictionError and records nothing.
+        criteria run in reporting order up to the first that fires, each
+        only where it can fire: the head, then, if none of it fired, one
+        primality test of q and the tail for q's class, with the divisor
+        recursion last for composite q.  So at a dimension with tiling
+        evidence every criterion that can fire there runs, unless one fires,
+        which raises ContradictionError and records nothing.
         """
         shape = QuasiCrossShape(self.k_plus, self.k_minus, n)
-        fired = None
-        for out in outcomes(shape, self):
-            if out.status is _RULED_OUT:
-                fired = out
-                break
+        fired = _first_ruling(self.head, shape)
+        if fired is None:
+            if is_prime(shape.group_order):
+                fired = _first_ruling(self.prime_tail, shape)
+            else:
+                fired = _first_ruling(self.composite_tail, shape)
+                if fired is None and (out := check_divisors(shape, self)).status is _RULED_OUT:
+                    fired = out
         tiles_source = self.evidence.get(n)
         if tiles_source is not None:
             if fired is not None:
@@ -294,6 +318,18 @@ class Verdicts(dict):
             verdict = Verdict(n, shape.group_order, _UNKNOWN)
         self[n] = verdict.status
         return verdict
+
+
+def _first_ruling(walk, shape: QuasiCrossShape) -> CriterionOutcome | None:
+    """The first outcome of walk's checks that rules shape out, or None; a
+    check is called only up to the last n it is paired with."""
+    n = shape.n
+    for last, check in walk:
+        if n <= last:
+            out = check(shape)
+            if out.status is _RULED_OUT:
+                return out
+    return None
 
 
 def classify_range(

@@ -24,9 +24,12 @@ from .numtheory import discrete_log, gcd, is_prime, legendre, quartic_class
 from .splitting import QuasiCrossShape, multiplier_set
 
 __all__ = [
+    "COMPOSITE_Q_ONLY",
     "CRITERION_ORDER",
     "CriterionOutcome",
     "CriterionStatus",
+    "LAST_FIRING_N",
+    "PRIME_Q_ONLY",
     "SHAPE_CRITERIA",
     "VerdictStatus",
     "check_arm_gcd",
@@ -93,12 +96,17 @@ def _inapplicable(cid: str) -> CriterionOutcome:
     return CriterionOutcome(cid, _INAPPLICABLE)
 
 
+def _geometry_lhs(k_plus: int, k_minus: int) -> int:
+    """The left side of the geometric packing bound, 2*k_plus*(k_minus + 1) - k_minus**2."""
+    return 2 * k_plus * (k_minus + 1) - k_minus**2
+
+
 def check_geometry(shape: QuasiCrossShape) -> CriterionOutcome:
     """Geometric packing bound: for n >= 2 no lattice tiling exists when
     2*k_plus*(k_minus + 1) - k_minus**2 exceeds n*(k_plus + k_minus)."""
     if shape.n < 2:
         return _inapplicable("geometry")
-    lhs = 2 * shape.k_plus * (shape.k_minus + 1) - shape.k_minus**2
+    lhs = _geometry_lhs(shape.k_plus, shape.k_minus)
     rhs = shape.n * shape.arm_sum
     if lhs > rhs:
         return _ruled_out("geometry", lhs=lhs, rhs=rhs)
@@ -408,15 +416,39 @@ SHAPE_CRITERIA: tuple[tuple[str, object], ...] = (
 
 CRITERION_ORDER: tuple[str, ...] = tuple(cid for cid, _ in SHAPE_CRITERIA) + ("divisors",)
 
+# Where a criterion can fire, when that is narrower than everywhere, keyed by
+# criterion id.  Each rule restates a condition the check itself tests, so
+# the criterion never fires elsewhere and classify's verdict walk does not
+# call it there.
+PRIME_Q_ONLY = frozenset({
+    "quadratic_balance",  # Legendre symbols mod q need q prime
+    "char4_literal",  # 6**n mod q decides a fourth power only for q prime
+    "quartic_generic",  # order-4 characters mod q need q prime
+    "odd_prime_order",  # a character of order p of Z_q*, which is cyclic for q prime
+    "vandermonde",  # the Vandermonde matrix is invertible over the field Z_q
+})
+COMPOSITE_Q_ONLY = frozenset({
+    "psquare",  # needs p**2 | q
+    "divisors",  # needs a proper divisor of q
+})
+# Criterion id -> the largest n at which it can fire, from (k_plus, k_minus).
+LAST_FIRING_N = {
+    # fires only while n*(k_plus + k_minus) < lhs
+    "geometry": lambda k_plus, k_minus: (_geometry_lhs(k_plus, k_minus) - 1) // (k_plus + k_minus),
+}
+
 
 def outcomes(
     shape: QuasiCrossShape, verdict_oracle: Mapping[int, VerdictStatus], start: int = 0
 ) -> Iterator[CriterionOutcome]:
     """The criteria's outcomes on a shape in reporting order, from
     CRITERION_ORDER[start] on: the shape criteria, then the divisor
-    recursion reading verdict_oracle.  Each outcome is computed only when
-    the caller asks for it, so a caller that stops at the first firing one
-    runs no criterion after it.  SHAPE_CRITERIA is read on every call."""
+    recursion reading verdict_oracle.  Every criterion runs, also where
+    PRIME_Q_ONLY, COMPOSITE_Q_ONLY or LAST_FIRING_N say it cannot fire, so
+    check prints every row; classify's verdict walk skips those instead.
+    Each outcome is computed only when the caller asks for it, so a caller
+    that stops at the first firing one runs no criterion after it.
+    SHAPE_CRITERIA is read on every call."""
     for _, check in SHAPE_CRITERIA[start:]:
         yield check(shape)
     if start < len(CRITERION_ORDER):

@@ -7,8 +7,10 @@ from quasicross.criteria import CriterionOutcome, CriterionStatus
 @pytest.fixture
 def firing_at(monkeypatch):
     """firing_at(criterion_id, dims) makes that entry of the criterion table
-    criteria.outcomes reads rule out the dimensions in dims too, as a wrong
-    criterion would."""
+    rule out the dimensions in dims too, as a wrong criterion would.  The
+    table is the one criteria.outcomes reads, and that each Verdicts
+    constructed from then on builds its walk from; that walk calls the
+    criterion only where criteria's rules let it fire."""
 
     def wrong(criterion_id, dims, cid, fn):
         def check(shape):

@@ -122,13 +122,19 @@ def test_evidence_is_checked_before_the_walk(monkeypatch):
 
 
 def test_contradiction_aborts(firing_at):
-    firing_at("quadratic_balance", {6})
+    # q = 149 at n = 37 is prime, so the walk calls quadratic_balance there.
+    firing_at("quadratic_balance", {37})
     with pytest.raises(ContradictionError) as exc_info:
-        classify_range(3, 1, 8, registry=[Q25_CERT])
+        classify_range(3, 1, 40, registry=default_registry(3, 1))
     err = exc_info.value
-    assert err.n == 6
+    assert err.n == 37
     assert err.outcome.criterion_id == "quadratic_balance"
     assert "registry" in str(err) and "witness" in str(err)
+    # q = 25 at n = 6 is composite; power_square runs at either class of q.
+    firing_at("power_square", {6})
+    with pytest.raises(ContradictionError) as exc_info:
+        classify_range(3, 1, 8, registry=[Q25_CERT])
+    assert exc_info.value.n == 6 and exc_info.value.outcome.criterion_id == "power_square"
 
 
 def outcome_rows(run):
@@ -139,18 +145,47 @@ def outcome_rows(run):
     }
 
 
+def can_fire(cid, shape):
+    """Whether the walk's rules (criteria.PRIME_Q_ONLY, COMPOSITE_Q_ONLY and
+    LAST_FIRING_N) let criterion cid fire at shape."""
+    prime = is_prime(shape.group_order)
+    if (cid in criteria.PRIME_Q_ONLY and not prime) or (cid in criteria.COMPOSITE_Q_ONLY and prime):
+        return False
+    last_n = criteria.LAST_FIRING_N.get(cid)
+    return last_n is None or shape.n <= last_n(shape.k_plus, shape.k_minus)
+
+
 def test_verdicts_independent_of_criterion_order():
     # Attribution aside, the ruled-out set only depends on which criteria
     # fire, so recomputing statuses from reversed outcome order must agree.
-    run = classify_range(3, 1, 80, registry=default_registry(3, 1))
-    rows = outcome_rows(run)
-    for v in run.verdicts:
-        fired_any = any(o.fired for o in reversed(rows[v.n]))
-        assert (v.status is VerdictStatus.NO_TILING) == (
-            fired_any and v.status is not VerdictStatus.TILES
-        )
-        if v.status is VerdictStatus.TILES:
-            assert not fired_any
+    # The walk skips the criteria its rules say cannot fire; each rule must
+    # hold against the checks, and each verdict must name the first firing
+    # outcome of criteria.outcomes, which calls every criterion.
+    runs = [classify_range(kp, km, 600, registry=default_registry(kp, km)) for kp, km in ((3, 1), (3, 2))]
+    runs += [classify_range(kp, km, 600) for kp in range(1, 8) for km in range(1, kp + 1)]
+    for run in runs:
+        rows = outcome_rows(run)
+        for v in run.verdicts:
+            fired_any = any(o.fired for o in reversed(rows[v.n]))
+            assert (v.status is VerdictStatus.NO_TILING) == (
+                fired_any and v.status is not VerdictStatus.TILES
+            )
+            if v.status is VerdictStatus.TILES:
+                assert not fired_any
+            first = next((o for o in rows[v.n] if o.status is CriterionStatus.RULED_OUT), None)
+            if v.status is VerdictStatus.NO_TILING:
+                assert (v.criterion_id, v.witness) == (first.criterion_id, first.witness)
+            shape = QuasiCrossShape(run.k_plus, run.k_minus, v.n)
+            assert all(can_fire(o.criterion_id, shape) for o in rows[v.n] if o.fired), (shape, rows[v.n])
+
+
+def test_walks_test_the_primality_of_each_q_they_reach_once():
+    # One is_prime miss per q the walks reach past their head, as when each
+    # prime-q criterion tested q itself.
+    is_prime.cache_clear()
+    for k_plus, k_minus in ((3, 1), (3, 2)):
+        classify_range(k_plus, k_minus, 4000, registry=default_registry(k_plus, k_minus))
+    assert is_prime.cache_info().currsize == 5341
 
 
 @pytest.mark.parametrize(
@@ -169,7 +204,8 @@ def test_independent_counts_equal_evaluate_all(k_plus, k_minus, registry):
 
 
 def counting_criteria(monkeypatch):
-    """Wrap every entry of the criterion table criteria.outcomes reads;
+    """Wrap every entry of the criterion table that criteria.outcomes reads,
+    and that each Verdicts constructed from then on builds its walk from;
     returns the list of (criterion, shape) calls made from then on."""
     calls = []
 
@@ -189,17 +225,26 @@ def counting_criteria(monkeypatch):
 def test_verdicts_stop_at_the_first_firing_criterion(monkeypatch):
     calls = counting_criteria(monkeypatch)
     n_max = 500
-    run = classify_range(3, 2, n_max, registry=default_registry(3, 2))
-    vandermonde = [shape for cid, shape in calls if cid == "vandermonde"]
+    runs = [classify_range(kp, km, n_max, registry=default_registry(kp, km)) for kp, km in ((3, 1), (3, 2))]
+    walk = [(cid, shape, is_prime(shape.group_order)) for cid, shape in calls]
+    # The walk calls a criterion only where its rule lets it fire.
+    assert not [shape for cid, shape, prime in walk if cid in criteria.PRIME_Q_ONLY and not prime]
+    assert not [shape for cid, shape, prime in walk if cid == "psquare" and prime]
+    # geometry's bound is n = 2 for both shapes.
+    geometry = sorted(shape for cid, shape, _ in walk if cid == "geometry")
+    assert geometry == [(3, 1, 1), (3, 1, 2), (3, 2, 1), (3, 2, 2)]
     # arm_gcd rules out every prime q of (3,2), so the walk never scans
-    # power sums; it reaches vandermonde only where 3 | q, and returns at
-    # once, because q is not prime.
-    assert not any(is_prime(shape.group_order) for shape in vandermonde)
-    assert all(shape.group_order % 3 == 0 for shape in vandermonde)
-    summarize(run)
+    # power sums there.
+    assert not [shape for cid, shape, _ in walk if cid == "vandermonde" and shape.k_minus == 2]
+    # summarize runs every criterion after the first firing one, so with the
+    # walk each criterion runs at every n where it can fire.
+    for run in runs:
+        summarize(run)
     for cid, _ in criteria.SHAPE_CRITERIA:
-        dims = sorted(shape.n for c, shape in calls if c == cid)
-        assert dims == list(range(1, n_max + 1)), cid
+        called = {shape for c, shape in calls if c == cid}
+        for kp, km in ((3, 1), (3, 2)):
+            shapes = [QuasiCrossShape(kp, km, n) for n in range(1, n_max + 1)]
+            assert called >= {shape for shape in shapes if can_fire(cid, shape)}, cid
 
 
 def test_tiling_evidence_runs_every_criterion(monkeypatch):
@@ -217,10 +262,16 @@ def test_tiling_evidence_runs_every_criterion(monkeypatch):
     with pytest.raises(ContradictionError) as info:
         memo.verdict(4)
     assert info.value.n == 4 and info.value.outcome.criterion_id == "divisors"
+    # Each evidence dimension runs every shape criterion that can fire at it.
     calls = counting_criteria(monkeypatch)
     run = classify_range(3, 1, 6, registry=[Q25_CERT])
-    for n in (1, 6):
-        assert [cid for cid, shape in calls if shape.n == n] == list(CRITERION_ORDER[:-1])
+    assert [cid for cid, shape in calls if shape.n == 1] == [  # q = 5, prime
+        "geometry", "arm_gcd", "quadratic_balance", "char4_literal", "quartic_generic",
+        "odd_prime_order", "power_square", "power_cube", "vandermonde",
+    ]
+    assert [cid for cid, shape in calls if shape.n == 6] == [  # q = 25, composite
+        "arm_gcd", "power_square", "power_cube", "psquare",
+    ]
     assert all(o.status is not CriterionStatus.RULED_OUT for o in outcome_rows(run)[6])
 
 

@@ -116,12 +116,19 @@ def test_classify_json_format(capsys):
 
 
 def test_classify_contradiction_exits_2(firing_at, capsys):
-    # The packaged certificate for n = 6 verifies; the criterion is wrong.
-    firing_at("quadratic_balance", {6})
+    # The packaged certificate for n = 37 verifies; the criterion is wrong.
+    # q = 149 is prime, so the walk calls quadratic_balance there.
+    firing_at("quadratic_balance", {37})
+    code, _, err = invoke(capsys, "classify", "--kplus", "3", "--kminus", "1", "--max-n", "40")
+    assert code == 2
+    assert err.startswith("contradiction: dimension 37: tiling evidence (registry) contradicts "
+                          "criterion quadratic_balance firing"), err
+    # q = 25 at n = 6 is composite; power_square runs at either class of q.
+    firing_at("power_square", {6})
     code, _, err = invoke(capsys, "classify", "--kplus", "3", "--kminus", "1", "--max-n", "8")
     assert code == 2
     assert err.startswith("contradiction: dimension 6: tiling evidence (registry) contradicts "
-                          "criterion quadratic_balance firing"), err
+                          "criterion power_square firing"), err
 
 
 def test_check_lists_all_criteria(capsys):
