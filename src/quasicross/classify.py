@@ -12,15 +12,16 @@ Unknown is the default: the pipeline never guesses existence, it only
 accepts verified certificates and the trivial dimension.
 
 A verdict needs only the first criterion that fires in reporting order, so
-at each dimension the memo calls the criteria in that order up to that one,
-and only those that can fire there (criteria.PRIME_Q_ONLY,
+at each dimension Verdicts.ruling calls the criteria in that order up to
+that one, and only those that can fire there (criteria.PRIME_Q_ONLY,
 COMPOSITE_Q_ONLY and LAST_FIRING_N): a skipped criterion would not have
 fired, so the verdict is the one criteria.outcomes gives.  A dimension with
 tiling evidence thus runs every criterion that can fire there unless one
 fires, and a firing there aborts the run as a contradiction either way.  A
 run keeps only its verdicts: they name each dimension's first firing
 criterion, and none fired where the verdict is tiles or unknown, so
-summarize asks criteria.outcomes for just the criteria after that one.
+summarize resumes the same walk after each firing criterion to count the
+later ones.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from . import criteria
 from .criteria import COMPOSITE_Q_ONLY, CRITERION_ORDER, LAST_FIRING_N, PRIME_Q_ONLY
-from .criteria import CriterionOutcome, VerdictStatus, check_divisors, outcomes
+from .criteria import CriterionOutcome, VerdictStatus, check_divisors
 from .criteria import _NO_TILING, _RULED_OUT, _TILES, _UNKNOWN
 from .numtheory import is_prime
 from .splitting import QuasiCrossShape, Splitting, from_json_line, to_json_line, verify_splitting
@@ -239,7 +240,7 @@ class Verdicts(dict):
     reads then: each check paired with the last n at which it can fire, in
     a head of the criteria before the first that needs one class of q, and
     a tail for prime q and one for composite q with the rest that can fire
-    at that class.
+    at that class, each tail kept from every start position on.
     """
 
     def __init__(
@@ -274,62 +275,67 @@ class Verdicts(dict):
         walk = [(cid, (last.get(cid, inf), check)) for cid, check in criteria.SHAPE_CRITERIA]
         split = next(i for i, (cid, _) in enumerate(walk) if cid in PRIME_Q_ONLY | COMPOSITE_Q_ONLY)
         self.head = tuple(step for _, step in walk[:split])
-        self.prime_tail = tuple(step for cid, step in walk[split:] if cid not in COMPOSITE_Q_ONLY)
-        self.composite_tail = tuple(step for cid, step in walk[split:] if cid not in PRIME_Q_ONLY)
+        # tails[prime][start]: the tail for that class of q, from
+        # CRITERION_ORDER[start] on.
+        starts = range(len(CRITERION_ORDER) + 1)
+        self.tails = {prime: [tuple(s for c, s in walk[max(split, i):] if c not in other) for i in starts]
+                      for prime, other in ((True, COMPOSITE_Q_ONLY), (False, PRIME_Q_ONLY))}
 
     def __missing__(self, n: int) -> VerdictStatus:
-        return self.verdict(n).status
+        return self.verdict(QuasiCrossShape(self.k_plus, self.k_minus, n)).status
 
-    def verdict(self, n: int) -> Verdict:
-        """Classify dimension n and record its status.
+    def ruling(self, shape: QuasiCrossShape, start: int = 0) -> CriterionOutcome | None:
+        """The first outcome of the criteria CRITERION_ORDER[start:] that
+        rules shape out, or None; shape has this memo's arms.
 
-        Tiling evidence yields Tiles; otherwise the first ruling criterion
-        (in reporting order) yields NoTiling; otherwise Unknown.  The
-        criteria run in reporting order up to the first that fires, each
+        The criteria run in reporting order up to the first that fires, each
         only where it can fire: the head, then, if none of it fired, one
         primality test of q and the tail for q's class, with the divisor
-        recursion last for composite q.  So at a dimension with tiling
-        evidence every criterion that can fire there runs, unless one fires,
-        which raises ContradictionError and records nothing.
+        recursion last for composite q, reading this memo.  A skipped
+        criterion cannot fire, so the outcome is the first firing one of
+        tuple(criteria.outcomes(shape, self))[start:].
         """
-        shape = QuasiCrossShape(self.k_plus, self.k_minus, n)
-        fired = _first_ruling(self.head, shape)
-        if fired is None:
-            if is_prime(shape.group_order):
-                fired = _first_ruling(self.prime_tail, shape)
-            else:
-                fired = _first_ruling(self.composite_tail, shape)
-                if fired is None and (out := check_divisors(shape, self)).status is _RULED_OUT:
-                    fired = out
-        tiles_source = self.evidence.get(n)
+        n = shape.n
+        for last, check in self.head[start:]:
+            if n <= last and (out := check(shape)).status is _RULED_OUT:
+                return out
+        prime = is_prime(shape.group_order)
+        for last, check in self.tails[prime][start]:
+            if n <= last and (out := check(shape)).status is _RULED_OUT:
+                return out
+        if prime or start == len(CRITERION_ORDER):
+            return None
+        out = check_divisors(shape, self)
+        return out if out.status is _RULED_OUT else None
+
+    def verdict(self, shape: QuasiCrossShape) -> Verdict:
+        """Classify shape's dimension and record its status; shape has this
+        memo's arms.
+
+        Tiling evidence yields Tiles; otherwise the first ruling criterion
+        (in reporting order, by ruling) yields NoTiling; otherwise Unknown.
+        So at a dimension with tiling evidence every criterion that can fire
+        there runs, unless one fires, which raises ContradictionError and
+        records nothing.
+        """
+        fired = self.ruling(shape)
+        tiles_source = self.evidence.get(shape.n)
         if tiles_source is not None:
             if fired is not None:
-                raise ContradictionError(n, tiles_source, fired)
-            verdict = Verdict(n, shape.group_order, _TILES, source=tiles_source)
+                raise ContradictionError(shape.n, tiles_source, fired)
+            verdict = Verdict(shape.n, shape.group_order, _TILES, source=tiles_source)
         elif fired is not None:
             verdict = Verdict(
-                n,
+                shape.n,
                 shape.group_order,
                 _NO_TILING,
                 criterion_id=fired.criterion_id,
                 witness=fired.witness,
             )
         else:
-            verdict = Verdict(n, shape.group_order, _UNKNOWN)
-        self[n] = verdict.status
+            verdict = Verdict(shape.n, shape.group_order, _UNKNOWN)
+        self[shape.n] = verdict.status
         return verdict
-
-
-def _first_ruling(walk, shape: QuasiCrossShape) -> CriterionOutcome | None:
-    """The first outcome of walk's checks that rules shape out, or None; a
-    check is called only up to the last n it is paired with."""
-    n = shape.n
-    for last, check in walk:
-        if n <= last:
-            out = check(shape)
-            if out.status is _RULED_OUT:
-                return out
-    return None
 
 
 def classify_range(
@@ -343,7 +349,8 @@ def classify_range(
     with Verdicts.verdict; the inputs are checked first, as Verdicts
     describes.  The first contradiction aborts the run."""
     memo = Verdicts(k_plus, k_minus, n_max, registry, certificates)
-    return ClassificationRun(k_plus, k_minus, n_max, tuple(map(memo.verdict, range(1, n_max + 1))))
+    shapes = (QuasiCrossShape(k_plus, k_minus, n) for n in range(1, n_max + 1))
+    return ClassificationRun(k_plus, k_minus, n_max, tuple(map(memo.verdict, shapes)))
 
 
 class Summary(NamedTuple):
@@ -380,7 +387,9 @@ def summarize(run: ClassificationRun) -> Summary:
 
     No criterion fired where a verdict is tiles or unknown, and a no_tiling
     verdict names the first that did, so the independent counts need only
-    the criteria after that one, each run once.
+    the criteria after that one.  They come from Verdicts.ruling on a memo
+    that holds the run's statuses, resumed after each firing criterion, so
+    each criterion runs once and only where it can fire.
     """
     if not run.verdicts:
         raise ValueError("nothing to summarize")
@@ -391,14 +400,16 @@ def summarize(run: ClassificationRun) -> Summary:
     unknown_dims = tuple(v.n for v in run.verdicts if v.status is _UNKNOWN)
     first_fired = dict.fromkeys(CRITERION_ORDER, 0)
     independent = dict.fromkeys(CRITERION_ORDER, 0)
-    oracle = {v.n: v.status for v in run.verdicts}
+    memo = Verdicts(run.k_plus, run.k_minus, run.n_max)
+    memo.update((v.n, v.status) for v in run.verdicts)
     for v in run.verdicts:
         if v.status is _NO_TILING:
             first_fired[v.criterion_id] += 1
-            independent[v.criterion_id] += 1
             shape = QuasiCrossShape(run.k_plus, run.k_minus, v.n)
-            for out in outcomes(shape, oracle, CRITERION_ORDER.index(v.criterion_id) + 1):
-                independent[out.criterion_id] += out.fired
+            fired = v  # names the first firing criterion, as an outcome does
+            while fired is not None:
+                independent[fired.criterion_id] += 1
+                fired = memo.ruling(shape, CRITERION_ORDER.index(fired.criterion_id) + 1)
 
     mod3_dims = [v for v in run.verdicts if v.n >= 2 and v.n % 3 == 2]
     mod3_ruled = sum(1 for v in mod3_dims if v.status is _NO_TILING)

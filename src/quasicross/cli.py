@@ -130,10 +130,10 @@ def _cmd_check(args) -> int:
     # criterion fires.  Classifying the evidence dimensions below n in
     # ascending order raises that same contradiction: each reaches only
     # smaller dimensions, whose evidence is then classified already.
-    for m in sorted(memo.evidence):
-        if m < args.n:
-            memo.verdict(m)
-    verdict = memo.verdict(args.n)
+    for m in sorted(m for m in memo.evidence if m < args.n):
+        memo.verdict(QuasiCrossShape(args.kplus, args.kminus, m))
+    shape = QuasiCrossShape(args.kplus, args.kminus, args.n)
+    verdict = memo.verdict(shape)
     print(f"shape ({args.kplus},{args.kminus}) n={args.n} q={verdict.q}")
     if verdict.source is not None:
         print(f"verdict: {verdict.status.value} ({verdict.source.value})")
@@ -141,7 +141,7 @@ def _cmd_check(args) -> int:
         print(f"verdict: {verdict.status.value}")
     print("criteria:")
     width = max(len(cid) for cid in CRITERION_ORDER)
-    for out in outcomes(QuasiCrossShape(args.kplus, args.kminus, args.n), memo):
+    for out in outcomes(shape, memo):
         wtxt = witness_text(out.witness)
         line = f"  {out.criterion_id:<{width}}  {out.status.value:<12}  {wtxt}".rstrip()
         print(line)

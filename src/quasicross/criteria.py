@@ -439,17 +439,15 @@ LAST_FIRING_N = {
 
 
 def outcomes(
-    shape: QuasiCrossShape, verdict_oracle: Mapping[int, VerdictStatus], start: int = 0
+    shape: QuasiCrossShape, verdict_oracle: Mapping[int, VerdictStatus]
 ) -> Iterator[CriterionOutcome]:
-    """The criteria's outcomes on a shape in reporting order, from
-    CRITERION_ORDER[start] on: the shape criteria, then the divisor
-    recursion reading verdict_oracle.  Every criterion runs, also where
-    PRIME_Q_ONLY, COMPOSITE_Q_ONLY or LAST_FIRING_N say it cannot fire, so
-    check prints every row; classify's verdict walk skips those instead.
-    Each outcome is computed only when the caller asks for it, so a caller
-    that stops at the first firing one runs no criterion after it.
-    SHAPE_CRITERIA is read on every call."""
-    for _, check in SHAPE_CRITERIA[start:]:
+    """Every criterion's outcome on a shape, in reporting order: the shape
+    criteria, then the divisor recursion reading verdict_oracle.  Every
+    criterion runs, also where PRIME_Q_ONLY, COMPOSITE_Q_ONLY or
+    LAST_FIRING_N say it cannot fire, so check prints every row and the
+    tests have an ungated reference; classify.Verdicts walks only the
+    criteria that can fire.  Each outcome is computed only when the caller
+    asks for it.  SHAPE_CRITERIA is read on every call."""
+    for _, check in SHAPE_CRITERIA:
         yield check(shape)
-    if start < len(CRITERION_ORDER):
-        yield check_divisors(shape, verdict_oracle)
+    yield check_divisors(shape, verdict_oracle)

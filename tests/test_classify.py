@@ -22,7 +22,7 @@ from quasicross.classify import (
     store_certificate,
     summarize,
 )
-from quasicross.criteria import CRITERION_ORDER, CriterionStatus, VerdictStatus, outcomes
+from quasicross.criteria import CRITERION_ORDER, CriterionStatus, VerdictStatus, check_divisors, outcomes
 from quasicross.numtheory import is_prime
 from quasicross.search import count_splittings, find_splitting
 from quasicross.splitting import (
@@ -224,6 +224,12 @@ def counting_criteria(monkeypatch):
 
 def test_verdicts_stop_at_the_first_firing_criterion(monkeypatch):
     calls = counting_criteria(monkeypatch)
+
+    def divisors(shape, oracle):
+        calls.append(("divisors", shape))
+        return check_divisors(shape, oracle)
+
+    monkeypatch.setattr(classify, "check_divisors", divisors)
     n_max = 500
     runs = [classify_range(kp, km, n_max, registry=default_registry(kp, km)) for kp, km in ((3, 1), (3, 2))]
     walk = [(cid, shape, is_prime(shape.group_order)) for cid, shape in calls]
@@ -236,11 +242,14 @@ def test_verdicts_stop_at_the_first_firing_criterion(monkeypatch):
     # arm_gcd rules out every prime q of (3,2), so the walk never scans
     # power sums there.
     assert not [shape for cid, shape, _ in walk if cid == "vandermonde" and shape.k_minus == 2]
-    # summarize runs every criterion after the first firing one, so with the
-    # walk each criterion runs at every n where it can fire.
+    # summarize runs every criterion after the first firing one, each only
+    # where it can fire, so with the walk each criterion runs at every n
+    # where it can fire.
+    walked = len(calls)
     for run in runs:
         summarize(run)
-    for cid, _ in criteria.SHAPE_CRITERIA:
+    assert not [(cid, shape) for cid, shape in calls[walked:] if not can_fire(cid, shape)]
+    for cid in CRITERION_ORDER:
         called = {shape for c, shape in calls if c == cid}
         for kp, km in ((3, 1), (3, 2)):
             shapes = [QuasiCrossShape(kp, km, n) for n in range(1, n_max + 1)]
@@ -253,14 +262,14 @@ def test_tiling_evidence_runs_every_criterion(monkeypatch):
     memo = Verdicts(3, 1, 25)
     memo.evidence[20] = TilesSource.REGISTRY
     with pytest.raises(ContradictionError) as info:
-        memo.verdict(20)
+        memo.verdict(QuasiCrossShape(3, 1, 20))
     assert info.value.n == 20
     assert info.value.outcome.criterion_id == "psquare" == CRITERION_ORDER[9]
     # (3,2) n = 4 is ruled out by the divisor recursion alone.
     memo = Verdicts(3, 2, 6)
     memo.evidence[4] = TilesSource.REGISTRY
     with pytest.raises(ContradictionError) as info:
-        memo.verdict(4)
+        memo.verdict(QuasiCrossShape(3, 2, 4))
     assert info.value.n == 4 and info.value.outcome.criterion_id == "divisors"
     # Each evidence dimension runs every shape criterion that can fire at it.
     calls = counting_criteria(monkeypatch)
@@ -288,8 +297,8 @@ def test_memo_answers_one_dimension_as_the_walk_does(k_plus, k_minus, registry):
     oracle = {v.n: v.status for v in run.verdicts}
     for v in run.verdicts:
         memo = Verdicts(k_plus, k_minus, v.n, registry)
-        assert memo.verdict(v.n) == v
         sh = QuasiCrossShape(k_plus, k_minus, v.n)
+        assert memo.verdict(sh) == v
         assert tuple(outcomes(sh, memo)) == tuple(outcomes(sh, oracle))
         assert all(oracle[n] is status for n, status in memo.items())
 

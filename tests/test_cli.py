@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import quasicross
-from quasicross import classify, cli
+from quasicross import classify, cli, splitting
 from quasicross.cli import run
 from quasicross.classify import (
     Verdicts,
@@ -218,6 +218,24 @@ def test_check_classifies_only_what_it_reaches(monkeypatch, capsys):
     # The 15 registry dimensions, which check classifies to find any
     # contradiction below n, and the few its divisor recursion reaches.
     assert len(memos) == 1 and len(memos[0]) <= 20
+
+
+@pytest.mark.parametrize("n", [111, 400000, 922337203685477580])
+def test_check_factorizes_each_q_once(monkeypatch, capsys, n):
+    # check's printout and its verdict read one shape, so q(n) is factorized
+    # once, as is each q its divisor recursion and evidence reach.
+    calls = []
+    factorize = splitting.factorize
+
+    def counted(m):
+        calls.append(m)
+        return factorize(m)
+
+    monkeypatch.setattr(splitting, "factorize", counted)
+    code, out, _ = invoke(capsys, "check", "--kplus", "3", "--kminus", "1", "--n", str(n))
+    assert code == 0 and out.startswith(f"shape (3,1) n={n} q={4 * n + 1}\n")
+    assert 4 * n + 1 in calls
+    assert len(calls) == len(set(calls)), sorted(calls)
 
 
 # check at n whose q has 64 bits.  The divisors row needs q's factorization,
@@ -582,17 +600,21 @@ def test_summarize_prints_the_packaged_table(capsys, k_minus, unknown):
 
 
 @pytest.mark.parametrize(
-    "k_minus, sha256",
+    "command, k_minus, sha256",
     [
-        (1, "bcda68adaa3514aa7b4a9b9a5063be824c4b9071282ff5204ead8b54eaa65551"),
-        (2, "ccf52b30d2f86e6439bad45badab71367afde3119e5c3e24928c7011f1c4567d"),
+        ("classify", 1, "bcda68adaa3514aa7b4a9b9a5063be824c4b9071282ff5204ead8b54eaa65551"),
+        ("classify", 2, "ccf52b30d2f86e6439bad45badab71367afde3119e5c3e24928c7011f1c4567d"),
+        ("summarize", 1, "179850c6f85be5d1b58c732e8fd01343787f7d26d430c11f9a572874acca1271"),
+        ("summarize", 2, "06ddaa294e0088f36eea906f5debe56b14f7697a22af6c804456d85485100c2d"),
     ],
-    ids=["3-1", "3-2"],
+    ids=["3-1", "3-2", "summarize-3-1", "summarize-3-2"],
 )
-def test_default_table_digest(capsys, k_minus, sha256):
-    # The paper's table at N = 4000 with the packaged registries, byte for byte.
-    code, out, err = invoke(capsys, "classify", "--kplus", "3", "--kminus", str(k_minus),
-                            "--max-n", "4000", "--format", "json")
+def test_default_table_digest(capsys, command, k_minus, sha256):
+    # The paper's table at N = 4000 with the packaged registries, as JSON
+    # and as its summary, byte for byte.
+    fmt = ("--format", "json") if command == "classify" else ()
+    code, out, err = invoke(capsys, command, "--kplus", "3", "--kminus", str(k_minus),
+                            "--max-n", "4000", *fmt)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha256
 

@@ -4,7 +4,7 @@ import tracemalloc
 import pytest
 
 from quasicross import criteria
-from quasicross.classify import classify_range
+from quasicross.classify import Verdicts, classify_range, default_registry
 from quasicross.criteria import (
     CRITERION_ORDER,
     CriterionStatus,
@@ -488,15 +488,34 @@ def test_outcomes_are_pure():
         assert tuple(outcomes(sh, oracle)) == tuple(outcomes(sh, oracle))
 
 
-@pytest.mark.parametrize("k_plus, k_minus, n", [(3, 1, 11), (3, 1, 20), (3, 2, 13), (2, 2, 9), (5, 1, 12)])
-def test_outcomes_walk_from_start_in_reporting_order(k_plus, k_minus, n):
-    oracle = {v.n: v.status for v in classify_range(k_plus, k_minus, n).verdicts}
-    sh = shape(k_plus, k_minus, n)
-    every = tuple(outcomes(sh, oracle))
-    for start in range(len(CRITERION_ORDER) + 1):
-        outs = tuple(outcomes(sh, oracle, start))
-        assert [o.criterion_id for o in outs] == list(CRITERION_ORDER[start:])
-        assert outs == every[start:]
+@pytest.mark.parametrize(
+    "k_plus, k_minus, n_max, dims",
+    [
+        (3, 1, 11, [11]),
+        (3, 1, 20, [20]),
+        (3, 2, 13, [13]),
+        (2, 2, 9, [9]),
+        (5, 1, 12, [12]),
+        (3, 1, 600, range(1, 601)),
+        (3, 2, 600, range(1, 601)),
+    ],
+    ids=["3-1-11", "3-1-20", "3-2-13", "2-2-9", "5-1-12", "3-1-to-600", "3-2-to-600"],
+)
+def test_ruling_resumes_where_outcomes_start(k_plus, k_minus, n_max, dims):
+    # summarize resumes the verdict walk after each firing criterion.  From
+    # every start, the walk, which skips the criteria that cannot fire, must
+    # give the first firing outcome of the ungated criteria from there on.
+    run = classify_range(k_plus, k_minus, n_max, registry=default_registry(k_plus, k_minus))
+    oracle = {v.n: v.status for v in run.verdicts}
+    memo = Verdicts(k_plus, k_minus, n_max)
+    memo.update(oracle)
+    for n in dims:
+        sh = shape(k_plus, k_minus, n)
+        every = tuple(outcomes(sh, oracle))
+        assert [o.criterion_id for o in every] == list(CRITERION_ORDER)
+        for start in range(len(CRITERION_ORDER) + 1):
+            first = next((o for o in every[start:] if o.status is RULED_OUT), None)
+            assert memo.ruling(sh, start) == first, (sh, start)
 
 
 def test_criterion_order():
