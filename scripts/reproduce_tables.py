@@ -20,12 +20,12 @@ def main(argv=None):
     for k_plus, k_minus in ((3, 1), (3, 2)):
         registry = default_registry(k_plus, k_minus)
         try:
-            run = classify_range(k_plus, k_minus, args.max_n, registry=registry)
+            if args.table:
+                sys.stdout.write(report_text(classify_range(k_plus, k_minus, args.max_n, registry=registry)))
+            summary = summarize(k_plus, k_minus, args.max_n, registry=registry)
         except ValueError as exc:  # a --max-n whose group orders pass 64 bits
             parser.error(f"--max-n: {exc}")
-        if args.table:
-            sys.stdout.write(report_text(run))
-        sys.stdout.write(summarize(run).to_text())
+        sys.stdout.write(summary.to_text())
         sys.stdout.write("\n")
 
 

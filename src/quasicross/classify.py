@@ -11,17 +11,16 @@ ascending order, and check asks only for the dimensions its one n reaches.
 Unknown is the default: the pipeline never guesses existence, it only
 accepts verified certificates and the trivial dimension.
 
-A verdict needs only the first criterion that fires in reporting order, so
-at each dimension Verdicts.ruling calls the criteria in that order up to
-that one, and only those that can fire there (criteria.PRIME_Q_ONLY,
-COMPOSITE_Q_ONLY and LAST_FIRING_N): a skipped criterion would not have
-fired, so the verdict is the one criteria.outcomes gives.  A dimension with
+At each dimension Verdicts.firings calls the criteria in reporting order,
+each only where it can fire (criteria.PRIME_Q_ONLY, COMPOSITE_Q_ONLY and
+LAST_FIRING_N), and yields the outcomes that fire, each computed only when
+asked for.  A skipped criterion would not have fired, so the firings are
+those of criteria.outcomes.  A verdict needs only the first, so
+Verdicts.verdict calls the criteria only up to that one; a dimension with
 tiling evidence thus runs every criterion that can fire there unless one
-fires, and a firing there aborts the run as a contradiction either way.  A
-run keeps only its verdicts: they name each dimension's first firing
-criterion, and none fired where the verdict is tiles or unknown, so
-summarize resumes the same walk after each firing criterion to count the
-later ones.
+fires, and a firing there aborts the run as a contradiction either way.  summarize counts the
+rest of the same walk after taking its verdict, so each dimension is walked
+once.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from __future__ import annotations
 from enum import Enum
 from math import inf
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import criteria
 from .criteria import COMPOSITE_Q_ONLY, CRITERION_ORDER, LAST_FIRING_N, PRIME_Q_ONLY
@@ -214,9 +213,9 @@ def store_certificate(splitting: Splitting, path) -> bool:
 
 
 class ClassificationRun(NamedTuple):
-    """Verdicts for n = 1..n_max, in order.  The per-criterion outcomes at
-    any n follow from them: criteria.outcomes on the shape, with the verdict
-    statuses as the divisor recursion's oracle."""
+    """Verdicts for n = 1..n_max, in order, as the reports read them.  Each
+    no_tiling verdict names only its first firing criterion; summarize
+    counts the others on its own walk."""
 
     k_plus: int
     k_minus: int
@@ -240,7 +239,8 @@ class Verdicts(dict):
     reads then: each check paired with the last n at which it can fire, in
     a head of the criteria before the first that needs one class of q, and
     a tail for prime q and one for composite q with the rest that can fire
-    at that class, each tail kept from every start position on.
+    at that class.  The tables hold the checks only, not the memo, so no
+    reference cycle keeps a memo alive after its run.
     """
 
     def __init__(
@@ -275,50 +275,45 @@ class Verdicts(dict):
         walk = [(cid, (last.get(cid, inf), check)) for cid, check in criteria.SHAPE_CRITERIA]
         split = next(i for i, (cid, _) in enumerate(walk) if cid in PRIME_Q_ONLY | COMPOSITE_Q_ONLY)
         self.head = tuple(step for _, step in walk[:split])
-        # tails[prime][start]: the tail for that class of q, from
-        # CRITERION_ORDER[start] on.
-        starts = range(len(CRITERION_ORDER) + 1)
-        self.tails = {prime: [tuple(s for c, s in walk[max(split, i):] if c not in other) for i in starts]
+        self.tails = {prime: tuple(s for c, s in walk[split:] if c not in other)
                       for prime, other in ((True, COMPOSITE_Q_ONLY), (False, PRIME_Q_ONLY))}
 
     def __missing__(self, n: int) -> VerdictStatus:
         return self.verdict(QuasiCrossShape(self.k_plus, self.k_minus, n)).status
 
-    def ruling(self, shape: QuasiCrossShape, start: int = 0) -> CriterionOutcome | None:
-        """The first outcome of the criteria CRITERION_ORDER[start:] that
-        rules shape out, or None; shape has this memo's arms.
+    def firings(self, shape: QuasiCrossShape) -> Iterator[CriterionOutcome]:
+        """Each outcome that rules shape out, in reporting order, each
+        computed only when asked for; shape has this memo's arms.
 
-        The criteria run in reporting order up to the first that fires, each
-        only where it can fire: the head, then, if none of it fired, one
-        primality test of q and the tail for q's class, with the divisor
-        recursion last for composite q, reading this memo.  A skipped
-        criterion cannot fire, so the outcome is the first firing one of
-        tuple(criteria.outcomes(shape, self))[start:].
+        The criteria run in reporting order, each only where it can fire:
+        the head, then one primality test of q and the tail for q's class,
+        with the divisor recursion last for composite q, reading this memo.
+        A skipped criterion cannot fire, so the outcomes are the firing ones
+        of criteria.outcomes(shape, self).
         """
         n = shape.n
-        for last, check in self.head[start:]:
+        for last, check in self.head:
             if n <= last and (out := check(shape)).status is _RULED_OUT:
-                return out
+                yield out
         prime = is_prime(shape.group_order)
-        for last, check in self.tails[prime][start]:
+        for last, check in self.tails[prime]:
             if n <= last and (out := check(shape)).status is _RULED_OUT:
-                return out
-        if prime or start == len(CRITERION_ORDER):
-            return None
-        out = check_divisors(shape, self)
-        return out if out.status is _RULED_OUT else None
+                yield out
+        if not prime and (out := check_divisors(shape, self)).status is _RULED_OUT:
+            yield out
 
-    def verdict(self, shape: QuasiCrossShape) -> Verdict:
+    def verdict(self, shape: QuasiCrossShape, firings: Iterator[CriterionOutcome] | None = None) -> Verdict:
         """Classify shape's dimension and record its status; shape has this
-        memo's arms.
+        memo's arms, and firings, when given, are its firing outcomes in
+        reporting order, as self.firings(shape) yields them.
 
-        Tiling evidence yields Tiles; otherwise the first ruling criterion
-        (in reporting order, by ruling) yields NoTiling; otherwise Unknown.
-        So at a dimension with tiling evidence every criterion that can fire
-        there runs, unless one fires, which raises ContradictionError and
-        records nothing.
+        Tiling evidence yields Tiles; otherwise the first firing outcome
+        yields NoTiling; otherwise Unknown.  Only the first is taken, so
+        the rest of firings is left for the caller.  At a dimension with
+        tiling evidence every criterion that can fire there runs, unless one
+        fires, which raises ContradictionError and records nothing.
         """
-        fired = self.ruling(shape)
+        fired = next(self.firings(shape) if firings is None else firings, None)
         tiles_source = self.evidence.get(shape.n)
         if tiles_source is not None:
             if fired is not None:
@@ -381,48 +376,54 @@ class Summary(NamedTuple):
         return "\n".join(lines) + "\n"
 
 
-def summarize(run: ClassificationRun) -> Summary:
-    """Status counts, per-criterion firing statistics (independent of the
-    first-fired attribution), and residue-class sanity lines.
+def summarize(
+    k_plus: int,
+    k_minus: int,
+    n_max: int,
+    registry: Sequence[Splitting] = (),
+    certificates: Sequence[Splitting] = (),
+) -> Summary:
+    """Classify every dimension 1..n_max for one shape, as classify_range
+    does, and return the status counts, per-criterion firing statistics
+    (independent of the first-fired attribution), and residue-class sanity
+    lines.
 
-    No criterion fired where a verdict is tiles or unknown, and a no_tiling
-    verdict names the first that did, so the independent counts need only
-    the criteria after that one.  They come from Verdicts.ruling on a memo
-    that holds the run's statuses, resumed after each firing criterion, so
-    each criterion runs once and only where it can fire.
+    Each dimension is walked once, by Verdicts.firings: its verdict takes
+    the first firing outcome and the independent counts take that one and
+    the rest of the same walk, so each criterion runs once at each n where
+    it can fire.  None fires where the verdict is tiles or unknown.
     """
-    if not run.verdicts:
-        raise ValueError("nothing to summarize")
-    status_counts = {"tiles": 0, "no_tiling": 0, "unknown": 0}
-    for v in run.verdicts:
-        status_counts[v.status._value_] += 1
-    tiles_dims = tuple(v.n for v in run.verdicts if v.status is _TILES)
-    unknown_dims = tuple(v.n for v in run.verdicts if v.status is _UNKNOWN)
+    memo = Verdicts(k_plus, k_minus, n_max, registry, certificates)
     first_fired = dict.fromkeys(CRITERION_ORDER, 0)
     independent = dict.fromkeys(CRITERION_ORDER, 0)
-    memo = Verdicts(run.k_plus, run.k_minus, run.n_max)
-    memo.update((v.n, v.status) for v in run.verdicts)
-    for v in run.verdicts:
-        if v.status is _NO_TILING:
-            first_fired[v.criterion_id] += 1
-            shape = QuasiCrossShape(run.k_plus, run.k_minus, v.n)
-            fired = v  # names the first firing criterion, as an outcome does
-            while fired is not None:
-                independent[fired.criterion_id] += 1
-                fired = memo.ruling(shape, CRITERION_ORDER.index(fired.criterion_id) + 1)
-
-    mod3_dims = [v for v in run.verdicts if v.n >= 2 and v.n % 3 == 2]
-    mod3_ruled = sum(1 for v in mod3_dims if v.status is _NO_TILING)
-    survivors = sorted({v.n % 36 for v in run.verdicts if v.n >= 2 and v.status is not _NO_TILING})
+    for n in range(1, n_max + 1):
+        shape = QuasiCrossShape(k_plus, k_minus, n)
+        walk = memo.firings(shape)
+        cid = memo.verdict(shape, walk).criterion_id
+        if cid is not None:
+            first_fired[cid] += 1
+            independent[cid] += 1
+            for out in walk:
+                independent[out.criterion_id] += 1
+    # The recursion reads only smaller dimensions, so the memo holds exactly
+    # 1..n_max, in ascending order.
+    tiles_dims = tuple(n for n, status in memo.items() if status is _TILES)
+    unknown_dims = tuple(n for n, status in memo.items() if status is _UNKNOWN)
+    # Each no_tiling dimension has one first-fired criterion.
+    status_counts = {"tiles": len(tiles_dims), "no_tiling": sum(first_fired.values()),
+                     "unknown": len(unknown_dims)}
+    mod3_dims = [status for n, status in memo.items() if n >= 2 and n % 3 == 2]
+    mod3_ruled = sum(1 for status in mod3_dims if status is _NO_TILING)
+    survivors = sorted({n % 36 for n, status in memo.items() if n >= 2 and status is not _NO_TILING})
     sanity = (
         f"n = 2 (mod 3), n >= 2: {mod3_ruled}/{len(mod3_dims)} ruled out",
         "surviving residues mod 36 (n >= 2): "
         + (" ".join(map(str, survivors)) if survivors else "(none)"),
     )
     return Summary(
-        run.k_plus,
-        run.k_minus,
-        run.n_max,
+        k_plus,
+        k_minus,
+        n_max,
         status_counts,
         tiles_dims,
         unknown_dims,

@@ -133,7 +133,9 @@ def _cmd_check(args) -> int:
     for m in sorted(m for m in memo.evidence if m < args.n):
         memo.verdict(QuasiCrossShape(args.kplus, args.kminus, m))
     shape = QuasiCrossShape(args.kplus, args.kminus, args.n)
-    verdict = memo.verdict(shape)
+    # Every row is printed, and the verdict is the first that fires.
+    rows = tuple(outcomes(shape, memo))
+    verdict = memo.verdict(shape, (out for out in rows if out.fired))
     print(f"shape ({args.kplus},{args.kminus}) n={args.n} q={verdict.q}")
     if verdict.source is not None:
         print(f"verdict: {verdict.status.value} ({verdict.source.value})")
@@ -141,7 +143,7 @@ def _cmd_check(args) -> int:
         print(f"verdict: {verdict.status.value}")
     print("criteria:")
     width = max(len(cid) for cid in CRITERION_ORDER)
-    for out in outcomes(shape, memo):
+    for out in rows:
         wtxt = witness_text(out.witness)
         line = f"  {out.criterion_id:<{width}}  {out.status.value:<12}  {wtxt}".rstrip()
         print(line)
@@ -193,8 +195,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_summarize(args) -> int:
-    run = classify_range(args.kplus, args.kminus, args.max_n, *_evidence(args))
-    sys.stdout.write(summarize(run).to_text())
+    sys.stdout.write(summarize(args.kplus, args.kminus, args.max_n, *_evidence(args)).to_text())
     return 0
 
 

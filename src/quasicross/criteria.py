@@ -444,10 +444,11 @@ def outcomes(
     """Every criterion's outcome on a shape, in reporting order: the shape
     criteria, then the divisor recursion reading verdict_oracle.  Every
     criterion runs, also where PRIME_Q_ONLY, COMPOSITE_Q_ONLY or
-    LAST_FIRING_N say it cannot fire, so check prints every row and the
-    tests have an ungated reference; classify.Verdicts walks only the
-    criteria that can fire.  Each outcome is computed only when the caller
-    asks for it.  SHAPE_CRITERIA is read on every call."""
+    LAST_FIRING_N say it cannot fire, so check prints every row and takes
+    its verdict from the rows that fire, and the tests have an ungated
+    reference; classify.Verdicts.firings walks only the criteria that can
+    fire.  Each outcome is computed only when the caller asks for it.
+    SHAPE_CRITERIA is read on every call."""
     for _, check in SHAPE_CRITERIA:
         yield check(shape)
     yield check_divisors(shape, verdict_oracle)

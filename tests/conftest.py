@@ -25,3 +25,27 @@ def firing_at(monkeypatch):
         monkeypatch.setattr(criteria, "SHAPE_CRITERIA", table)
 
     return patch
+
+
+@pytest.fixture
+def counting_criteria(monkeypatch):
+    """counting_criteria() wraps every entry of the criterion table that
+    criteria.outcomes reads, and that each Verdicts constructed from then on
+    builds its walk from; it returns the list of (criterion, shape) calls
+    made from then on."""
+
+    def patch():
+        calls = []
+
+        def counted(cid, fn):
+            def check(shape):
+                calls.append((cid, shape))
+                return fn(shape)
+
+            return check
+
+        table = tuple((cid, counted(cid, fn)) for cid, fn in criteria.SHAPE_CRITERIA)
+        monkeypatch.setattr(criteria, "SHAPE_CRITERIA", table)
+        return calls
+
+    return patch

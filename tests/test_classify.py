@@ -111,8 +111,8 @@ def test_tiling_evidence_precedence():
     assert run.verdicts == classify_range(3, 1, 6).verdicts
 
 
-def test_evidence_is_checked_before_the_walk(monkeypatch):
-    calls = counting_criteria(monkeypatch)
+def test_evidence_is_checked_before_the_walk(counting_criteria):
+    calls = counting_criteria()
     bad = Splitting(13, 3, 1, (1, 2, 3))  # dimension 3, past n_max
     with pytest.raises(ValueError, match="certificate q=13 does not verify"):
         classify_range(3, 1, 2, certificates=[Q25_CERT, bad])
@@ -193,37 +193,44 @@ def test_walks_test_the_primality_of_each_q_they_reach_once():
     [(3, 1, default_registry(3, 1)), (3, 2, default_registry(3, 2)), (2, 2, None), (4, 1, None), (1, 1, None)],
 )
 def test_independent_counts_equal_evaluate_all(k_plus, k_minus, registry):
-    # summarize runs only the criteria after each verdict's first firing one;
-    # its counts must be those of every criterion at every n.
+    # summarize runs only the criteria that can fire; its counts must be
+    # those of every criterion at every n, and its verdicts classify_range's.
     run = classify_range(k_plus, k_minus, 300, registry=registry or ())
     expected = dict.fromkeys(CRITERION_ORDER, 0)
     for row in outcome_rows(run).values():
         for out in row:
             expected[out.criterion_id] += out.fired
-    assert summarize(run).independent_fired == expected
+    summary = summarize(k_plus, k_minus, 300, registry=registry or ())
+    assert summary.independent_fired == expected
+    by_status = {status: tuple(v.n for v in run.verdicts if v.status is status) for status in VerdictStatus}
+    assert summary.status_counts == {status.value: len(dims) for status, dims in by_status.items()}
+    assert summary.tiles_dims == by_status[VerdictStatus.TILES]
+    assert summary.unknown_dims == by_status[VerdictStatus.UNKNOWN]
+    first = dict.fromkeys(CRITERION_ORDER, 0)
+    for cid in attributions(run).values():
+        first[cid] += 1
+    assert summary.first_fired == first
 
 
-def counting_criteria(monkeypatch):
-    """Wrap every entry of the criterion table that criteria.outcomes reads,
-    and that each Verdicts constructed from then on builds its walk from;
-    returns the list of (criterion, shape) calls made from then on."""
-    calls = []
+@pytest.mark.parametrize("k_minus, calls", [(1, 3079), (2, 3437)])
+def test_summarize_factorizes_each_q_once(monkeypatch, k_minus, calls):
+    # One walk per dimension on one shape: each q the walk factorizes, it
+    # factorizes once.
+    registry = default_registry(3, k_minus)
+    factorized = []
+    factorize = splitting.factorize
 
-    def counted(cid, fn):
-        def check(shape):
-            calls.append((cid, shape))
-            return fn(shape)
+    def counted(m):
+        factorized.append(m)
+        return factorize(m)
 
-        return check
-
-    monkeypatch.setattr(
-        criteria, "SHAPE_CRITERIA", tuple((cid, counted(cid, fn)) for cid, fn in criteria.SHAPE_CRITERIA)
-    )
-    return calls
+    monkeypatch.setattr(splitting, "factorize", counted)
+    summarize(3, k_minus, 4000, registry=registry)
+    assert len(factorized) == len(set(factorized)) == calls
 
 
-def test_verdicts_stop_at_the_first_firing_criterion(monkeypatch):
-    calls = counting_criteria(monkeypatch)
+def test_verdicts_stop_at_the_first_firing_criterion(monkeypatch, counting_criteria):
+    calls = counting_criteria()
 
     def divisors(shape, oracle):
         calls.append(("divisors", shape))
@@ -231,7 +238,8 @@ def test_verdicts_stop_at_the_first_firing_criterion(monkeypatch):
 
     monkeypatch.setattr(classify, "check_divisors", divisors)
     n_max = 500
-    runs = [classify_range(kp, km, n_max, registry=default_registry(kp, km)) for kp, km in ((3, 1), (3, 2))]
+    for kp, km in ((3, 1), (3, 2)):
+        classify_range(kp, km, n_max, registry=default_registry(kp, km))
     walk = [(cid, shape, is_prime(shape.group_order)) for cid, shape in calls]
     # The walk calls a criterion only where its rule lets it fire.
     assert not [shape for cid, shape, prime in walk if cid in criteria.PRIME_Q_ONLY and not prime]
@@ -242,21 +250,17 @@ def test_verdicts_stop_at_the_first_firing_criterion(monkeypatch):
     # arm_gcd rules out every prime q of (3,2), so the walk never scans
     # power sums there.
     assert not [shape for cid, shape, _ in walk if cid == "vandermonde" and shape.k_minus == 2]
-    # summarize runs every criterion after the first firing one, each only
-    # where it can fire, so with the walk each criterion runs at every n
-    # where it can fire.
-    walked = len(calls)
-    for run in runs:
-        summarize(run)
-    assert not [(cid, shape) for cid, shape in calls[walked:] if not can_fire(cid, shape)]
-    for cid in CRITERION_ORDER:
-        called = {shape for c, shape in calls if c == cid}
-        for kp, km in ((3, 1), (3, 2)):
-            shapes = [QuasiCrossShape(kp, km, n) for n in range(1, n_max + 1)]
-            assert called >= {shape for shape in shapes if can_fire(cid, shape)}, cid
+    # summarize walks every dimension once, to its end, so it alone calls
+    # each criterion exactly once at every n where it can fire.
+    del calls[:]
+    for kp, km in ((3, 1), (3, 2)):
+        summarize(kp, km, n_max, registry=default_registry(kp, km))
+    shapes = [QuasiCrossShape(kp, km, n) for kp, km in ((3, 1), (3, 2)) for n in range(1, n_max + 1)]
+    expected = [(cid, shape) for shape in shapes for cid in CRITERION_ORDER if can_fire(cid, shape)]
+    assert calls == expected
 
 
-def test_tiling_evidence_runs_every_criterion(monkeypatch):
+def test_tiling_evidence_runs_every_criterion(counting_criteria):
     # No certificate verifies at a ruled-out dimension, so the evidence is
     # claimed in the memo itself.  psquare rules out (3,1) n = 20.
     memo = Verdicts(3, 1, 25)
@@ -272,7 +276,7 @@ def test_tiling_evidence_runs_every_criterion(monkeypatch):
         memo.verdict(QuasiCrossShape(3, 2, 4))
     assert info.value.n == 4 and info.value.outcome.criterion_id == "divisors"
     # Each evidence dimension runs every shape criterion that can fire at it.
-    calls = counting_criteria(monkeypatch)
+    calls = counting_criteria()
     run = classify_range(3, 1, 6, registry=[Q25_CERT])
     assert [cid for cid, shape in calls if shape.n == 1] == [  # q = 5, prime
         "geometry", "arm_gcd", "quadratic_balance", "char4_literal", "quartic_generic",
@@ -321,7 +325,7 @@ def test_records_refuse_assignment():
     records = (
         run,
         run.verdicts[-1],
-        summarize(run),
+        summarize(3, 1, 6, registry=default_registry(3, 1)),
         next(outcomes(QuasiCrossShape(3, 1, 6), statuses(run))),
         find_splitting(25, interval_multipliers(3, 1, 25)),
         count_splittings(5, interval_multipliers(3, 1, 5)),
@@ -712,15 +716,18 @@ class CountingEnum:
 def test_classify_and_reports_read_no_status_enum_class(monkeypatch):
     # Every status on the walk and in the reports is a name the module
     # bound once, not a read through the enum class.
-    runs = [classify_range(3, k, 300, registry=default_registry(3, k)) for k in (1, 2)]
-    expected = [(report_json(r), report_csv(r), report_text(r), summarize(r)) for r in runs]
+    def reports():
+        runs = [classify_range(3, k, 300, registry=default_registry(3, k)) for k in (1, 2)]
+        summaries = [summarize(3, k, 300, registry=default_registry(3, k)) for k in (1, 2)]
+        return [(report_json(r), report_csv(r), report_text(r), s) for r, s in zip(runs, summaries)]
+
+    expected = reports()
     reads = []
     for module in (criteria, classify):
         for name, value in list(vars(module).items()):
             if value is CriterionStatus or value is VerdictStatus:
                 monkeypatch.setattr(module, name, CountingEnum(value, reads))
-    runs = [classify_range(3, k, 300, registry=default_registry(3, k)) for k in (1, 2)]
-    assert [(report_json(r), report_csv(r), report_text(r), summarize(r)) for r in runs] == expected
+    assert reports() == expected
     assert reads == []
 
 
@@ -806,8 +813,7 @@ def test_report_json_rejects_other_witness_values(before, key, bad, after):
 
 
 def test_summarize_counts():
-    run = classify_range(3, 1, 10)
-    summary = summarize(run)
+    summary = summarize(3, 1, 10)
     assert summary.status_counts == {"tiles": 1, "no_tiling": 8, "unknown": 1}
     assert summary.unknown_dims == (6,)
     assert summary.first_fired["power_square"] == 2
@@ -821,7 +827,7 @@ def test_summarize_counts():
 
 def test_summarize_32_survivor_residues():
     run = classify_range(3, 2, 120, registry=default_registry(3, 2))
-    summary = summarize(run)
+    summary = summarize(3, 2, 120, registry=default_registry(3, 2))
     survivors = [v.n for v in run.verdicts if v.n >= 2 and v.status is not VerdictStatus.NO_TILING]
     assert survivors, "expected some survivors below 120"
     assert all(n % 36 in (1, 13) for n in survivors)
@@ -853,11 +859,9 @@ def test_report_csv_row_content():
 
 
 def test_summarize_empty_rejected():
-    from quasicross.classify import ClassificationRun
-
+    with pytest.raises(ValueError, match="^n_max must be >= 1, got 0$"):
+        summarize(3, 1, 0)
     empty = ClassificationRun(3, 1, 0, ())
-    with pytest.raises(ValueError):
-        summarize(empty)
     # The reports of a run with no verdicts are their header lines.
     assert report_csv(empty) == "n,q,status,criterion,witness\n"
     assert report_json(empty) == "[]\n"

@@ -238,6 +238,17 @@ def test_check_factorizes_each_q_once(monkeypatch, capsys, n):
     assert len(calls) == len(set(calls)), sorted(calls)
 
 
+def test_check_runs_each_criterion_once(counting_criteria, capsys):
+    # check's verdict is the first firing row of its printout, so no
+    # criterion runs twice at n: here the O(n) Vandermonde scan at the
+    # prime q = 8000009.
+    calls = counting_criteria()
+    code, out, _ = invoke(capsys, "check", "--kplus", "3", "--kminus", "1", "--n", "2000002")
+    assert code == 0 and out.startswith("shape (3,1) n=2000002 q=8000009\n")
+    assert [shape.n for cid, shape in calls if cid == "vandermonde"].count(2000002) == 1
+    assert len(calls) == len(set(calls))
+
+
 # check at n whose q has 64 bits.  The divisors row needs q's factorization,
 # and each q here leaves a cofactor with no prime factor below 10**6 once its
 # small primes are divided out, which factorize must split or prove prime.

@@ -501,21 +501,19 @@ def test_outcomes_are_pure():
     ],
     ids=["3-1-11", "3-1-20", "3-2-13", "2-2-9", "5-1-12", "3-1-to-600", "3-2-to-600"],
 )
-def test_ruling_resumes_where_outcomes_start(k_plus, k_minus, n_max, dims):
-    # summarize resumes the verdict walk after each firing criterion.  From
-    # every start, the walk, which skips the criteria that cannot fire, must
-    # give the first firing outcome of the ungated criteria from there on.
-    run = classify_range(k_plus, k_minus, n_max, registry=default_registry(k_plus, k_minus))
+def test_firings_are_the_firing_outcomes(k_plus, k_minus, n_max, dims):
+    # The verdict walk skips the criteria that cannot fire; it must yield
+    # every firing outcome of the ungated criteria, in reporting order, on a
+    # memo that classifies the dimensions the divisor recursion reads.
+    registry = default_registry(k_plus, k_minus)
+    run = classify_range(k_plus, k_minus, n_max, registry=registry)
     oracle = {v.n: v.status for v in run.verdicts}
-    memo = Verdicts(k_plus, k_minus, n_max)
-    memo.update(oracle)
+    memo = Verdicts(k_plus, k_minus, n_max, registry)
     for n in dims:
         sh = shape(k_plus, k_minus, n)
         every = tuple(outcomes(sh, oracle))
         assert [o.criterion_id for o in every] == list(CRITERION_ORDER)
-        for start in range(len(CRITERION_ORDER) + 1):
-            first = next((o for o in every[start:] if o.status is RULED_OUT), None)
-            assert memo.ruling(sh, start) == first, (sh, start)
+        assert tuple(memo.firings(sh)) == tuple(o for o in every if o.fired), sh
 
 
 def test_criterion_order():
