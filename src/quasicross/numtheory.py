@@ -53,11 +53,11 @@ _MILLER_RABIN_PREFIXES = tuple(
 )
 
 
-def _check_range(m: int, what: str = "m") -> None:
+def _check_range(m: int) -> None:
     if m < 1:
-        raise ValueError(f"{what} must be a positive integer, got {m}")
+        raise ValueError(f"m must be a positive integer, got {m}")
     if m > _UINT64_MAX:
-        raise ValueError(f"{what} must fit in 64 bits, got {m}")
+        raise ValueError(f"m must fit in 64 bits, got {m}")
 
 
 @lru_cache(maxsize=1 << 16)
@@ -145,8 +145,9 @@ def factorize(m: int) -> Factorization:
     """Factor a positive 64-bit integer.
 
     The twelve Miller-Rabin base primes 2 to 37 are divided out first.
-    Brent's rho splits whatever remains: each part is tested for primality
-    before it is split, so a prime cofactor costs one is_prime call.
+    Pollard's rho with Floyd cycle finding splits whatever remains: each
+    part is tested for primality before it is split, so a prime cofactor
+    costs one is_prime call.
     """
     _check_range(m)
     value = m
@@ -164,35 +165,22 @@ def _rho_split(n: int, acc: dict[int, int]) -> None:
     if is_prime(n):
         acc[n] = acc.get(n, 0) + 1
         return
-    d = _brent_rho(n)
+    d = _pollard_rho(n)
     _rho_split(d, acc)
     _rho_split(n // d, acc)
 
 
-def _brent_rho(n: int) -> int:
+def _pollard_rho(n: int) -> int:
     # n is an odd composite with no prime factor <= 37.  The polynomial
     # increment c walks a fixed sequence, so the result is deterministic.
     for c in range(1, 100):
-        y, r, q = 2, 1, 1
-        g, x, ys = 1, 0, 0
+        x = y = 2
+        g = 1
         while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(128, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = math.gcd(q, n)
-                k += 128
-            r <<= 1
-        if g == n:
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
+            x = (x * x + c) % n
+            y = (y * y + c) % n
+            y = (y * y + c) % n
+            g = math.gcd(x - y, n)
         if g != n:
             return g
     raise ArithmeticError(f"failed to split {n}")
@@ -263,7 +251,9 @@ def sqrt_minus_one(q: int) -> int:
     """Canonical square root of -1 mod q: the smaller of the two roots.
 
     Found by testing a**((q-1)/4) for a = 2, 3, ...; half of all bases hit a
-    root, so the loop is short.
+    root, so the loop is short.  The package no longer calls it:
+    quartic_class reads the canonical root off a**((q-1)/4) itself.  It
+    stays as the tests' reference for the quartic orientation.
     """
     _require_quartic_modulus(q)
     e = (q - 1) // 4
@@ -277,23 +267,20 @@ def sqrt_minus_one(q: int) -> int:
 def quartic_class(a: int, q: int) -> QuarticClass:
     """Class index of a under the order-4 character of Z_q.
 
-    Computed from t = a**((q-1)/4) mod q, which lands in {1, r, -1, -r} for
-    r the canonical root of -1.  Class 0 means a is a fourth power mod q.
-    Fixing r rather than its negative picks one of the two conjugate
-    characters; every consumer in this package is invariant under that choice.
+    Computed from t = a**((q-1)/4) mod q, a fourth root of 1: t = 1 gives
+    class 0 (a is a fourth power mod q) and t = q - 1 class 2.  Otherwise
+    t*t = -1, and t is the canonical root r of -1 (the smaller one, as
+    sqrt_minus_one returns) exactly when 2t < q, so 2t < q gives class 1 and
+    2t > q class 3.  Fixing r rather than its negative picks one of the two
+    conjugate characters.  Verdicts are invariant under that choice, but
+    quartic_generic's classes witness swaps its counts of classes 1 and 3.
     """
     _require_quartic_modulus(q)
     if math.gcd(a, q) != 1:
         raise ValueError(f"a={a} shares a factor with q={q}")
-    r = sqrt_minus_one(q)
     t = pow(a, (q - 1) // 4, q)
     if t == 1:
         return QuarticClass.ONE
     if t == q - 1:
         return QuarticClass.MINUS_ONE
-    if t == r:
-        return QuarticClass.I
-    if t == q - r:
-        return QuarticClass.MINUS_I
-    raise ArithmeticError(f"{a}**((q-1)/4) is not a fourth root of 1 mod {q}")
-
+    return QuarticClass.I if 2 * t < q else QuarticClass.MINUS_I

@@ -314,6 +314,9 @@ def test_psquare_matches_its_definition():
 
 
 def test_criteria_memory_does_not_grow_with_k_plus():
+    # q = 10**7 + 2 is even, so no criterion that needs a prime q runs here.
+    # At a prime q, quadratic_balance and vandermonde take time and memory
+    # linear in k+ (README, "Known defect").
     sh = shape(10**7, 1, 1)
     tracemalloc.start()
     try:

@@ -6,6 +6,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quasicross import numtheory
 from quasicross.numtheory import (
     Factorization,
     QuarticClass,
@@ -291,6 +292,25 @@ def test_quartic_class_examples():
     for q in (5, 13, 29, 101):
         assert quartic_class(1, q) == QuarticClass.ONE
     assert quartic_class(-1, 29) == QuarticClass.MINUS_ONE
+
+
+def test_quartic_class_orientation_without_sqrt_minus_one(monkeypatch):
+    # For every prime q = 1 (mod 4) below 1000, class 1 is the canonical root
+    # r of -1: a sits in class j when a**((q-1)/4) is the j-th of
+    # (1, r, -1, -r).  The multiplicative tests hold for either root, but
+    # quartic_generic's classes witness does not.  quartic_class must find
+    # the orientation without calling sqrt_minus_one.
+    expected = {}
+    for q in [p for p in sympy.primerange(1000) if p % 4 == 1]:
+        r = sqrt_minus_one(q)
+        expected[q] = [(1, r, q - 1, q - r).index(pow(a, (q - 1) // 4, q)) for a in range(1, q)]
+
+    def refuse(q):
+        raise AssertionError(f"quartic_class called sqrt_minus_one({q})")
+
+    monkeypatch.setattr(numtheory, "sqrt_minus_one", refuse)
+    for q, classes in expected.items():
+        assert [quartic_class(a, q) for a in range(1, q)] == classes, q
 
 
 def test_quartic_class_rejects_bad_input():
