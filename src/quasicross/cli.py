@@ -238,6 +238,11 @@ def run(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        # An input too large for this machine, such as a search whose
+        # candidate table does not fit: refused like the 64-bit limit.
+        print("error: out of memory", file=sys.stderr)
+        return 2
 
 
 def main() -> None:

@@ -1,7 +1,13 @@
 """Exact-cover backtracking over splitter sets.
 
 The ground set is Z_q minus 0; choosing splitter s covers the block
-{m*s mod q : m in M}.  A residue is open while no placed block holds it, and
+{m*s mod q : m in M}.  Only a splitter whose block has |M| distinct nonzero
+residues can ever be placed.  Its block holds 0 when m*s = 0 mod q for some
+m in M, and repeats a residue when m*s = m'*s, that is (m - m')*s = 0, for
+some m != m' in M.  So s is unplaceable exactly when d*s = 0 mod q for some
+d in M or in M - M, which makes s a multiple of q // gcd(d, q); at prime q
+every s in 1..q-1 is placeable.  The candidates are the placeable
+splitters.  A residue is open while no placed block holds it, and
 a candidate is live while its block meets no placed block.  Liveness is one
 flag per splitter, cleared when a placed block meets the candidate and set
 again when that block is removed, so set-up memory is O(q*|M|), the size of
@@ -63,6 +69,7 @@ residue, is built.
 from __future__ import annotations
 
 from enum import Enum
+from math import gcd
 from typing import NamedTuple
 
 from .splitting import MultiplierSet, verify_cover
@@ -103,19 +110,21 @@ class CountOutcome(NamedTuple):
 
 
 def _candidate_table(q: int, residues: tuple[int, ...], symmetric: bool) -> list[list[tuple]]:
-    # table[e] lists (s, cells) for every s whose block contains e, ascending
-    # in s; cells are the residues {m*s mod q : m in M}.  Each candidate is one
-    # tuple shared by the |M| lists it appears in, so the table takes O(q*|M|)
-    # memory.  An s whose block holds 0 or repeats a residue can never be
-    # placed and is left out, and so is every s >= q - s when M = -M (the
-    # +-classes of the module docstring).
+    # table[e] lists (s, cells) for every candidate s whose block contains
+    # e, ascending in s; cells are the residues m*s mod q for m in M, in the
+    # order of M.  Each candidate is one tuple shared by the |M| lists it
+    # appears in, so the table takes O(q*|M|) memory.  The unplaceable s, the
+    # multiples of q // gcd(d, q) for d in M and M - M (module docstring),
+    # are left out, and so is every s >= q - s when M = -M (the +-classes).
+    limit = (q + 1) // 2 if symmetric else q
+    differences = {a - b for a in residues for b in residues if a != b}
+    steps = {q // gcd(d, q) for d in differences.union(residues)}
+    dead = {s for step in steps for s in range(step, limit, step)}
+    splitters = [s for s in range(1, limit) if s not in dead]
+    columns = [[m * s % q for s in splitters] for m in residues]
     table: list[list[tuple]] = [[] for _ in range(q)]
-    for s in range(1, (q + 1) // 2 if symmetric else q):
-        cells = {m * s % q for m in residues}
-        if 0 in cells or len(cells) < len(residues):
-            continue
-        candidate = (s, tuple(cells))
-        for e in cells:
+    for candidate in zip(splitters, zip(*columns)):
+        for e in candidate[1]:
             table[e].append(candidate)
     return table
 
@@ -135,7 +144,7 @@ def _explore(q, multipliers, node_budget, stop_at_first):
     # live[e] counts the candidates for residue e that meet no placed block.
     # A residue a placed block holds, and 0, which is never a target, carry an
     # extra q, which no live count reaches, so min(live) is an open residue.
-    live = [len(lst) for lst in table]
+    live = list(map(len, table))
     live[0] = q
     alive = [True] * q  # alive[s] while splitter s's block meets no placed block
     chosen: list[tuple] = []  # (candidate, candidates it killed) placed by each frame below the top

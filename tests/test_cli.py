@@ -400,6 +400,20 @@ def test_search_times_the_search_on_stderr(capsys, argv, expected):
     assert re.fullmatch(r"elapsed: \d+\.\d{3}s\n", err), err
 
 
+def test_search_out_of_memory_exits_2_without_traceback(monkeypatch, capsys):
+    # A candidate table too large for the machine is refused like an input
+    # past the 64-bit limit: exit 2, one error line, nothing on stdout.
+    def out_of_memory(*_args):
+        raise MemoryError
+
+    monkeypatch.setattr(quasicross.search, "_candidate_table", out_of_memory)
+    code, out, err = invoke(capsys, "search", "--kplus", "3", "--kminus", "1", "--q", "1000000009",
+                            "--node-budget", "10")
+    assert (code, out) == (2, "")
+    assert err == "error: out of memory\n"
+    assert "Traceback" not in err
+
+
 def test_verify_shipped_store(capsys):
     code, out, _ = invoke(capsys, "verify")
     assert code == 0

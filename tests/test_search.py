@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import random
 import tracemalloc
 
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from quasicross.search import (
     CountOutcome,
     SearchStatus,
+    _candidate_table,
     count_splittings,
     find_splitting,
 )
@@ -90,8 +93,9 @@ def test_node_budget_reports_timeout():
 
 def test_setup_memory_is_linear_in_q():
     # One live flag per splitter and one shared (s, cells) tuple per
-    # candidate: set-up takes O(q*|M|) memory, about 6 MB here.  A q-bit
-    # mask per candidate would take about q**2/8 bytes, over 30 MB.
+    # candidate: set-up takes O(q*|M|) memory, about 6.5 MB and 23 ms here
+    # (the multiplier columns the table is built from add about 0.4 MB).
+    # A q-bit mask per candidate would take about q**2/8 bytes, over 30 MB.
     q = 16001
     multipliers = interval_multipliers(3, 1, q)
     tracemalloc.start()
@@ -249,6 +253,68 @@ def test_q_past_64_bits_rejected():
         find_splitting(q, interval_multipliers(3, 1, q), node_budget=10)
     with pytest.raises(ValueError, match="group orders must fit in 64 bits"):
         count_splittings(q, interval_multipliers(3, 1, q), node_budget=10)
+
+
+def reference_table(q, residues, symmetric):
+    """The candidate table by its definition, one splitter at a time."""
+    table = [[] for _ in range(q)]
+    for s in range(1, (q + 1) // 2 if symmetric else q):
+        cells = {m * s % q for m in residues}
+        if 0 in cells or len(cells) < len(residues):
+            continue
+        for e in cells:
+            table[e].append((s, frozenset(cells)))
+    return table
+
+
+def table_instances():
+    for k_plus in range(1, 6):
+        for k_minus in range(1, k_plus + 1):
+            for q in range(k_plus + k_minus + 1, 131):
+                yield q, interval_multipliers(k_plus, k_minus, q).residues
+    rng = random.Random(20001)
+    for _ in range(200):
+        q = rng.randint(2, 60)
+        yield q, tuple(rng.sample(range(1, q), rng.randint(1, q - 1)))
+
+
+def test_candidate_table_matches_its_definition():
+    # Unplaceable splitters are found from M and M - M, and the cells are
+    # built one multiplier column at a time; the table must hold the same
+    # candidates, in the same order, as the per-splitter definition.  The
+    # order of the cells within a candidate is not read by the search.
+    repeated_blocks = 0
+    for q, residues in table_instances():
+        symmetric_values = [False]
+        if q > 2 and {q - m for m in residues} == set(residues):
+            symmetric_values.append(True)
+        for symmetric in symmetric_values:
+            table = _candidate_table(q, residues, symmetric)
+            expected = reference_table(q, residues, symmetric)
+            assert [[(s, frozenset(cells)) for s, cells in row] for row in table] == expected
+            blocks = ({m * s % q for m in residues} for s in range(1, q))
+            repeated_blocks += sum(0 not in block and len(block) < len(residues) for block in blocks)
+    # The grid reaches splitters that only M - M rules out: their blocks
+    # repeat a residue but do not hold 0.
+    assert repeated_blocks > 0
+
+
+def test_search_outcome_digest():
+    # find_splitting on every interval shape with k_plus <= 5 and q <= 130,
+    # and count_splittings where q <= 40, pinned by one SHA-256 of 2 370 lines.
+    lines = []
+    for k_plus in range(1, 6):
+        for k_minus in range(1, k_plus + 1):
+            for q in range(k_plus + k_minus + 1, 131):
+                multipliers = interval_multipliers(k_plus, k_minus, q)
+                o = find_splitting(q, multipliers, node_budget=20_000)
+                lines.append(f"find {k_plus} {k_minus} {q} {o.status.value} {o.nodes} {o.splitters}")
+                if q <= 40:
+                    c = count_splittings(q, multipliers, node_budget=20_000)
+                    lines.append(f"count {k_plus} {k_minus} {q} {c.count} {c.complete} {c.nodes}")
+    assert len(lines) == 2370
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "70edefd044660c6573454359818e941b4777c8d6d6bb8c985a3f29fe1d1f2046"
 
 
 def test_determinism():
