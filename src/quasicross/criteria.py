@@ -13,14 +13,14 @@ is bit-identical and concurrent evaluation needs no coordination.
 
 from __future__ import annotations
 
-import math
 import struct
 from enum import Enum
 from functools import lru_cache
+from math import gcd
 from operator import mul
 from typing import Iterator, Mapping, NamedTuple
 
-from .numtheory import discrete_log, gcd, is_prime, legendre, quartic_class
+from .numtheory import discrete_log, divisors, is_prime, legendre, quartic_class
 from .splitting import QuasiCrossShape, multiplier_set
 
 __all__ = [
@@ -346,7 +346,7 @@ def check_psquare(shape: QuasiCrossShape) -> CriterionOutcome:
     is ruled out.  Every such p divides q, so they are read off q's
     factorization, ascending."""
     exempt = None
-    for p, e in shape.factorization.factors:
+    for p, e in shape.factorization:
         if e >= 2 and p <= shape.k_plus < p * p:
             if shape.n * ((shape.k_plus % p) + (shape.k_minus % p)) != p - 1:
                 return _ruled_out("psquare", p=p)
@@ -366,10 +366,12 @@ def check_divisors(
     refutes dimension n outright) or dimension n' must not already be ruled
     out.  Divisors larger than n always fail the divisibility, so this loop
     subsumes the zero-divisor unique-representation bounds as special cases;
-    prime-power divisors of q make it propagate non-existence upward.  For
-    d | q, gcd(d, k_plus#) = gcd(d, P) with P the product of the primes
-    p <= k_plus that divide q; P divides q, so unlike k_plus# it stays
-    small for every k_plus.
+    prime-power divisors of q make it propagate non-existence upward.
+
+    The d | q with gcd(d, k_plus#) = 1 are those with no prime factor
+    p <= k_plus, so they are exactly the divisors of q's k_plus-rough part,
+    the product of its prime powers p**e with p > k_plus.  Only those are
+    enumerated, ascending, with d = 1 and d = q skipped.
 
     The oracle is read only at the reachable n' (all satisfy n' < n), in
     ascending order of d, and only until a divisor rules n out.  It may
@@ -377,11 +379,9 @@ def check_divisors(
     raises KeyError is a hard error (LookupError), never a silent pass.
     """
     q = shape.group_order
-    factors = shape.factorization
-    prim = math.prod(p for p, _ in factors.factors if p <= shape.k_plus)
     step = shape.arm_sum
-    for d in factors.divisors():
-        if d == 1 or d == q or gcd(d, prim) != 1:
+    for d in divisors((p, e) for p, e in shape.factorization if p > shape.k_plus):
+        if d == 1 or d == q:
             continue
         if (q - d) % (step * d) != 0:
             return _ruled_out("divisors", d=d)

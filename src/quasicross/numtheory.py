@@ -11,23 +11,20 @@ q = n(k+ + k-) + 1 fits in 64 bits.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from enum import IntEnum
 from functools import lru_cache
+from typing import Iterable
 
 __all__ = [
-    "Factorization",
     "QuarticClass",
     "discrete_log",
+    "divisors",
     "factorize",
-    "gcd",
     "is_prime",
     "legendre",
     "quartic_class",
     "sqrt_minus_one",
 ]
-
-gcd = math.gcd
 
 _UINT64_MAX = 2**64 - 1
 
@@ -103,46 +100,9 @@ def is_prime(m: int) -> bool:
     return True
 
 
-class Factorization(namedtuple("Factorization", "value factors")):
-    """Prime factorization as (prime, exponent) pairs with primes ascending.
-
-    A tuple (value, factors).  Construction checks that the primes are
-    prime and ascend, that every exponent is >= 1, and that the factors
-    multiply back to the value."""
-
-    __slots__ = ()
-
-    def __new__(cls, value: int, factors: tuple[tuple[int, int], ...]):
-        prod = 1
-        last = 1
-        for p, e in factors:
-            if p <= last:
-                raise ValueError("factor primes must be strictly increasing")
-            if e < 1:
-                raise ValueError(f"exponent of {p} must be >= 1, got {e}")
-            if not is_prime(p):
-                raise ValueError(f"factor {p} is not prime")
-            prod *= p**e
-            last = p
-        if prod != value:
-            raise ValueError(f"factors multiply to {prod}, not {value}")
-        return super().__new__(cls, value, factors)
-
-    def divisors(self) -> list[int]:
-        """All positive divisors of the value, ascending."""
-        divs = [1]
-        for p, e in self.factors:
-            pk = 1
-            block = []
-            for _ in range(e):
-                pk *= p
-                block.extend(d * pk for d in divs)
-            divs.extend(block)
-        return sorted(divs)
-
-
-def factorize(m: int) -> Factorization:
-    """Factor a positive 64-bit integer.
+def factorize(m: int) -> tuple[tuple[int, int], ...]:
+    """Factor a positive 64-bit integer into (prime, exponent) pairs, primes
+    ascending; factorize(1) == ().
 
     The twelve Miller-Rabin base primes 2 to 37 are divided out first.
     Pollard's rho with Floyd cycle finding splits whatever remains: each
@@ -150,7 +110,6 @@ def factorize(m: int) -> Factorization:
     costs one is_prime call.
     """
     _check_range(m)
-    value = m
     acc: dict[int, int] = {}
     for p in _MILLER_RABIN_BASES:
         while m % p == 0:
@@ -158,7 +117,21 @@ def factorize(m: int) -> Factorization:
             acc[p] = acc.get(p, 0) + 1
     if m > 1:
         _rho_split(m, acc)
-    return Factorization(value, tuple(sorted(acc.items())))
+    return tuple(sorted(acc.items()))
+
+
+def divisors(factors: Iterable[tuple[int, int]]) -> list[int]:
+    """All positive divisors of the product of the (prime, exponent) pairs
+    factors, ascending.  The primes must be distinct."""
+    divs = [1]
+    for p, e in factors:
+        pk = 1
+        block = []
+        for _ in range(e):
+            pk *= p
+            block.extend(d * pk for d in divs)
+        divs.extend(block)
+    return sorted(divs)
 
 
 def _rho_split(n: int, acc: dict[int, int]) -> None:
@@ -197,7 +170,7 @@ def discrete_log(base: int, target: int, q: int, bound: int) -> int | None:
     2*sqrt(bound) multiplications in all.  base must be a unit mod q, else
     ValueError.
     """
-    if gcd(base, q) != 1:
+    if math.gcd(base, q) != 1:
         raise ValueError(f"base={base} shares a factor with q={q}")
     if bound <= 0:
         return None

@@ -18,7 +18,7 @@ from functools import cached_property, lru_cache
 from operator import mul
 from typing import NamedTuple, Sequence
 
-from .numtheory import Factorization, factorize
+from .numtheory import factorize
 
 __all__ = [
     "LatticeBasis",
@@ -68,7 +68,8 @@ class QuasiCrossShape(namedtuple("QuasiCrossShape", "k_plus k_minus n")):
         raise AttributeError(f"cannot assign to field {name!r}")
 
     @cached_property
-    def factorization(self) -> Factorization:
+    def factorization(self) -> tuple[tuple[int, int], ...]:
+        """q's (prime, exponent) pairs, primes ascending."""
         return factorize(self.group_order)
 
 

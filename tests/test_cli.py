@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import importlib.util
 import json
@@ -673,6 +674,27 @@ def test_importing_the_package_loads_no_dataclasses_or_inspect():
         env={**os.environ, "PYTHONPATH": src},
     )
     assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")
+
+
+def test_every_exported_and_imported_name_resolves():
+    # A stale __all__ entry breaks only a star import, so deleting a public
+    # name could leave one behind unnoticed.  __main__ is skipped: importing
+    # it runs the CLI.
+    package = Path(quasicross.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        if path.stem in ("__init__", "__main__"):
+            continue
+        module = importlib.import_module(f"quasicross.{path.stem}")
+        missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+        assert missing == [], (path.stem, missing)
+    tree = ast.parse((package / "__init__.py").read_text(encoding="utf-8"))
+    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
+    assert imports
+    for node in imports:
+        source = importlib.import_module(f"quasicross.{node.module}")
+        for alias in node.names:
+            assert hasattr(source, alias.name), (node.module, alias.name)
+            assert hasattr(quasicross, alias.asname or alias.name), alias.name
 
 
 def test_deeply_nested_certificate_line_exits_2(tmp_path):

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from math import gcd
 
 import pytest
 
@@ -22,7 +23,7 @@ from quasicross.criteria import (
     check_vandermonde,
     outcomes,
 )
-from quasicross.numtheory import discrete_log, gcd, is_prime
+from quasicross.numtheory import discrete_log, is_prime
 from quasicross.search import SearchStatus, count_splittings, find_splitting
 from quasicross.splitting import QuasiCrossShape, interval_multipliers, multiplier_set
 
@@ -335,6 +336,44 @@ def test_divisors():
     assert out.status is RULED_OUT and out.witness == {"d": 5, "n_prime": 2}
     out = check_divisors(shape(3, 2, 13), {1: VerdictStatus.TILES})  # q = 66, d = 11 reaches n' = 1
     assert out.status is INCONCLUSIVE
+
+
+def test_divisors_matches_its_definition():
+    # The definition: the d | q with 1 < d < q and gcd(d, k_plus#) = 1, in
+    # ascending order; the first whose n' is not a positive integer, or is
+    # ruled out, rules the shape out.  The oracle is classify_range's.
+    statuses = set()
+    skips_q = square_below_k_plus = False
+    for k_plus in range(1, 17):
+        primes = trial_division_primes(k_plus)
+        prim = math.prod(primes)
+        for k_minus in range(1, k_plus + 1):
+            oracle = {v.n: v.status for v in classify_range(k_plus, k_minus, 300).verdicts}
+            for n in range(1, 301):
+                sh = shape(k_plus, k_minus, n)
+                q = sh.group_order
+                small = [d for d in range(2, math.isqrt(q) + 1) if q % d == 0]
+                proper = sorted(set(small + [q // d for d in small]))
+                expected = (INCONCLUSIVE, None)
+                for d in proper:
+                    if gcd(d, prim) != 1:
+                        continue
+                    if (q - d) % (sh.arm_sum * d) != 0:
+                        expected = (RULED_OUT, {"d": d})
+                        break
+                    n_prime = (q - d) // (sh.arm_sum * d)
+                    if oracle[n_prime] is VerdictStatus.NO_TILING:
+                        expected = (RULED_OUT, {"d": d, "n_prime": n_prime})
+                        break
+                out = check_divisors(sh, oracle)
+                assert (out.status, out.witness) == expected, (k_plus, k_minus, n)
+                statuses.add(out.status)
+                skips_q |= bool(proper) and gcd(q, prim) == 1
+                square_below_k_plus |= any(q % (p * p) == 0 for p in primes)
+    assert statuses == {RULED_OUT, INCONCLUSIVE}
+    # e.g. (3, 1, 12): q = 49 is composite and 3-rough, so d = q is skipped;
+    # (3, 1, 2): q = 9 = 3**2 with 3 <= k_plus.
+    assert skips_q and square_below_k_plus
 
 
 def test_divisors_for_arms_past_the_64_bit_primorial():

@@ -52,7 +52,7 @@ def test_shape_identity_is_its_arms_and_dimension():
     for name in ("k_plus", "k_minus", "n", "arm_sum", "group_order", "factorization"):
         with pytest.raises(AttributeError):
             setattr(shape, name, 1)
-    assert (shape.n, shape.group_order, shape.factorization.value) == (13, 66, 66)
+    assert (shape.n, shape.group_order, shape.factorization) == (13, 66, ((2, 1), (3, 1), (11, 1)))
 
 
 def test_multiplier_set_examples():
