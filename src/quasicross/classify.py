@@ -193,7 +193,6 @@ def store_certificate(splitting: Splitting, path) -> bool:
     check = verify_splitting(splitting)
     if not check:
         raise ValueError(f"refusing to store unverified splitting: {check.reason}")
-    path = Path(path)
     with open(path, "a+b") as fh:
         fh.seek(0)
         data = fh.read()

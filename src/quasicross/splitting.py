@@ -15,7 +15,8 @@ from __future__ import annotations
 import json
 from collections import namedtuple
 from functools import cached_property, lru_cache
-from operator import mul
+from itertools import accumulate
+from math import gcd, prod
 from typing import NamedTuple, Sequence
 
 from .numtheory import factorize
@@ -195,7 +196,10 @@ def verify_splitting(splitting: Splitting) -> VerificationResult:
 
 
 class LatticeBasis(NamedTuple):
-    """Row basis in Hermite form (upper triangular, positive diagonal)."""
+    """Row basis in reduced Hermite form: upper triangular, positive
+    diagonal, and 0 <= a_ij < a_jj right of the diagonal, so the entries off
+    the diagonal lie in the pivot columns, those of diagonal > 1.  Built by
+    lattice_basis, which checks all of this."""
 
     rows: tuple[tuple[int, ...], ...]
 
@@ -233,12 +237,16 @@ def phi_kernel_basis(q: int, splitters: Sequence[int]) -> list[list[int]]:
     triangular, positive diagonal, 0 <= a_ij < a_jj.
 
     Only pivot columns, those with diagonal g_{i+1}/g_i > 1, carry entries
-    off the diagonal.  Where g_{i+1} divides s_i, _ext_gcd gives x = 0 and
-    y = 1, so c keeps its support on pivot columns; a row therefore lives on
-    its own column and the pivot columns to its right, and reducing it
-    against a row of diagonal 1 changes nothing.  Rows are reduced against
-    the pivot rows alone, kept sparse: O(n*|P|^2) steps for |P| <= log2(q)
-    pivots, plus writing out the n rows of length n.
+    off the diagonal.  Where g_{i+1} divides s_i, row i is no pivot: its
+    Bezout step would give x = 0 and y = 1, so c keeps its support on pivot
+    columns and _ext_gcd is not run at all.  A row therefore lives on its
+    own column and the pivot columns to its right, and reducing it against
+    a row of diagonal 1 changes nothing.  The rows from one pivot (or the
+    first row) up to the next pivot see the same pivot columns to their
+    right, so their entries there are computed and reduced against the
+    pivot rows a column at a time, one list comprehension per pair of pivot
+    columns: O(|P|) Python steps per row for |P| <= log2(q) pivots, plus
+    writing out the n rows of length n.
     """
     n = len(splitters)
     if n == 0:
@@ -246,56 +254,89 @@ def phi_kernel_basis(q: int, splitters: Sequence[int]) -> list[list[int]]:
     if q < 2:
         raise ValueError(f"group order must be >= 2, got {q}")
     s = [x % q for x in splitters]
-    rows: list[list[int]] = [[] for _ in range(n)]
-    # The pivot columns to the right of i, ascending; for each, its row
-    # restricted to itself and the pivot columns after it; and the Bezout
-    # vector on them: sum bezout[k] * s[pivots[k]] = g (mod q).
+    gs = list(accumulate(reversed(s), gcd, initial=q))[::-1]
+    rows = [[0] * n for _ in range(n)]
+    for i, row in enumerate(rows):
+        row[i] = gs[i + 1] // gs[i]
+    # gs[i] = g_{i+1} of the docstring.  The pivot columns right of the rows
+    # lo..hi-1, ascending; for each, its row restricted to itself and the
+    # pivot columns after it; and the Bezout vector on them:
+    # sum bezout[k] * s[pivots[k]] = gs[hi] (mod q).
     pivots: list[int] = []
     pivot_rows: list[list[int]] = []
     bezout: list[int] = []
-    g = q
-    for i in range(n - 1, -1, -1):
-        g_i, x, y = _ext_gcd(s[i], g)
-        cofactor = s[i] // g_i
-        tail = [-cofactor * c % q for c in bezout]
+    starts = sorted({0, *(i for i in range(n) if gs[i] != gs[i + 1])})
+    for lo, hi in reversed(list(zip(starts, starts[1:] + [n]))):
+        tails = [[-(s[r] // gs[r]) * c % q for r in range(lo, hi)] for c in bezout]
         for k, pivot_row in enumerate(pivot_rows):
-            t = tail[k] // pivot_row[0]
-            if t:
-                tail[k:] = [a - t * b for a, b in zip(tail[k:], pivot_row)]
-        row = [0] * n
-        row[i] = g // g_i
-        for j, a in zip(pivots, tail):
-            row[j] = a
-        rows[i] = row
-        if g_i != g:
-            pivots.insert(0, i)
-            pivot_rows.insert(0, [g // g_i] + tail)
+            ts = [a // pivot_row[0] for a in tails[k]]
+            if any(ts):
+                for m, b in enumerate(pivot_row, start=k):
+                    tails[m] = [a - t * b for a, t in zip(tails[m], ts)]
+        for j, tail in zip(pivots, tails):
+            for row, a in zip(rows[lo:hi], tail):
+                row[j] = a
+        if gs[lo] != gs[lo + 1]:
+            _, x, y = _ext_gcd(s[lo], gs[lo + 1])
+            pivots.insert(0, lo)
+            pivot_rows.insert(0, [rows[lo][lo]] + [tail[0] for tail in tails])
             bezout = [x % q] + [y * c % q for c in bezout]
-        g = g_i
     return rows
+
+
+def _row_defect(rows: Sequence[Sequence[int]], i: int, q: int) -> str:
+    """Name the first defect of basis row i + 1, read densely: an entry left
+    of its diagonal or a diagonal <= 0, a nonzero entry a right of it
+    outside 0 < a < a_jj, or else phi of the row nonzero mod q."""
+    row = rows[i]
+    if row[i] <= 0 or any(row[:i]):
+        return f"basis row {i + 1} is not upper triangular with a positive diagonal"
+    for j in range(i + 1, len(row)):
+        if row[j] and not 0 < row[j] < rows[j][j]:
+            return f"basis row {i + 1} is not reduced: entry {row[j]} in column {j + 1}, whose diagonal is {rows[j][j]}"
+    return f"basis row {i + 1} is not in the kernel of phi mod {q}"
 
 
 def lattice_basis(splitting: Splitting) -> LatticeBasis:
     """Canonical basis of the tiling lattice of a verified splitting.
 
     Rejects splittings that fail verification.  Postconditions are checked,
-    under python -O too: |det| equals q, every row is zero left of its
-    diagonal and positive on it (so the diagonal product that
-    LatticeBasis.determinant takes is the determinant), and every row maps
-    to 0 under phi; a failure raises AssertionError.
+    under python -O too: |det| equals q, and every row is in the reduced
+    Hermite form that LatticeBasis claims (zero left of its diagonal,
+    positive on it, every nonzero entry a right of it in a pivot column j
+    with 0 < a < a_jj) and maps to 0 under phi.  So the diagonal product
+    that LatticeBasis.determinant takes is the determinant.  A failure
+    raises AssertionError naming the first bad row and its defect.
+
+    A row is read at its diagonal and its pivot columns to the right, and
+    row.count(0) proves every other entry zero: O(|P|) Python steps per row
+    plus one C-level scan.  Only a rejected row is read densely, to name
+    its defect.
     """
     check = verify_splitting(splitting)
     if not check:
         raise ValueError(f"splitting does not verify: {check.reason}")
     q, splitters = splitting.q, splitting.splitters
+    n = len(splitters)
     basis = LatticeBasis(tuple(map(tuple, phi_kernel_basis(q, splitters))))
-    if abs(basis.determinant) != q:
-        raise AssertionError(f"basis determinant {basis.determinant} is not +-{q}")
-    for i, row in enumerate(basis.rows):
-        if row[i] <= 0 or any(row[:i]):
-            raise AssertionError(f"basis row {i + 1} is not upper triangular with a positive diagonal")
-        if sum(map(mul, row, splitters)) % q:
-            raise AssertionError(f"basis row {i + 1} is not in the kernel of phi mod {q}")
+    rows = basis.rows
+    diagonal = [row[i] for i, row in enumerate(rows)]
+    if abs(prod(diagonal)) != q:
+        raise AssertionError(f"basis determinant {prod(diagonal)} is not +-{q}")
+    # (column, diagonal, splitter) of each pivot column right of the row.
+    right = [(j, a_jj, splitters[j]) for j, a_jj in enumerate(diagonal) if a_jj > 1]
+    for i, row in enumerate(rows):
+        if right and right[0][0] == i:
+            right = right[1:]
+        total, nonzero, ok = row[i] * splitters[i], 1, row[i] > 0
+        for j, a_jj, s_j in right:
+            a = row[j]
+            if a:
+                ok &= 0 < a < a_jj
+                total += a * s_j
+                nonzero += 1
+        if not ok or row.count(0) != n - nonzero or total % q:
+            raise AssertionError(_row_defect(rows, i, q))
     return basis
 
 

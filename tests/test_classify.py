@@ -452,6 +452,19 @@ def test_store_refuses_to_append_to_a_bad_store(tmp_path):
     assert path.read_text() == BAD_Q13_LINE
 
 
+def test_store_and_load_name_a_bad_store_by_the_same_path(tmp_path, monkeypatch):
+    # The path as given, "./" included, so both errors name one file alike.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.jsonl").write_text(BAD_Q13_LINE)
+    for path in ("./bad.jsonl", f"{tmp_path}/./bad.jsonl"):
+        messages = []
+        for call in (load_certificates, lambda p: store_certificate(Q25_CERT, p)):
+            with pytest.raises(ValueError) as info:
+                call(path)
+            messages.append(str(info.value))
+        assert messages == [f"{path}, line 1: certificate q=13 does not verify: collision at 2: 2*1 = 1*2 (mod 13)"] * 2
+
+
 Q5_LINE = b'{"q": 5, "k_plus": 3, "k_minus": 1, "splitters": [1]}'
 Q25_LINE = b'{"q": 25, "k_plus": 3, "k_minus": 1, "splitters": [1, 5, 6, 11, 16, 21]}'
 Q5 = Splitting(5, 3, 1, (1,))

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 import sympy
@@ -6,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from quasicross import splitting
+from quasicross.classify import default_certificates_path, load_certificates
 from quasicross.search import SearchStatus, find_splitting
 from quasicross.splitting import (
     _ext_gcd,
@@ -249,6 +251,95 @@ def test_lattice_basis_raises_on_a_basis_that_is_not_triangular(monkeypatch):
             lattice_basis(cert)
 
 
+def _dense_basis_defect(q, splitters, rows):
+    """Reference for lattice_basis's row checks, read entry by entry: the
+    message naming the first row that is not triangular with a positive
+    diagonal, not reduced (0 < a < a_jj for each nonzero a right of the
+    diagonal) or not in the kernel of phi, or None."""
+    for i, row in enumerate(rows):
+        if row[i] <= 0 or any(row[j] for j in range(i)):
+            return f"basis row {i + 1} is not upper triangular with a positive diagonal"
+        for j in range(i + 1, len(row)):
+            if row[j] and not 0 < row[j] < rows[j][j]:
+                return (
+                    f"basis row {i + 1} is not reduced: entry {row[j]} in column {j + 1}, "
+                    f"whose diagonal is {rows[j][j]}"
+                )
+        if sum(a * s for a, s in zip(row, splitters)) % q:
+            return f"basis row {i + 1} is not in the kernel of phi mod {q}"
+    return None
+
+
+def _gcd_first_half_system(q):
+    # q - x where x shares a factor with q, else x: the largest splitters are
+    # then non-units, so the basis has more than one pivot column.
+    return Splitting(q, 1, 1, tuple(q - x if math.gcd(x, q) > 1 else x for x in range(1, (q - 1) // 2 + 1)))
+
+
+def test_lattice_basis_rejects_exactly_what_a_dense_check_rejects(monkeypatch):
+    # Entries off the diagonal are perturbed, the diagonal (and so the
+    # determinant check) kept: lattice_basis must fail at the same first row,
+    # with the same message, as the dense reference.
+    rng = random.Random(37)
+    certs = [Splitting(25, 3, 1, Q25_SPLITTERS), *map(_gcd_first_half_system, (45, 105, 225))]
+    certs.append(next(c for c in load_certificates(default_certificates_path()) if c.q == 125))
+    goods = [[list(row) for row in lattice_basis(cert).rows] for cert in certs]
+    kinds = set()
+    for cert, good in zip(certs, goods):
+        q, n = cert.q, len(cert.splitters)
+        pivots = [j for j in range(n) if good[j][j] > 1]
+        assert len(pivots) == (2 if cert.q in (45, 105, 225) else 1)
+        for _ in range(600):
+            bad = [row[:] for row in good]
+            for _ in range(rng.randint(1, 3)):
+                i = rng.randrange(n)
+                j = rng.choice([j for j in range(n) if j != i] + pivots)
+                if i == j:
+                    continue
+                move = rng.randrange(4)
+                if move == 0:  # any value
+                    bad[i][j] = rng.randint(-q, q)
+                elif move == 1:  # a kernel vector's worth: stays in the kernel
+                    bad[i][j] += rng.choice((-q, q))
+                elif move == 2 and j > i:  # add a row below: in the kernel, maybe unreduced
+                    bad[i] = [a + rng.choice((-1, 1)) * b for a, b in zip(bad[i], bad[j])]
+                else:  # just inside or outside the reduced range
+                    bad[i][j] = rng.choice((-1, 0, 1, good[j][j] - 1, good[j][j], good[j][j] + 1))
+                bad[i][i] = good[i][i]
+            expected = _dense_basis_defect(q, cert.splitters, bad)
+            monkeypatch.setattr(splitting, "phi_kernel_basis", lambda q, s, bad=bad: bad)
+            try:
+                lattice_basis(cert)
+                got = None
+            except AssertionError as exc:
+                got = str(exc)
+            assert got == expected, (cert.q, bad)
+            kinds.add(expected and next(k for k in ("triangular", "reduced", "kernel") if k in expected))
+    assert kinds == {None, "triangular", "reduced", "kernel"}
+
+
+def test_lattice_basis_rejects_unreduced_bases(monkeypatch):
+    # Triangular, positive diagonal, determinant 25 and every row in the
+    # kernel: a check of those alone accepts both, but LatticeBasis claims
+    # the reduced Hermite form.
+    cert = Splitting(25, 3, 1, Q25_SPLITTERS)
+    rows = [list(row) for row in lattice_basis(cert).rows]
+    assert rows[0] == [1, 0, 0, 0, 0, 19]
+    past_diagonal = [row[:] for row in rows]
+    past_diagonal[0] = [a + b for a, b in zip(rows[0], rows[5])]  # 19 + 25 in column 6
+    unit_column = [row[:] for row in rows]
+    unit_column[0] = [a + b for a, b in zip(rows[0], rows[2])]  # 1 in column 3, whose diagonal is 1
+    for bad, message in (
+        (past_diagonal, "basis row 1 is not reduced: entry 44 in column 6, whose diagonal is 25"),
+        (unit_column, "basis row 1 is not reduced: entry 1 in column 3, whose diagonal is 1"),
+    ):
+        assert all(sum(a * s for a, s in zip(row, Q25_SPLITTERS)) % 25 == 0 for row in bad)
+        monkeypatch.setattr(splitting, "phi_kernel_basis", lambda q, s, bad=bad: bad)
+        with pytest.raises(AssertionError) as info:
+            lattice_basis(cert)
+        assert str(info.value) == message
+
+
 def test_lattice_basis_rejects_unverified():
     messages = []
     for _ in range(2):  # the second call meets a memoized failure
@@ -281,6 +372,34 @@ def test_lattice_basis_on_search_results_up_to_200():
             s = Splitting(q, k_plus, k_minus, outcome.splitters)
             basis = lattice_basis(s)
             _check_basis_postconditions(q, s.splitters, [list(r) for r in basis.rows])
+
+
+def test_lattice_basis_on_the_store_workloads_inputs():
+    # What a store of certificates meets: random (1,1) half-systems, unit
+    # multiples u*S of search finds, and every packaged certificate (n up to
+    # 216; q = 125 and 625 are prime powers).
+    rng = random.Random(11)
+    certs = []
+    for n in range(1, 121):
+        q = 2 * n + 1
+        certs.append(Splitting(q, 1, 1, tuple(x if rng.random() < 0.5 else q - x for x in range(1, n + 1))))
+    packaged = load_certificates(default_certificates_path())
+    assert {125, 625} <= {cert.q for cert in packaged} and max(cert.dimension for cert in packaged) == 216
+    finds = [*packaged]
+    for q, k_plus, k_minus in ((25, 2, 2), (65, 2, 2), (49, 4, 2), (49, 5, 1), (37, 3, 3), (97, 4, 4)):
+        outcome = find_splitting(q, interval_multipliers(k_plus, k_minus, q))
+        assert outcome.status is SearchStatus.FOUND
+        finds.append(Splitting(q, k_plus, k_minus, outcome.splitters))
+    certs += packaged
+    for base in finds:
+        u = rng.choice([u for u in range(2, base.q) if math.gcd(u, base.q) == 1])
+        certs.append(base._replace(splitters=tuple(sorted(u * s % base.q for s in base.splitters))))
+    for cert in certs:
+        assert verify_splitting(cert)
+        rows = [list(row) for row in lattice_basis(cert).rows]
+        _check_basis_postconditions(cert.q, cert.splitters, rows)
+        if cert.dimension <= 40:
+            assert rows == _dense_kernel_basis(cert.q, cert.splitters)
 
 
 def test_basis_rows_are_hermite():
