@@ -196,10 +196,10 @@ def verify_splitting(splitting: Splitting) -> VerificationResult:
 
 
 class LatticeBasis(NamedTuple):
-    """Row basis in reduced Hermite form: upper triangular, positive
-    diagonal, and 0 <= a_ij < a_jj right of the diagonal, so the entries off
-    the diagonal lie in the pivot columns, those of diagonal > 1.  Built by
-    lattice_basis, which checks all of this."""
+    """Row basis in reduced Hermite form: n rows of n entries, upper
+    triangular, positive diagonal, and 0 <= a_ij < a_jj right of the
+    diagonal, so the entries off the diagonal lie in the pivot columns, those
+    of diagonal > 1.  Built by lattice_basis, which checks all of this."""
 
     rows: tuple[tuple[int, ...], ...]
 
@@ -211,42 +211,24 @@ class LatticeBasis(NamedTuple):
         return out
 
 
-def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, x, y) with g = gcd(a, b) = x*a + y*b."""
-    x0, y0, x1, y1 = 1, 0, 0, 1
-    while b:
-        t = a // b
-        a, b = b, a - t * b
-        x0, x1 = x1, x0 - t * x1
-        y0, y1 = y1, y0 - t * y1
-    if a < 0:
-        a, x0, y0 = -a, -x0, -y0
-    return a, x0, y0
-
-
 def phi_kernel_basis(q: int, splitters: Sequence[int]) -> list[list[int]]:
     """Hermite-form basis of {x in Z^n : sum x_i s_i = 0 (mod q)}.
 
     Works for any splitter list, splitting or not; only the homomorphism phi
-    matters.  The basis is written down from the gcd chain
-    g_i = gcd(s_i, ..., s_n, q), with g_{n+1} = q, walking i = n down to 1.
-    Row i has diagonal g_{i+1}/g_i, the least x_i that the columns to its
-    right can cancel, and to its right -(s_i/g_i) times a Bezout vector c
-    with sum_{j>i} c_j s_j = g_{i+1} (mod q).  Each row is then reduced
-    against the rows below it, giving the unique Hermite form: upper
-    triangular, positive diagonal, 0 <= a_ij < a_jj.
+    matters.  The basis is read off the gcd chain g_i = gcd(s_i, ..., s_n, q),
+    with g_{n+1} = q.  The subgroups H_i = g_i Z_q form a chain, and each
+    step H_j / H_{j+1} is cyclic of order d_j = g_{j+1}/g_j, generated by s_j
+    since s_j/g_j is a unit mod d_j.  So every t in H_{i+1} is sum x_j s_j
+    for exactly one digit vector with 0 <= x_j < d_j, j > i: walking j
+    upwards, x_j = (t/g_j) (s_j/g_j)^-1 mod d_j and t becomes t - x_j s_j,
+    which lies in H_{j+1}.  Row i has diagonal d_i, the least x_i that the
+    columns to its right can cancel, and to its right the digits of
+    t = -d_i s_i mod q.  That is upper triangular with a positive diagonal
+    and 0 <= a_ij < a_jj: the unique reduced Hermite form.
 
-    Only pivot columns, those with diagonal g_{i+1}/g_i > 1, carry entries
-    off the diagonal.  Where g_{i+1} divides s_i, row i is no pivot: its
-    Bezout step would give x = 0 and y = 1, so c keeps its support on pivot
-    columns and _ext_gcd is not run at all.  A row therefore lives on its
-    own column and the pivot columns to its right, and reducing it against
-    a row of diagonal 1 changes nothing.  The rows from one pivot (or the
-    first row) up to the next pivot see the same pivot columns to their
-    right, so their entries there are computed and reduced against the
-    pivot rows a column at a time, one list comprehension per pair of pivot
-    columns: O(|P|) Python steps per row for |P| <= log2(q) pivots, plus
-    writing out the n rows of length n.
+    Only pivot columns, those with d_j > 1, carry digits, so a row takes
+    O(|P|) Python steps for |P| <= log2(q) pivots, plus writing out the n
+    rows of length n.  Each pivot costs one modular inverse.
     """
     n = len(splitters)
     if n == 0:
@@ -256,31 +238,19 @@ def phi_kernel_basis(q: int, splitters: Sequence[int]) -> list[list[int]]:
     s = [x % q for x in splitters]
     gs = list(accumulate(reversed(s), gcd, initial=q))[::-1]
     rows = [[0] * n for _ in range(n)]
-    for i, row in enumerate(rows):
-        row[i] = gs[i + 1] // gs[i]
-    # gs[i] = g_{i+1} of the docstring.  The pivot columns right of the rows
-    # lo..hi-1, ascending; for each, its row restricted to itself and the
-    # pivot columns after it; and the Bezout vector on them:
-    # sum bezout[k] * s[pivots[k]] = gs[hi] (mod q).
-    pivots: list[int] = []
-    pivot_rows: list[list[int]] = []
-    bezout: list[int] = []
-    starts = sorted({0, *(i for i in range(n) if gs[i] != gs[i + 1])})
-    for lo, hi in reversed(list(zip(starts, starts[1:] + [n]))):
-        tails = [[-(s[r] // gs[r]) * c % q for r in range(lo, hi)] for c in bezout]
-        for k, pivot_row in enumerate(pivot_rows):
-            ts = [a // pivot_row[0] for a in tails[k]]
-            if any(ts):
-                for m, b in enumerate(pivot_row, start=k):
-                    tails[m] = [a - t * b for a, t in zip(tails[m], ts)]
-        for j, tail in zip(pivots, tails):
-            for row, a in zip(rows[lo:hi], tail):
-                row[j] = a
-        if gs[lo] != gs[lo + 1]:
-            _, x, y = _ext_gcd(s[lo], gs[lo + 1])
-            pivots.insert(0, lo)
-            pivot_rows.insert(0, [rows[lo][lo]] + [tail[0] for tail in tails])
-            bezout = [x % q] + [y * c % q for c in bezout]
+    # gs[i] = g_{i+1} of the docstring.  (j, g, d, (s_j/g)^-1 mod d, s_j) of
+    # each pivot column right of row i, ascending.
+    pivots: list[tuple[int, int, int, int, int]] = []
+    for i in range(n - 1, -1, -1):
+        g, d = gs[i], gs[i + 1] // gs[i]
+        row = rows[i]
+        row[i] = d
+        t = -d * s[i] % q
+        for j, g_j, d_j, inverse, s_j in pivots:
+            row[j] = x = t // g_j * inverse % d_j
+            t = (t - x * s_j) % q
+        if d > 1:
+            pivots.insert(0, (i, g, d, pow(s[i] // g, -1, d), s[i]))
     return rows
 
 
@@ -301,12 +271,13 @@ def lattice_basis(splitting: Splitting) -> LatticeBasis:
     """Canonical basis of the tiling lattice of a verified splitting.
 
     Rejects splittings that fail verification.  Postconditions are checked,
-    under python -O too: |det| equals q, and every row is in the reduced
-    Hermite form that LatticeBasis claims (zero left of its diagonal,
-    positive on it, every nonzero entry a right of it in a pivot column j
-    with 0 < a < a_jj) and maps to 0 under phi.  So the diagonal product
-    that LatticeBasis.determinant takes is the determinant.  A failure
-    raises AssertionError naming the first bad row and its defect.
+    under python -O too: the basis is n rows of n entries, |det| equals q,
+    and every row is in the reduced Hermite form that LatticeBasis claims
+    (zero left of its diagonal, positive on it, every nonzero entry a right
+    of it in a pivot column j with 0 < a < a_jj) and maps to 0 under phi.
+    So the diagonal product that LatticeBasis.determinant takes is the
+    determinant.  A failure raises AssertionError naming the bad shape, or
+    the first bad row and its defect.
 
     A row is read at its diagonal and its pivot columns to the right, and
     row.count(0) proves every other entry zero: O(|P|) Python steps per row
@@ -320,6 +291,8 @@ def lattice_basis(splitting: Splitting) -> LatticeBasis:
     n = len(splitters)
     basis = LatticeBasis(tuple(map(tuple, phi_kernel_basis(q, splitters))))
     rows = basis.rows
+    if len(rows) != n or set(map(len, rows)) != {n}:
+        raise AssertionError(f"basis shape {len(rows)} x {sorted(set(map(len, rows)))} is not {n} x {n}")
     diagonal = [row[i] for i, row in enumerate(rows)]
     if abs(prod(diagonal)) != q:
         raise AssertionError(f"basis determinant {prod(diagonal)} is not +-{q}")

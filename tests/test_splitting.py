@@ -10,7 +10,6 @@ from quasicross import splitting
 from quasicross.classify import default_certificates_path, load_certificates
 from quasicross.search import SearchStatus, find_splitting
 from quasicross.splitting import (
-    _ext_gcd,
     MultiplierSet,
     QuasiCrossShape,
     Splitting,
@@ -223,6 +222,7 @@ def test_phi_kernel_basis_without_splitting():
 def test_lattice_basis_raises_on_a_wrong_basis(monkeypatch):
     # Explicit raises, not asserts, so python -O keeps these checks.
     cert = Splitting(25, 3, 1, Q25_SPLITTERS)
+    rows = [list(row) for row in lattice_basis(cert).rows]
     unimodular = [[int(i == j) for j in range(6)] for i in range(6)]
     monkeypatch.setattr(splitting, "phi_kernel_basis", lambda q, s: unimodular)
     with pytest.raises(AssertionError, match="determinant 1 is not"):
@@ -233,6 +233,16 @@ def test_lattice_basis_raises_on_a_wrong_basis(monkeypatch):
     monkeypatch.setattr(splitting, "phi_kernel_basis", lambda q, s: diagonal)
     with pytest.raises(AssertionError, match="row 1 is not in the kernel"):
         lattice_basis(cert)
+    # Not 6 x 6: one row of determinant 25, a seventh row, short rows.
+    for bad, shape in (
+        ([[25, 0, 0, 0, 0, 0]], "1 x [6]"),
+        (rows + [rows[0]], "7 x [6]"),
+        ([row[:5] for row in rows], "6 x [5]"),
+    ):
+        monkeypatch.setattr(splitting, "phi_kernel_basis", lambda q, s, bad=bad: bad)
+        with pytest.raises(AssertionError) as info:
+            lattice_basis(cert)
+        assert str(info.value) == f"basis shape {shape} is not 6 x 6"
 
 
 def test_lattice_basis_raises_on_a_basis_that_is_not_triangular(monkeypatch):
@@ -439,9 +449,23 @@ def test_kernel_basis_postconditions_random(q, data):
     _check_basis_postconditions(q, splitters, rows)
 
 
+def _ext_gcd(a, b):
+    """(g, x, y) with g = gcd(a, b) = x*a + y*b, for the oracle alone."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        t = a // b
+        a, b = b, a - t * b
+        x0, x1 = x1, x0 - t * x1
+        y0, y1 = y1, y0 - t * y1
+    if a < 0:
+        a, x0, y0 = -a, -x0, -y0
+    return a, x0, y0
+
+
 def _dense_kernel_basis(q, splitters):
-    """Reference oracle: the same Hermite basis, each row reduced densely
-    against every row below it rather than against the pivot rows only."""
+    """Reference oracle: the same Hermite basis, built from Bezout vectors
+    and each row reduced densely against every row below it, rather than
+    read digit by digit off the gcd chain."""
     n = len(splitters)
     s = [x % q for x in splitters]
     rows = [[] for _ in range(n)]
@@ -475,6 +499,10 @@ def test_kernel_basis_matches_dense_oracle_on_fixed_cases():
         (25, Q25_SPLITTERS),
         (2, (0,)),
         (2**10 * 3**5 * 5**2, (2**10, 3**5, 5**2, 6, 0, -15, 2**9 * 3, 1)),
+        # 64-bit moduli: 63 pivots, 40 pivots, and the largest 64-bit prime.
+        (2**63, tuple(2**k for k in range(63))),
+        (3**40, tuple(3**k for k in range(40))),
+        (2**64 - 59, (3, 5, 2**40, 7)),
     ]
     for q, splitters in cases:
         assert phi_kernel_basis(q, splitters) == _dense_kernel_basis(q, splitters)
