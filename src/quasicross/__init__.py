@@ -45,7 +45,6 @@ from .splitting import (
     phi_kernel_basis,
     to_json_line,
     verify_cover,
-    verify_splitting,
 )
 
 __version__ = "0.1.0"

@@ -9,7 +9,8 @@ classified on that lookup, and every reachable n' satisfies n' < n, so the
 recursion always ends.  classify_range asks the memo for n = 1..n_max in
 ascending order, and check asks only for the dimensions its one n reaches.
 Unknown is the default: the pipeline never guesses existence, it only
-accepts verified certificates and the trivial dimension.
+accepts certificates, each a Splitting and so verified when it was built,
+and the trivial dimension.
 
 At each dimension Verdicts.firings calls the criteria in reporting order,
 each only where it can fire (criteria.PRIME_Q_ONLY, COMPOSITE_Q_ONLY and
@@ -35,7 +36,7 @@ from .criteria import COMPOSITE_Q_ONLY, CRITERION_ORDER, LAST_FIRING_N, PRIME_Q_
 from .criteria import CriterionOutcome, VerdictStatus, check_divisors
 from .criteria import _NO_TILING, _RULED_OUT, _TILES, _UNKNOWN
 from .numtheory import is_prime
-from .splitting import QuasiCrossShape, Splitting, from_json_line, to_json_line, verify_splitting
+from .splitting import QuasiCrossShape, Splitting, from_json_line, to_json_line
 
 __all__ = [
     "ClassificationRun",
@@ -111,16 +112,9 @@ def default_registry(k_plus: int, k_minus: int) -> tuple[Splitting, ...]:
     )
 
 
-def _verified(cert: Splitting) -> Splitting:
-    """Return cert, or raise ValueError naming the reason it does not verify."""
-    check = verify_splitting(cert)
-    if not check:
-        raise ValueError(f"certificate q={cert.q} does not verify: {check.reason}")
-    return cert
-
-
 def _certificates(path, lines: Sequence[bytes], lineno: int) -> tuple[Splitting, ...]:
-    """Parse and verify raw store lines, the first being line lineno + 1.
+    """Parse raw store lines into Splittings, each verified as it is built,
+    the first line being line lineno + 1.
 
     A line is decoded on its own, so text that is not UTF-8 is reported
     with its line too, and any ValueError is raised again naming the file
@@ -131,7 +125,7 @@ def _certificates(path, lines: Sequence[bytes], lineno: int) -> tuple[Splitting,
         try:
             line = raw.decode("utf-8").strip()
             if line:
-                out.append(_verified(from_json_line(line)))
+                out.append(from_json_line(line))
         except ValueError as exc:  # UnicodeDecodeError is a ValueError
             raise ValueError(f"{path}, line {lineno}: {exc}") from exc
     return tuple(out)
@@ -146,7 +140,7 @@ _last_store: tuple[bytes, int, tuple[Splitting, ...], frozenset[Splitting]] = (b
 
 
 def _parse_store(path, data: bytes) -> tuple[tuple[Splitting, ...], frozenset[Splitting]]:
-    """The verified certificates in a store's bytes, in order and as a set.
+    """The certificates in a store's bytes, in order and as a set.
 
     Bytes that begin with those of the last store read, up to its last line
     end, are parsed only after them; any other bytes are parsed whole.  The
@@ -169,7 +163,8 @@ def _parse_store(path, data: bytes) -> tuple[tuple[Splitting, ...], frozenset[Sp
 
 
 def load_certificates(path) -> tuple[Splitting, ...]:
-    """Read a JSON-lines certificate store, verifying every entry.
+    """Read a JSON-lines certificate store; every entry is a Splitting, so
+    it is verified as it is parsed.
 
     A certificate that fails verification is a hard error naming the first
     collision (or other defect), as is any malformed line, each with its
@@ -181,18 +176,15 @@ def load_certificates(path) -> tuple[Splitting, ...]:
 
 
 def store_certificate(splitting: Splitting, path) -> bool:
-    """Append a verified certificate, skipping exact duplicates.
+    """Append a certificate, skipping exact duplicates.  A Splitting was
+    verified when it was built, so nothing is verified again here.
 
     Returns True when a line was written, False when the certificate was
-    already present.  Refuses to store anything that fails verification,
-    before the file is opened, and to append to a store that fails to load.
+    already present.  Refuses to append to a store that fails to load.
     When the memo of the last store read (see _parse_store) holds every
     byte the append read, it is extended by the line written.
     """
     global _last_store
-    check = verify_splitting(splitting)
-    if not check:
-        raise ValueError(f"refusing to store unverified splitting: {check.reason}")
     with open(path, "a+b") as fh:
         fh.seek(0)
         data = fh.read()
@@ -229,10 +221,11 @@ class Verdicts(dict):
 
     The constructor checks the inputs of a classification up to n_max, the
     largest dimension a caller will ask for, before any dimension is
-    classified: n_max >= 1, the group order of n_max fits in 64 bits, and
-    every registry or certificate entry for this shape verifies; entries
-    for other shapes are ignored.  Dimension 1 always tiles (S = {1} splits
-    trivially); a registry or certificate hit yields Tiles.
+    classified: n_max >= 1 and the group order of n_max fits in 64 bits.
+    Registry and certificate entries are Splittings, verified when they were
+    built, and are used as they are; entries for other shapes are ignored.
+    Dimension 1 always tiles (S = {1} splits trivially); a registry or
+    certificate hit yields Tiles.
 
     It also builds the verdict walk from criteria.SHAPE_CRITERIA as it
     reads then: each check paired with the last n at which it can fire, in
@@ -261,10 +254,9 @@ class Verdicts(dict):
         self.k_plus = k_plus
         self.k_minus = k_minus
         # Tiling evidence per dimension; later entries win, so the precedence
-        # is trivial > registry > certificate.  Every entry for this shape is
-        # verified here, before the first dimension.
+        # is trivial > registry > certificate.
         self.evidence = {
-            _verified(cert).dimension: source
+            cert.dimension: source
             for certs, source in ((certificates, TilesSource.CERTIFICATE), (registry, TilesSource.REGISTRY))
             for cert in certs
             if (cert.k_plus, cert.k_minus) == (k_plus, k_minus)

@@ -1,6 +1,6 @@
-"""Core data model: quasi-cross shapes, multiplier and splitter sets,
-splitting verification, and integer bases for the lattice a verified
-splitting induces.
+"""Core data model: quasi-cross shapes, multiplier sets, splittings (each
+verified when it is built), and integer bases for the lattice a splitting
+induces.
 
 A splitting of Z_q pairs the multiplier set M (here the interval
 -k_minus..k_plus with 0 removed, reduced mod q) with a splitter set S such
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 from collections import namedtuple
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import accumulate
 from math import gcd, prod
 from typing import NamedTuple, Sequence
@@ -35,7 +35,6 @@ __all__ = [
     "phi_kernel_basis",
     "to_json_line",
     "verify_cover",
-    "verify_splitting",
 ]
 
 
@@ -115,24 +114,41 @@ def multiplier_set(shape: QuasiCrossShape) -> MultiplierSet:
 
 
 class Splitting(namedtuple("Splitting", "q k_plus k_minus splitters")):
-    """Splitter-set certificate for the interval multiplier set of a
-    (k_plus, k_minus) quasi-cross over Z_q.
+    """A splitting of Z_q: a splitter set S for the interval multiplier set
+    M of a (k_plus, k_minus) quasi-cross over Z_q, such that the products
+    m*s are exactly Z_q minus 0.
 
-    Construction enforces structure only (splitters distinct, in range);
-    whether the products actually cover Z_q minus 0 is decided by
-    verify_splitting.  Splitters are stored sorted, the canonical form used
-    for certificate deduplication.
+    Construction is the one place a certificate is verified.  q, the arms
+    and every splitter must be ints, the splitters distinct and in
+    [1, q - 1], and verify_cover must accept the products; anything else
+    raises ValueError.  _make, and so _replace, builds through the
+    constructor, as copy and pickle do, so every Splitting is a splitting.
+    Splitters are stored sorted, the canonical form used for certificate
+    deduplication.
     """
 
     __slots__ = ()
 
     def __new__(cls, q: int, k_plus: int, k_minus: int, splitters: Sequence[int]):
+        splitters = tuple(splitters)
+        # type() rather than isinstance(): JSON true/false must not pass as
+        # 1/0.  Checked first, so no sort or comparison meets a non-int.
+        if not all(type(v) is int for v in (q, k_plus, k_minus, *splitters)):
+            raise ValueError("certificate fields must be integers and a list of integers")
         check_arms(k_plus, k_minus)
         if q <= k_plus + k_minus:
             raise ValueError(f"q={q} too small for arms ({k_plus}, {k_minus})")
         ordered = tuple(sorted(splitters))
         _check_residues(ordered, q, "splitter")
-        return super().__new__(cls, q, k_plus, k_minus, ordered)
+        self = super().__new__(cls, q, k_plus, k_minus, ordered)
+        check = verify_cover(q, self.multipliers.residues, ordered)
+        if not check:
+            raise ValueError(f"certificate q={q} does not verify: {check.reason}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> Splitting:
+        return cls(*iterable)
 
     @property
     def multipliers(self) -> MultiplierSet:
@@ -179,20 +195,6 @@ def verify_cover(q: int, multipliers: Sequence[int], splitters: Sequence[int]) -
         missed = next(e for e in range(1, q) if e not in owner)
         return VerificationResult(False, f"residue {missed} not covered")
     return VerificationResult(True)
-
-
-@lru_cache(maxsize=None)
-def verify_splitting(splitting: Splitting) -> VerificationResult:
-    """verify_cover applied to a candidate certificate.
-
-    This is the one place that decides whether a certificate verifies.  The
-    result is memoized by the Splitting, an immutable tuple (q, k_plus,
-    k_minus, sorted splitters), so each distinct certificate is
-    covered once per process, whichever of store, load, classify_range or
-    lattice_basis asks first.  A failing result is memoized too; every
-    caller still raises on it, on every call.
-    """
-    return verify_cover(splitting.q, splitting.multipliers.residues, splitting.splitters)
 
 
 class LatticeBasis(NamedTuple):
@@ -268,13 +270,14 @@ def _row_defect(rows: Sequence[Sequence[int]], i: int, q: int) -> str:
 
 
 def lattice_basis(splitting: Splitting) -> LatticeBasis:
-    """Canonical basis of the tiling lattice of a verified splitting.
+    """Canonical basis of the tiling lattice of a splitting, which verified
+    itself when it was built.
 
-    Rejects splittings that fail verification.  Postconditions are checked,
-    under python -O too: the basis is n rows of n entries, |det| equals q,
-    and every row is in the reduced Hermite form that LatticeBasis claims
-    (zero left of its diagonal, positive on it, every nonzero entry a right
-    of it in a pivot column j with 0 < a < a_jj) and maps to 0 under phi.
+    Postconditions are checked, under python -O too: the basis is n rows of
+    n entries, |det| equals q, and every row is in the reduced Hermite form
+    that LatticeBasis claims (zero left of its diagonal, positive on it,
+    every nonzero entry a right of it in a pivot column j with
+    0 < a < a_jj) and maps to 0 under phi.
     So the diagonal product that LatticeBasis.determinant takes is the
     determinant.  A failure raises AssertionError naming the bad shape, or
     the first bad row and its defect.
@@ -284,9 +287,6 @@ def lattice_basis(splitting: Splitting) -> LatticeBasis:
     plus one C-level scan.  Only a rejected row is read densely, to name
     its defect.
     """
-    check = verify_splitting(splitting)
-    if not check:
-        raise ValueError(f"splitting does not verify: {check.reason}")
     q, splitters = splitting.q, splitting.splitters
     n = len(splitters)
     basis = LatticeBasis(tuple(map(tuple, phi_kernel_basis(q, splitters))))
@@ -326,7 +326,9 @@ def to_json_line(splitting: Splitting) -> str:
 
 
 def from_json_line(line: str) -> Splitting:
-    """Parse a certificate line; raises ValueError with context on bad input."""
+    """Parse a certificate line into a Splitting, which checks the field
+    types and verifies the cover; raises ValueError with context on bad
+    input."""
     try:
         obj = json.loads(line)
     except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nesting too deep
@@ -336,10 +338,6 @@ def from_json_line(line: str) -> Splitting:
     missing = [k for k in ("q", "k_plus", "k_minus", "splitters") if k not in obj]
     if missing:
         raise ValueError(f"certificate line missing fields: {', '.join(missing)}")
-    q, kp, km, spl = obj["q"], obj["k_plus"], obj["k_minus"], obj["splitters"]
-    # type() rather than isinstance(): JSON true/false must not pass as 1/0.
-    if not all(type(v) is int for v in (q, kp, km)) or not (
-        isinstance(spl, list) and all(type(s) is int for s in spl)
-    ):
+    if not isinstance(obj["splitters"], list):
         raise ValueError("certificate fields must be integers and a list of integers")
-    return Splitting(q, kp, km, tuple(spl))
+    return Splitting(obj["q"], obj["k_plus"], obj["k_minus"], obj["splitters"])

@@ -31,7 +31,6 @@ from quasicross.splitting import (
     interval_multipliers,
     lattice_basis,
     verify_cover,
-    verify_splitting,
 )
 
 Q25_CERT = Splitting(25, 3, 1, (1, 5, 6, 11, 16, 21))
@@ -91,8 +90,10 @@ def test_certificates_mark_tiles():
 
 
 def test_unverified_certificate_rejected():
+    # A certificate that does not verify cannot be built, so it never
+    # reaches classify_range; every attempt fails alike, nothing is memoized.
     messages = []
-    for _ in range(2):  # the second call meets a memoized failure
+    for _ in range(2):
         with pytest.raises(ValueError, match="does not verify") as info:
             classify_range(3, 1, 5, certificates=[Splitting(13, 3, 1, (1, 2, 3))])
         messages.append(str(info.value))
@@ -104,20 +105,24 @@ def test_tiling_evidence_precedence():
     five = Splitting(5, 3, 1, (1,))
     run = classify_range(3, 1, 6, registry=[five, Q25_CERT], certificates=[five, Q25_CERT])
     assert [run.verdicts[n - 1].source for n in (1, 6)] == [TilesSource.TRIVIAL, TilesSource.REGISTRY]
-    # An entry for another shape is neither evidence nor verified, in the
-    # registry or among the certificates.
-    other = Splitting(13, 2, 1, (1, 2, 3))
+    # An entry for another shape is not evidence, in the registry or among
+    # the certificates: (2,2) at q = 25 splits with n = 6, as (3,1) does.
+    other = Splitting(25, 2, 2, (1, 4, 5, 6, 9, 11))
     run = classify_range(3, 1, 6, registry=[other], certificates=[other])
     assert run.verdicts == classify_range(3, 1, 6).verdicts
+    # A certificate that does not verify cannot be built, for any shape.
+    with pytest.raises(ValueError, match=r"^certificate q=13 does not verify: collision at 2: 2\*1 = 1\*2 \(mod 13\)$"):
+        Splitting(13, 2, 1, (1, 2, 3))
 
 
 def test_evidence_is_checked_before_the_walk(counting_criteria):
+    # Evidence that does not verify is rejected where it is built, so no
+    # classification starts and no criterion runs.
     calls = counting_criteria()
-    bad = Splitting(13, 3, 1, (1, 2, 3))  # dimension 3, past n_max
     with pytest.raises(ValueError, match="certificate q=13 does not verify"):
-        classify_range(3, 1, 2, certificates=[Q25_CERT, bad])
+        classify_range(3, 1, 2, certificates=[Q25_CERT, Splitting(13, 3, 1, (1, 2, 3))])
     with pytest.raises(ValueError, match="certificate q=13 does not verify"):
-        classify_range(3, 1, 2, registry=[Q25_CERT, bad])
+        classify_range(3, 1, 2, registry=[Q25_CERT, Splitting(13, 3, 1, (1, 2, 3))])
     assert calls == []
 
 
@@ -371,13 +376,35 @@ def test_store_certificate_roundtrip(tmp_path):
 
 
 def test_store_rejects_unverified(tmp_path):
+    # What fails verification is never a Splitting, so it cannot reach the
+    # store; every attempt fails alike and no file is made.
     messages = []
-    for _ in range(2):  # the second call meets a memoized failure
-        with pytest.raises(ValueError, match="refusing to store") as info:
+    for _ in range(2):
+        with pytest.raises(ValueError, match="does not verify") as info:
             store_certificate(Splitting(13, 3, 1, (1, 2, 3)), tmp_path / "c.jsonl")
         messages.append(str(info.value))
-    assert messages == ["refusing to store unverified splitting: collision at 2: 2*1 = 1*2 (mod 13)"] * 2
+    assert messages == ["certificate q=13 does not verify: collision at 2: 2*1 = 1*2 (mod 13)"] * 2
     assert not (tmp_path / "c.jsonl").exists()
+
+
+def test_certificate_fields_must_be_ints(tmp_path):
+    # Neither a bool splitter nor a float q can be stored: the Splitting
+    # refuses them, so no line is written that a new process could not load.
+    message = "^certificate fields must be integers and a list of integers$"
+    with pytest.raises(ValueError, match=message):
+        Splitting(5, 3, 1, (True,))
+    with pytest.raises(ValueError, match=message):
+        Splitting(25.0, 3, 1, (1, 5, 6, 11, 16, 21))
+    # A string or null field is a ValueError, not a TypeError from a sort
+    # or comparison.
+    for fields in (("25", 3, 1, (1,)), (25, None, 1, (1,)), (25, 3, 1, ("1", 5))):
+        with pytest.raises(ValueError, match=message):
+            Splitting(*fields)
+    path = tmp_path / "certs.jsonl"
+    path.write_text('{"q": 5, "k_plus": 3, "k_minus": 1, "splitters": ["1"]}\n')
+    with pytest.raises(ValueError) as info:
+        load_certificates(path)
+    assert str(info.value) == f"{path}, line 1: certificate fields must be integers and a list of integers"
 
 
 def test_store_appends_after_a_last_line_without_newline(tmp_path):
@@ -395,15 +422,16 @@ def test_certificate_verified_once_across_store_load_classify_basis(tmp_path, mo
         calls.append(args)
         return verify_cover(*args)
 
-    verify_splitting.cache_clear()
     monkeypatch.setattr(splitting, "verify_cover", counting_verify_cover)
+    cert = Splitting(25, 3, 1, (1, 5, 6, 11, 16, 21))
+    assert calls == [(25, (24, 1, 2, 3), (1, 5, 6, 11, 16, 21))]  # at construction
     path = tmp_path / "certs.jsonl"
-    assert store_certificate(Q25_CERT, path) is True
+    assert store_certificate(cert, path) is True
     (loaded,) = load_certificates(path)
     run = classify_range(3, 1, 6, certificates=[loaded])
     assert run.verdicts[5].source is TilesSource.CERTIFICATE
     assert lattice_basis(loaded).determinant == 25
-    assert len(calls) == 1
+    assert len(calls) == 1  # none from store, load, classify_range or lattice_basis
 
 
 def test_load_certificates_errors(tmp_path):

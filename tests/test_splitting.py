@@ -1,5 +1,10 @@
+import copy
+import importlib.util
+import json
 import math
+import pickle
 import random
+from pathlib import Path
 
 import pytest
 import sympy
@@ -21,10 +26,16 @@ from quasicross.splitting import (
     phi_kernel_basis,
     to_json_line,
     verify_cover,
-    verify_splitting,
 )
 
 Q25_SPLITTERS = (1, 5, 6, 11, 16, 21)
+Q13_COLLISION = r"^certificate q=13 does not verify: collision at 2: 2\*1 = 1\*2 \(mod 13\)$"
+
+
+def _covers(s):
+    """verify_cover on a Splitting's own fields, re-checking what its
+    construction decided."""
+    return verify_cover(s.q, s.multipliers.residues, s.splitters)
 
 
 def test_shape_validation():
@@ -83,19 +94,20 @@ def test_multiplier_set_validation():
 
 def test_verify_q5():
     s = Splitting(5, 3, 1, (1,))
-    assert verify_splitting(s)
+    assert _covers(s)
 
 
 def test_verify_q25_against_exhaustive_products():
     s = Splitting(25, 3, 1, Q25_SPLITTERS)
     products = {m * t % 25 for m in s.multipliers.residues for t in s.splitters}
     assert products == set(range(1, 25))
-    assert verify_splitting(s)
+    assert _covers(s)
 
 
 def test_verify_collision_diagnostic():
-    s = Splitting(13, 3, 1, (1, 2, 3))
-    result = verify_splitting(s)
+    with pytest.raises(ValueError, match=Q13_COLLISION):
+        Splitting(13, 3, 1, (1, 2, 3))
+    result = verify_cover(13, (12, 1, 2, 3), (1, 2, 3))
     assert not result
     assert "collision at 2" in result.reason
 
@@ -133,8 +145,10 @@ def test_structural_errors_differ_from_verification_failure():
         Splitting(4, 3, 1, (1,))
     with pytest.raises(ValueError, match=r"^arms must satisfy 1 <= k_minus <= k_plus, got \(1, 3\)$"):
         Splitting(13, 1, 3, (1,))
-    # whereas a wrong-but-well-formed splitting just fails verification
-    assert not verify_splitting(Splitting(13, 3, 1, (1, 2, 3)))
+    # whereas a wrong-but-well-formed splitting fails verification, with a
+    # message of its own
+    with pytest.raises(ValueError, match=Q13_COLLISION):
+        Splitting(13, 3, 1, (1, 2, 3))
 
 
 def test_splitters_canonically_sorted():
@@ -149,7 +163,7 @@ def test_splitters_canonically_sorted():
 
 def test_verified_size_invariant():
     for s in (Splitting(5, 3, 1, (1,)), Splitting(25, 3, 1, Q25_SPLITTERS), Splitting(6, 3, 2, (1,))):
-        assert verify_splitting(s)
+        assert _covers(s)
         k = len(s.multipliers.residues)
         assert (s.q - 1) % k == 0
         assert len(s.splitters) == (s.q - 1) // k
@@ -161,16 +175,16 @@ def test_unit_action_preserves_verification(u):
         return
     base = Splitting(25, 3, 1, Q25_SPLITTERS)
     scaled = Splitting(25, 3, 1, tuple(u * s % 25 for s in base.splitters))
-    assert verify_splitting(scaled)
+    assert _covers(scaled)
 
 
 @given(st.integers(min_value=1, max_value=12))
 def test_unit_action_prime_case(u):
     # q = 13 with the full interval -6..6 splits with S = {1}.
     base = Splitting(13, 6, 6, (1,))
-    assert verify_splitting(base)
+    assert _covers(base)
     scaled = Splitting(13, 6, 6, (u,))
-    assert verify_splitting(scaled)
+    assert _covers(scaled)
 
 
 def _check_basis_postconditions(q, splitters, rows):
@@ -351,12 +365,14 @@ def test_lattice_basis_rejects_unreduced_bases(monkeypatch):
 
 
 def test_lattice_basis_rejects_unverified():
+    # lattice_basis cannot be handed a certificate that does not verify: its
+    # construction fails, the same way on every call, as nothing is memoized.
     messages = []
-    for _ in range(2):  # the second call meets a memoized failure
+    for _ in range(2):
         with pytest.raises(ValueError, match="does not verify") as info:
             lattice_basis(Splitting(13, 3, 1, (1, 2, 3)))
         messages.append(str(info.value))
-    assert messages == ["splitting does not verify: collision at 2: 2*1 = 1*2 (mod 13)"] * 2
+    assert messages == ["certificate q=13 does not verify: collision at 2: 2*1 = 1*2 (mod 13)"] * 2
 
 
 def test_lattice_basis_postconditions_across_small_orders():
@@ -365,7 +381,7 @@ def test_lattice_basis_postconditions_across_small_orders():
     for q in list(range(3, 102, 2)) + [199]:
         n = (q - 1) // 2
         s = Splitting(q, 1, 1, tuple(range(1, n + 1)))
-        assert verify_splitting(s)
+        assert _covers(s)
         basis = lattice_basis(s)
         _check_basis_postconditions(q, s.splitters, [list(r) for r in basis.rows])
 
@@ -405,7 +421,7 @@ def test_lattice_basis_on_the_store_workloads_inputs():
         u = rng.choice([u for u in range(2, base.q) if math.gcd(u, base.q) == 1])
         certs.append(base._replace(splitters=tuple(sorted(u * s % base.q for s in base.splitters))))
     for cert in certs:
-        assert verify_splitting(cert)
+        assert _covers(cert)
         rows = [list(row) for row in lattice_basis(cert).rows]
         _check_basis_postconditions(cert.q, cert.splitters, rows)
         if cert.dimension <= 40:
@@ -422,6 +438,48 @@ def test_json_line_roundtrip():
     line = to_json_line(s)
     assert from_json_line(line) == s
     assert to_json_line(from_json_line(line)) == line
+
+
+def test_copies_are_built_by_the_constructor():
+    # _replace and _make build through __new__, as copy and pickle do, so
+    # none of them yields a certificate that does not verify.
+    cert = Splitting(25, 3, 1, Q25_SPLITTERS)
+    assert cert._replace(splitters=Q25_SPLITTERS[::-1]) == cert
+    assert Splitting._make(list(cert)) == cert
+    assert copy.copy(cert) == cert and copy.deepcopy(cert) == cert
+    assert pickle.loads(pickle.dumps(cert)) == cert
+    five = Splitting(5, 3, 1, (1,))
+    with pytest.raises(ValueError, match=Q13_COLLISION):
+        five._replace(q=13, splitters=(1, 2, 3))
+    with pytest.raises(ValueError, match=Q13_COLLISION):
+        Splitting._make((13, 3, 1, (1, 2, 3)))
+    # A tuple forged past __new__ is refused when it is copied or unpickled.
+    forged = tuple.__new__(Splitting, (13, 3, 1, (1, 2, 3)))
+    with pytest.raises(ValueError, match=Q13_COLLISION):
+        copy.copy(forged)
+    with pytest.raises(ValueError, match=Q13_COLLISION):
+        pickle.loads(pickle.dumps(forged))
+
+
+def _store_workload_streams(seeds):
+    """The certificate streams of the benchmark's store workload, as
+    perfbench/workloads.py generates them from the finds it records."""
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", bench / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    ref = json.loads((bench / "reference.json").read_text(encoding="utf-8"))
+    finds = [(c["q"], c["k_plus"], c["k_minus"], tuple(c["splitters"]))
+             for c in ref["search"]["find"] if c["status"] == "found"]
+    return [key for seed in seeds for key, _ in workloads.store_stream(seed, finds)]
+
+
+def test_json_lines_of_the_store_workload_and_the_packaged_store_roundtrip():
+    certs = [Splitting(*key) for key in _store_workload_streams((1, 2, 3))]
+    certs += load_certificates(default_certificates_path())
+    assert len(certs) > 900
+    for cert in certs:
+        assert from_json_line(to_json_line(cert)) == cert
 
 
 def test_json_line_errors():
