@@ -36,7 +36,7 @@ from .criteria import COMPOSITE_Q_ONLY, CRITERION_ORDER, LAST_FIRING_N, PRIME_Q_
 from .criteria import CriterionOutcome, VerdictStatus, check_divisors
 from .criteria import _NO_TILING, _RULED_OUT, _TILES, _UNKNOWN
 from .numtheory import is_prime
-from .splitting import QuasiCrossShape, Splitting, from_json_line, to_json_line
+from .splitting import QuasiCrossShape, Splitting, check_arms, from_json_line, to_json_line
 
 __all__ = [
     "ClassificationRun",
@@ -221,7 +221,9 @@ class Verdicts(dict):
 
     The constructor checks the inputs of a classification up to n_max, the
     largest dimension a caller will ask for, before any dimension is
-    classified: n_max >= 1 and the group order of n_max fits in 64 bits.
+    classified: k_plus, k_minus and n_max are ints (not bools), the arms
+    satisfy 1 <= k_minus <= k_plus, n_max >= 1 and the group order of n_max
+    fits in 64 bits.
     Registry and certificate entries are Splittings, verified when they were
     built, and are used as they are; entries for other shapes are ignored.
     Dimension 1 always tiles (S = {1} splits trivially); a registry or
@@ -244,6 +246,9 @@ class Verdicts(dict):
         certificates: Sequence[Splitting] = (),
     ):
         super().__init__()
+        if not all(type(v) is int for v in (k_plus, k_minus, n_max)):
+            raise ValueError(f"k_plus, k_minus and n_max must be ints, got {k_plus!r}, {k_minus!r}, {n_max!r}")
+        check_arms(k_plus, k_minus)
         if n_max < 1:
             raise ValueError(f"n_max must be >= 1, got {n_max}")
         # numtheory refuses moduli past 64 bits, so a walk to a larger q could

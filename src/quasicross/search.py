@@ -134,40 +134,41 @@ def _explore(q, multipliers, node_budget, stop_at_first):
         raise ValueError(f"multiplier set was built for q={multipliers.q}, search got q={q}")
     if q.bit_length() > 64:
         raise ValueError(f"search got q={q}; group orders must fit in 64 bits")
+    if type(node_budget) is not int or node_budget < 0:
+        raise ValueError(f"node budget must be an int >= 0, got {node_budget!r}")
     residues = multipliers.residues
     k = len(residues)
     if (q - 1) % k != 0:
         return None, 0, True, 0, f"|M| = {k} does not divide q - 1 = {q - 1}"
-    last = (q - 1) // k - 1  # splitters placed when the next one completes the cover
+    size = (q - 1) // k  # splitters in a splitting
     symmetric = q > 2 and {q - m for m in residues} == set(residues)
     table = _candidate_table(q, residues, symmetric)
+    scale = len(table[1]) << size if symmetric else len(table[1])
     # live[e] counts the candidates for residue e that meet no placed block.
     # A residue a placed block holds, and 0, which is never a target, carry an
     # extra q, which no live count reaches, so min(live) is an open residue.
     live = list(map(len, table))
     live[0] = q
     alive = [True] * q  # alive[s] while splitter s's block meets no placed block
-    chosen: list[tuple] = []  # (candidate, candidates it killed) placed by each frame below the top
-    frames = [iter(table[1][:1])]  # unit scaling (module docstring): one root candidate
-    nodes = 0
-    count = 0
-    first: tuple[int, ...] | None = None
-    note = None
-
-    while frames and first is None and note is None:
-        for candidate in frames[-1]:
+    # One frame per placed candidate, under the root frame: the candidates
+    # still to try at that depth, the candidate whose placement opened the
+    # frame, and the candidates that placement killed.  The root frame places
+    # nothing and tries one candidate (unit scaling, module docstring), so
+    # len(stack) - 1 candidates are placed.
+    stack = [(iter(table[1][:1]), None, ())]
+    nodes = count = 0
+    while stack:
+        for candidate in stack[-1][0]:
             if nodes == node_budget:
-                note = f"node budget of {node_budget} exhausted"
-                break
+                return None, count * scale, False, nodes, f"node budget of {node_budget} exhausted"
             nodes += 1
             s, cells = candidate
             if not alive[s]:
                 continue
-            if len(chosen) == last:
+            if len(stack) == size:  # this candidate completes the cover
                 count += 1
                 if stop_at_first:
-                    first = tuple(sorted([s, *(c[0] for c, _ in chosen)]))
-                    break
+                    return tuple(sorted([s, *(frame[1][0] for frame in stack[1:])])), count * scale, True, nodes, None
                 continue
             # Kill every live candidate that meets the block, once each: at
             # the first of its cells that the block covers.
@@ -180,22 +181,20 @@ def _explore(q, multipliers, node_budget, stop_at_first):
                         for f in d[1]:
                             live[f] -= 1
                 live[e] += q
-            chosen.append((candidate, killed))
             least = min(live)
-            frames.append(iter(table[live.index(least)]) if least else iter(()))
+            stack.append((iter(table[live.index(least)]) if least else iter(()), candidate, killed))
             break
         else:
-            frames.pop()
-            if chosen:
-                (_s, cells), killed = chosen.pop()
-                for e in cells:
+            # Every candidate of the top frame was tried: undo its placement.
+            _, placed, killed = stack.pop()
+            for d in killed:
+                alive[d[0]] = True
+                for f in d[1]:
+                    live[f] += 1
+            if placed:
+                for e in placed[1]:
                     live[e] -= q
-                for d in killed:
-                    alive[d[0]] = True
-                    for f in d[1]:
-                        live[f] += 1
-    scale = len(table[1]) << (q - 1) // k if symmetric else len(table[1])
-    return first, count * scale, note is None, nodes, note
+    return None, count * scale, True, nodes, None
 
 
 def find_splitting(
@@ -213,6 +212,10 @@ def find_splitting(
     +-class representative lies in it (see the module docstring); TIMED_OUT
     reports a spent node budget.  Equal arguments (node budget included)
     give equal outcomes: == holds and the hashes agree.
+
+    node_budget must be an int >= 0 (a bool is refused), else ValueError;
+    one node is one candidate tried, placed or not, and a budget of B spent
+    reports exactly B nodes.
     """
     first, _count, closed, nodes, note = _explore(
         q, multipliers, node_budget, stop_at_first=True
@@ -241,7 +244,9 @@ def count_splittings(
     of root candidates is the full count, and when M = -M the tree holds
     one member of each +-class of 2^n splittings, so the count is scaled by
     2^n as well (see the module docstring).
-    Intended for small q; budgets cap runaway inputs.
+    Intended for small q; budgets cap runaway inputs.  node_budget follows
+    find_splitting's rule; a spent budget gives complete=False and a partial
+    count.
     """
     _first, count, closed, nodes, note = _explore(
         q, multipliers, node_budget, stop_at_first=False

@@ -326,6 +326,26 @@ def test_classify_range_refuses_q_past_64_bits():
         classify_range(3, 1, 0)
 
 
+@pytest.mark.parametrize(
+    "k_plus, k_minus, n_max",
+    [(3, 1, 2.5), (3.0, 1, 5), (3, 1.0, 5), (3, 1, True), (True, 1, 5), (3, 1, "5")],
+)
+def test_run_sizes_must_be_ints(k_plus, k_minus, n_max):
+    # Checked once per run, before n_max >= 1 and the 64-bit bound; a bool
+    # is refused too, so summarize cannot report "dimensions 1..True".
+    for run in (classify_range, summarize, Verdicts):
+        with pytest.raises(ValueError, match="^k_plus, k_minus and n_max must be ints, got "):
+            run(k_plus, k_minus, n_max)
+
+
+def test_run_arms_are_checked_before_the_walk():
+    # The walk's table of last firing dimensions divides by k_plus + k_minus,
+    # which is 0 for arms (-1, 1); the arm rule must refuse them first.
+    for run in (classify_range, summarize, Verdicts):
+        with pytest.raises(ValueError, match=r"^arms must satisfy 1 <= k_minus <= k_plus, got \(-1, 1\)$"):
+            run(-1, 1, 5)
+
+
 def test_records_refuse_assignment():
     run = classify_range(3, 1, 6, registry=default_registry(3, 1))
     records = (

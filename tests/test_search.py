@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from quasicross.search import (
     CountOutcome,
+    SearchOutcome,
     SearchStatus,
     _candidate_table,
     count_splittings,
@@ -91,9 +92,53 @@ def test_node_budget_reports_timeout():
     assert counted.nodes == 3
 
 
+@pytest.mark.parametrize("budget", [-1, -5, 2.5, 1.0, True, False, None, "10"])
+def test_node_budget_must_be_a_nonnegative_int(budget):
+    # The search stops only when its node count equals the budget, which a
+    # negative or fractional budget never does; True would stop after 1 node.
+    # The refusal comes before the |M| | q - 1 test, so q = 12 refuses too.
+    for search, k_plus, k_minus, q in ((find_splitting, 3, 1, 13), (count_splittings, 2, 2, 41),
+                                       (find_splitting, 3, 1, 12)):
+        with pytest.raises(ValueError, match="^node budget must be an int >= 0, got "):
+            search(q, interval_multipliers(k_plus, k_minus, q), node_budget=budget)
+
+
+@pytest.mark.parametrize(
+    "search, k_plus, k_minus, q",
+    [
+        (find_splitting, 3, 1, 25),
+        (find_splitting, 3, 1, 13),
+        (count_splittings, 2, 2, 41),
+        (count_splittings, 3, 1, 25),
+    ],
+    ids=["find-found", "find-exhausted", "count-symmetric", "count"],
+)
+def test_spent_budget_at_every_depth(search, k_plus, k_minus, q):
+    # Every budget b from 0 to N + 1, N the unbounded node count: b < N
+    # spends the budget wherever in the tree node b + 1 would be, and b >= N
+    # gives the unbounded outcome.  Partial counts grow with b up to the count.
+    multipliers = interval_multipliers(k_plus, k_minus, q)
+    unbounded = search(q, multipliers)
+    total = unbounded.nodes
+    counts = []
+    for budget in range(total + 2):
+        outcome = search(q, multipliers, node_budget=budget)
+        note = f"node budget of {budget} exhausted"
+        if budget >= total:
+            assert outcome == unbounded
+        elif search is find_splitting:
+            assert outcome == SearchOutcome(SearchStatus.TIMED_OUT, None, budget, note)
+        else:
+            assert outcome == CountOutcome(outcome.count, False, budget, note)
+        if search is count_splittings:
+            counts.append(outcome.count)
+    if counts:
+        assert counts == sorted(counts) and counts[-1] == unbounded.count
+
+
 def test_setup_memory_is_linear_in_q():
     # One live flag per splitter and one shared (s, cells) tuple per
-    # candidate: set-up takes O(q*|M|) memory, about 6.5 MB and 23 ms here
+    # candidate: set-up takes O(q*|M|) memory, about 6.5 MB and 15 ms here
     # (the multiplier columns the table is built from add about 0.4 MB).
     # A q-bit mask per candidate would take about q**2/8 bytes, over 30 MB.
     q = 16001

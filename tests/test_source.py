@@ -16,13 +16,25 @@ def _trees():
 
 def test_library_has_no_bare_assert():
     # python -O strips assert statements, so a library check must be an
-    # explicit raise.  A -O run of the tests only catches a bare assert on a
-    # path they reach; this finds every assert statement.
+    # explicit raise.  This finds every assert statement, on every path.
     found = [
         f"{path}:{node.lineno}: bare assert"
         for path, tree in _trees().items()
         for node in ast.walk(tree)
         if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+def test_library_never_reads_debug():
+    # python -O also sets __debug__ to False.  With no bare assert and no
+    # read of __debug__, -O cannot change what the library does, so a -O run
+    # of the tests would cover nothing the plain run does not.
+    found = [
+        f"{path}:{node.lineno}: __debug__"
+        for path, tree in _trees().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and node.id == "__debug__"
     ]
     assert found == []
 
