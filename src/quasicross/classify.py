@@ -133,14 +133,14 @@ def _certificates(path, lines: Sequence[bytes], lineno: int) -> tuple[Splitting,
 
 # The last store read, with the lines this process appended to it since:
 # its bytes up to their last line end, the number of lines in them, and
-# their certificates, in order and as a set.  It is one
-# tuple, read and replaced whole, so a reader always sees a consistent entry
-# and at worst parses bytes another reader has just parsed.
-_last_store: tuple[bytes, int, tuple[Splitting, ...], frozenset[Splitting]] = (b"", 0, (), frozenset())
+# their certificates, in order.  It is one tuple, read and replaced whole, so
+# a reader always sees a consistent entry and at worst parses bytes another
+# reader has just parsed.
+_last_store: tuple[bytes, int, tuple[Splitting, ...]] = (b"", 0, ())
 
 
-def _parse_store(path, data: bytes) -> tuple[tuple[Splitting, ...], frozenset[Splitting]]:
-    """The certificates in a store's bytes, in order and as a set.
+def _parse_store(path, data: bytes) -> tuple[Splitting, ...]:
+    """The certificates in a store's bytes, in order.
 
     Bytes that begin with those of the last store read, up to its last line
     end, are parsed only after them; any other bytes are parsed whole.  The
@@ -148,18 +148,23 @@ def _parse_store(path, data: bytes) -> tuple[tuple[Splitting, ...], frozenset[Sp
     always parsed again.  Lines end at b"\n" only, as in file iteration.  A
     bad line is never kept, and a last line without its newline is parsed
     but not kept, so a bad store fails on every read.
+
+    The memo serves one store.  Reads that alternate between two stores
+    parse and verify each whole on every read: ten alternating reads of the
+    packaged store and of a copy without its first line call verify_cover
+    155 times, where ten reads of one store call it 16 times.  No command
+    alternates: classify, check and summarize read the packaged store and
+    then --certificates, once each, and search --store reads one store.
     """
     global _last_store
-    prefix, lineno, certs, seen = _last_store
+    prefix, lineno, certs = _last_store
     if not data.startswith(prefix):
-        prefix, lineno, certs, seen = b"", 0, (), frozenset()
+        prefix, lineno, certs = b"", 0, ()
     *lines, tail = data[len(prefix):].split(b"\n")
-    new = _certificates(path, lines, lineno)
-    certs, seen = certs + new, seen.union(new)
+    certs += _certificates(path, lines, lineno)
     lineno += len(lines)
-    _last_store = (data[: len(data) - len(tail)], lineno, certs, seen)
-    last = _certificates(path, [tail], lineno)
-    return (certs + last, seen.union(last)) if last else (certs, seen)
+    _last_store = (data[: len(data) - len(tail)], lineno, certs)
+    return certs + _certificates(path, [tail], lineno)
 
 
 def load_certificates(path) -> tuple[Splitting, ...]:
@@ -172,7 +177,7 @@ def load_certificates(path) -> tuple[Splitting, ...]:
     parsed (see _parse_store).
     """
     with open(path, "rb") as fh:
-        return _parse_store(path, fh.read())[0]
+        return _parse_store(path, fh.read())
 
 
 def store_certificate(splitting: Splitting, path) -> bool:
@@ -188,18 +193,18 @@ def store_certificate(splitting: Splitting, path) -> bool:
     with open(path, "a+b") as fh:
         fh.seek(0)
         data = fh.read()
-        if splitting in _parse_store(path, data)[1]:
+        if splitting in _parse_store(path, data):
             return False
         line = to_json_line(splitting).encode("utf-8") + b"\n"
         if data and not data.endswith(b"\n"):
             # The last line lacks its newline; ours must not run into it.
             line = b"\n" + line
         fh.write(line)
-    prefix, lineno, certs, seen = _last_store
+    prefix, lineno, certs = _last_store
     if prefix == data:
         # data + line parse to certs + (splitting,), so the next read of
         # this store parses nothing this append wrote.
-        _last_store = (data + line, lineno + 1, certs + (splitting,), seen | {splitting})
+        _last_store = (data + line, lineno + 1, certs + (splitting,))
     return True
 
 
@@ -444,12 +449,8 @@ def witness_text(witness: dict | None) -> str:
 
 def _rows(run: ClassificationRun) -> Iterable[tuple[int, int, str, str, str]]:
     for v in run.verdicts:
-        if v.status is _TILES:
-            yield v.n, v.q, "tiles", "", v.source._value_
-        elif v.status is _NO_TILING:
-            yield v.n, v.q, "no_tiling", v.criterion_id, witness_text(v.witness)
-        else:
-            yield v.n, v.q, "unknown", "", ""
+        last = v.source._value_ if v.status is _TILES else witness_text(v.witness)
+        yield v.n, v.q, v.status._value_, v.criterion_id or "", last
 
 
 def report_csv(run: ClassificationRun) -> str:

@@ -100,10 +100,14 @@ class MultiplierSet(namedtuple("MultiplierSet", "q residues")):
 
 
 def interval_multipliers(k_plus: int, k_minus: int, q: int) -> MultiplierSet:
-    """Residues of -k_minus..-1, 1..k_plus reduced mod q, in that order."""
+    """Residues of -k_minus..-1, 1..k_plus reduced mod q, in that order.
+
+    Raises ValueError unless 1 <= k_minus <= k_plus, and for q <= k_plus +
+    k_minus, where the residues would not be distinct; Splitting relies on
+    both checks."""
     check_arms(k_plus, k_minus)
     if q <= k_plus + k_minus:
-        raise ValueError(f"q={q} leaves interval multipliers indistinct")
+        raise ValueError(f"q={q} too small for arms ({k_plus}, {k_minus})")
     res = [q + m for m in range(-k_minus, 0)] + list(range(1, k_plus + 1))
     return MultiplierSet(q, tuple(res))
 
@@ -135,16 +139,13 @@ class Splitting(namedtuple("Splitting", "q k_plus k_minus splitters")):
         # 1/0.  Checked first, so no sort or comparison meets a non-int.
         if not all(type(v) is int for v in (q, k_plus, k_minus, *splitters)):
             raise ValueError("certificate fields must be integers and a list of integers")
-        check_arms(k_plus, k_minus)
-        if q <= k_plus + k_minus:
-            raise ValueError(f"q={q} too small for arms ({k_plus}, {k_minus})")
+        multipliers = interval_multipliers(k_plus, k_minus, q)
         ordered = tuple(sorted(splitters))
         _check_residues(ordered, q, "splitter")
-        self = super().__new__(cls, q, k_plus, k_minus, ordered)
-        check = verify_cover(q, self.multipliers.residues, ordered)
+        check = verify_cover(q, multipliers.residues, ordered)
         if not check:
             raise ValueError(f"certificate q={q} does not verify: {check.reason}")
-        return self
+        return super().__new__(cls, q, k_plus, k_minus, ordered)
 
     @classmethod
     def _make(cls, iterable) -> Splitting:

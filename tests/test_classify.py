@@ -650,6 +650,19 @@ def test_two_stores_read_in_turn(tmp_path, parsed_lines):
     assert len(parsed_lines) == 1
 
 
+def test_a_duplicate_in_another_form_is_still_a_duplicate(tmp_path, monkeypatch):
+    # Keys reordered, splitters descending, extra spaces: the line parses to
+    # a Splitting equal to Q25_CERT, which is all the deduplication compares.
+    path = tmp_path / "certs.jsonl"
+    path.write_bytes(b'{ "splitters" : [21, 16, 11, 6, 5, 1],  "k_minus": 1, "q":25, "k_plus" :3 }\n')
+    before = path.read_bytes()
+    monkeypatch.setattr(classify, "_last_store", (b"", 0, ()))
+    assert store_certificate(Q25_CERT, path) is False  # cold memo
+    assert store_certificate(Q25_CERT, path) is False  # warm memo
+    assert path.read_bytes() == before
+    assert load_certificates(path) == (Q25_CERT,)
+
+
 def test_store_opens_the_store_once(tmp_path, monkeypatch):
     opened = []
 
@@ -681,7 +694,7 @@ def test_load_after_appends_equals_a_parse_from_scratch(tmp_path, monkeypatch, p
     for cert in (Q5, Q5_OTHER):
         assert store_certificate(cert, path) is True
     remembered = load_certificates(path)
-    monkeypatch.setattr(classify, "_last_store", (b"", 0, (), frozenset()))
+    monkeypatch.setattr(classify, "_last_store", (b"", 0, ()))
     parsed_lines.clear()
     assert load_certificates(path) == remembered == (Q25_CERT, Q5, Q5_OTHER)
     assert len(parsed_lines) == 3

@@ -22,6 +22,7 @@ from quasicross.classify import (
     default_registry,
     report_text,
 )
+from quasicross.criteria import CRITERION_ORDER
 
 # summarize --max-n 250 with the packaged registries: the paper's tables.
 SUMMARY_250 = {
@@ -141,6 +142,16 @@ def test_check_lists_all_criteria(capsys):
         "odd_prime_order", "power_square", "power_cube", "vandermonde", "psquare", "divisors",
     ):
         assert cid in out
+
+
+@pytest.mark.parametrize("n", [3, 30])  # q = 13 (prime) and q = 121 (composite)
+def test_check_rows_are_the_criteria_in_reporting_order(capsys, n):
+    # One row per criterion, in CRITERION_ORDER, though the verdict walk
+    # skips criteria that cannot fire at that class of q.
+    code, out, _ = invoke(capsys, "check", "--kplus", "3", "--kminus", "1", "--n", str(n))
+    assert code == 0
+    rows = out.split("criteria:\n", 1)[1].splitlines()
+    assert [row.split()[0] for row in rows] == list(CRITERION_ORDER)
 
 
 def test_check_prints_the_full_row(capsys):

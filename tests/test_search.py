@@ -300,6 +300,15 @@ def test_q_past_64_bits_rejected():
         count_splittings(q, interval_multipliers(3, 1, q), node_budget=10)
 
 
+def test_q_that_is_not_an_int_rejected():
+    # A float q builds a multiplier set of equal q, so only the type tells.
+    multipliers = interval_multipliers(3, 1, 25.0)
+    with pytest.raises(ValueError, match=r"^search got q=25\.0; group orders must be ints$"):
+        find_splitting(25.0, multipliers)
+    with pytest.raises(ValueError, match=r"^search got q=25\.0; group orders must be ints$"):
+        count_splittings(25.0, multipliers)
+
+
 def reference_table(q, residues, symmetric):
     """The candidate table by its definition, one splitter at a time."""
     table = [[] for _ in range(q)]

@@ -131,6 +131,12 @@ def test_verify_zero_product():
     assert bool(VerificationResult(True)) is True
 
 
+def test_interval_multipliers_refuses_q_too_small_as_splitting_does():
+    # Splitting leaves this check to interval_multipliers, so both raise this text.
+    with pytest.raises(ValueError, match=r"^q=4 too small for arms \(3, 1\)$"):
+        interval_multipliers(3, 1, 4)
+
+
 def test_structural_errors_differ_from_verification_failure():
     for splitters, message in (
         ((0, 2), "splitter 0 outside [1, 12]"),
@@ -426,6 +432,16 @@ def test_lattice_basis_on_the_store_workloads_inputs():
         _check_basis_postconditions(cert.q, cert.splitters, rows)
         if cert.dimension <= 40:
             assert rows == _dense_kernel_basis(cert.q, cert.splitters)
+
+
+def test_lattice_basis_of_every_packaged_certificate_is_n_by_n_of_determinant_q():
+    certs = load_certificates(default_certificates_path())
+    assert len(certs) == 16
+    for cert in certs:
+        basis = lattice_basis(cert)
+        n = cert.dimension
+        assert len(basis.rows) == n and all(len(row) == n for row in basis.rows)
+        assert abs(basis.determinant) == cert.q
 
 
 def test_basis_rows_are_hermite():
