@@ -13,8 +13,9 @@ accepts certificates, each a Splitting and so verified when it was built,
 and the trivial dimension.
 
 At each dimension Verdicts.firings calls the criteria in reporting order,
-each only where it can fire (criteria.PRIME_Q_ONLY, COMPOSITE_Q_ONLY and
-LAST_FIRING_N), and yields the outcomes that fire, each computed only when
+each only where it can fire (criteria.PRIME_Q_ONLY, COMPOSITE_Q_ONLY,
+ODD_N_ONLY and LAST_FIRING_N: the class of q, the parity of n and the shape
+with its last n), and yields the outcomes that fire, each computed only when
 asked for.  A skipped criterion would not have fired, so the firings are
 those of criteria.outcomes.  A verdict needs only the first, so
 Verdicts.verdict calls the criteria only up to that one; a dimension with
@@ -32,7 +33,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import criteria
-from .criteria import COMPOSITE_Q_ONLY, CRITERION_ORDER, LAST_FIRING_N, PRIME_Q_ONLY
+from .criteria import COMPOSITE_Q_ONLY, CRITERION_ORDER, LAST_FIRING_N, ODD_N_ONLY, PRIME_Q_ONLY
 from .criteria import CriterionOutcome, VerdictStatus, check_divisors
 from .criteria import _NO_TILING, _RULED_OUT, _TILES, _UNKNOWN
 from .numtheory import is_prime
@@ -235,11 +236,12 @@ class Verdicts(dict):
     certificate hit yields Tiles.
 
     It also builds the verdict walk from criteria.SHAPE_CRITERIA as it
-    reads then: each check paired with the last n at which it can fire, in
-    a head of the criteria before the first that needs one class of q, and
-    a tail for prime q and one for composite q with the rest that can fire
-    at that class.  The tables hold the checks only, not the memo, so no
-    reference cycle keeps a memo alive after its run.
+    reads then: each check that can fire for the shape paired with the last
+    n at which it can, in a head of the criteria before the first that needs
+    one class of q or one parity of n, and a tail for each class of q and
+    parity of n, keyed (q prime, n odd), with the rest that can fire there.
+    The tables hold the checks only, not the memo, so no reference cycle
+    keeps a memo alive after its run.
     """
 
     def __init__(
@@ -273,11 +275,17 @@ class Verdicts(dict):
         }
         self.evidence[1] = TilesSource.TRIVIAL
         last = {cid: last_n(k_plus, k_minus) for cid, last_n in LAST_FIRING_N.items()}
-        walk = [(cid, (last.get(cid, inf), check)) for cid, check in criteria.SHAPE_CRITERIA]
-        split = next(i for i, (cid, _) in enumerate(walk) if cid in PRIME_Q_ONLY | COMPOSITE_Q_ONLY)
+        walk = [(cid, (last.get(cid, inf), check)) for cid, check in criteria.SHAPE_CRITERIA
+                if last.get(cid, inf) > 0]
+        gated = PRIME_Q_ONLY | COMPOSITE_Q_ONLY | ODD_N_ONLY
+        split = next(i for i, (cid, _) in enumerate(walk) if cid in gated)
         self.head = tuple(step for _, step in walk[:split])
-        self.tails = {prime: tuple(s for c, s in walk[split:] if c not in other)
-                      for prime, other in ((True, COMPOSITE_Q_ONLY), (False, PRIME_Q_ONLY))}
+        self.tails = {
+            (prime, odd): tuple(step for cid, step in walk[split:]
+                                if cid not in (COMPOSITE_Q_ONLY if prime else PRIME_Q_ONLY)
+                                and (odd or cid not in ODD_N_ONLY))
+            for prime in (True, False) for odd in (True, False)
+        }
 
     def __missing__(self, n: int) -> VerdictStatus:
         return self.verdict(QuasiCrossShape(self.k_plus, self.k_minus, n)).status
@@ -287,8 +295,9 @@ class Verdicts(dict):
         computed only when asked for; shape has this memo's arms.
 
         The criteria run in reporting order, each only where it can fire:
-        the head, then one primality test of q and the tail for q's class,
-        with the divisor recursion last for composite q, reading this memo.
+        the head, then one primality test of q and the tail for q's class
+        and n's parity, with the divisor recursion last for composite q,
+        reading this memo.
         A skipped criterion cannot fire, so the outcomes are the firing ones
         of criteria.outcomes(shape, self).
         """
@@ -297,7 +306,7 @@ class Verdicts(dict):
             if n <= last and (out := check(shape)).status is _RULED_OUT:
                 yield out
         prime = is_prime(shape.group_order)
-        for last, check in self.tails[prime]:
+        for last, check in self.tails[prime, n % 2 == 1]:
             if n <= last and (out := check(shape)).status is _RULED_OUT:
                 yield out
         if not prime and (out := check_divisors(shape, self)).status is _RULED_OUT:

@@ -16,12 +16,12 @@ from __future__ import annotations
 import struct
 from enum import Enum
 from functools import lru_cache
-from math import gcd
+from math import gcd, inf
 from operator import mul
 from typing import Iterator, Mapping, NamedTuple
 
-from .numtheory import discrete_log, divisors, is_prime, legendre, quartic_class
-from .splitting import QuasiCrossShape, multiplier_set
+from .numtheory import discrete_log, divisors, is_prime
+from .splitting import QuasiCrossShape
 
 __all__ = [
     "COMPOSITE_Q_ONLY",
@@ -29,6 +29,7 @@ __all__ = [
     "CriterionOutcome",
     "CriterionStatus",
     "LAST_FIRING_N",
+    "ODD_N_ONLY",
     "PRIME_Q_ONLY",
     "SHAPE_CRITERIA",
     "VerdictStatus",
@@ -128,13 +129,15 @@ def check_quadratic_balance(shape: QuasiCrossShape) -> CriterionOutcome:
     """Quadratic residue balance.  For prime q the products M*S sweep the
     nonzero residues once, which forces residues and non-residues to balance
     inside M or inside S.  An unbalanced M pushes the balance onto S, making
-    |S| = n even; so odd n with unbalanced M admits no splitting."""
+    |S| = n even; so odd n with unbalanced M admits no splitting.  The
+    squares of M are read off the shape's class table: their entries are 1,
+    and also q - 1 when q = 1 (mod 4), where the entries are fourth roots."""
     q = shape.group_order
     if not is_prime(q):
         return _inapplicable("quadratic_balance")
-    residues = multiplier_set(shape).residues
-    qr = sum(1 for r in residues if legendre(r, q) == 1)
-    qnr = len(residues) - qr
+    table = shape.class_table
+    qr = table.count(1) + (table.count(q - 1) if q % 4 == 1 else 0)
+    qnr = len(table) - qr
     if shape.n % 2 == 1 and qr != qnr:
         return _ruled_out("quadratic_balance", qr=qr, qnr=qnr)
     return _inconclusive("quadratic_balance", qr=qr, qnr=qnr)
@@ -144,13 +147,16 @@ def check_char4_literal(shape: QuasiCrossShape) -> CriterionOutcome:
     """Order-4 character test specific to arms (3, 1): with q = 4n + 1 prime
     and n odd, 6**n != 1 (mod q) rules the shape out.  The condition says 6
     is not a fourth power mod q, which forces the character sum over M away
-    from zero; the sum over S must then vanish, impossible for odd |S|."""
+    from zero; the sum over S must then vanish, impossible for odd |S|.
+    With n = (q - 1) / 4, 6**n is the product of the class table's entries
+    for 2 and 3, the last two of M = (-1, 1, 2, 3)."""
     if (shape.k_plus, shape.k_minus) != (3, 1) or shape.n % 2 == 0:
         return _inapplicable("char4_literal")
     q = shape.group_order
     if not is_prime(q):
         return _inapplicable("char4_literal")
-    t = pow(6, shape.n, q)
+    *_, u2, u3 = shape.class_table
+    t = u2 * u3 % q
     if t != 1:
         return _ruled_out("char4_literal", q=q, six_pow_n=t)
     return _inconclusive("char4_literal", q=q, six_pow_n=t)
@@ -160,16 +166,20 @@ def check_quartic_generic(shape: QuasiCrossShape) -> CriterionOutcome:
     """Order-4 character test for any shape with q prime, q = 1 (mod 4) and
     n odd.  Classes of M are counted; the character sum over M is zero only
     when class counts pair up (c0 = c2 and c1 = c3).  Unpaired counts force
-    the sum over S to vanish, which needs |S| even."""
+    the sum over S to vanish, which needs |S| even.  The classes are read
+    off the shape's class table as numtheory.quartic_class names them:
+    class 1 is the smaller root of -1, which is below q / 2, as 1 is and
+    q - 1 is not."""
     q = shape.group_order
     if shape.n % 2 == 0 or q % 4 != 1 or not is_prime(q):
         return _inapplicable("quartic_generic")
-    counts = [0, 0, 0, 0]
-    for r in multiplier_set(shape).residues:
-        counts[quartic_class(r, q)] += 1
-    if counts[0] != counts[2] or counts[1] != counts[3]:
-        return _ruled_out("quartic_generic", classes=tuple(counts), q=q)
-    return _inconclusive("quartic_generic", classes=tuple(counts))
+    table = shape.class_table
+    c0, c2 = table.count(1), table.count(q - 1)
+    c1 = sum(2 * t < q for t in table) - c0
+    classes = (c0, c1, c2, len(table) - c0 - c1 - c2)
+    if c0 != c2 or c1 != classes[3]:
+        return _ruled_out("quartic_generic", classes=classes, q=q)
+    return _inconclusive("quartic_generic", classes=classes)
 
 
 def check_odd_prime_order(shape: QuasiCrossShape) -> CriterionOutcome:
@@ -417,9 +427,10 @@ SHAPE_CRITERIA: tuple[tuple[str, object], ...] = (
 CRITERION_ORDER: tuple[str, ...] = tuple(cid for cid, _ in SHAPE_CRITERIA) + ("divisors",)
 
 # Where a criterion can fire, when that is narrower than everywhere, keyed by
-# criterion id.  Each rule restates a condition the check itself tests, so
-# the criterion never fires elsewhere and classify's verdict walk does not
-# call it there.
+# criterion id: the class of q, the parity of n, and the last n for the
+# shape, 0 where the shape never lets it fire.  Each rule restates a
+# condition the check itself tests, so the criterion never fires elsewhere
+# and classify's verdict walk does not call it there.
 PRIME_Q_ONLY = frozenset({
     "quadratic_balance",  # Legendre symbols mod q need q prime
     "char4_literal",  # 6**n mod q decides a fourth power only for q prime
@@ -431,10 +442,35 @@ COMPOSITE_Q_ONLY = frozenset({
     "psquare",  # needs p**2 | q
     "divisors",  # needs a proper divisor of q
 })
+ODD_N_ONLY = frozenset({
+    "quadratic_balance",  # an unbalanced M forces |S| = n even
+    "char4_literal",  # a sum over S that must vanish forces |S| = n even
+    "quartic_generic",  # unpaired classes force |S| = n even
+})
+
+
+def _never_unless(fires: bool) -> float:
+    """LAST_FIRING_N of a criterion that can fire at every n or at none."""
+    return inf if fires else 0
+
+
 # Criterion id -> the largest n at which it can fire, from (k_plus, k_minus).
 LAST_FIRING_N = {
     # fires only while n*(k_plus + k_minus) < lhs
     "geometry": lambda k_plus, k_minus: (_geometry_lhs(k_plus, k_minus) - 1) // (k_plus + k_minus),
+    # consecutive arms only
+    "arm_gcd": lambda k_plus, k_minus: _never_unless(k_minus == k_plus - 1),
+    "char4_literal": lambda k_plus, k_minus: _never_unless((k_plus, k_minus) == (3, 1)),
+    # q = n*(k_plus + k_minus) + 1 = 1 (mod 4) with n odd needs 4 | k_plus + k_minus
+    "quartic_generic": lambda k_plus, k_minus: _never_unless((k_plus + k_minus) % 4 == 0),
+    "odd_prime_order": lambda k_plus, k_minus: _never_unless(k_plus + k_minus > 2 and is_prime(k_plus + k_minus)),
+    # arms (4k - 1, 1) and (4k + 2, 1), k >= 1
+    "power_square": lambda k_plus, k_minus: _never_unless(k_minus == 1 and (k_plus + 1) % 4 == 0),
+    "power_cube": lambda k_plus, k_minus: _never_unless(k_minus == 1 and k_plus >= 6 and (k_plus - 2) % 4 == 0),
+    # k_plus = k_minus makes P(1) = sum(M) = 0
+    "vandermonde": lambda k_plus, k_minus: _never_unless(k_plus != k_minus),
+    # needs a prime p <= k_plus
+    "psquare": lambda k_plus, k_minus: _never_unless(k_plus >= 2),
 }
 
 
@@ -443,7 +479,7 @@ def outcomes(
 ) -> Iterator[CriterionOutcome]:
     """Every criterion's outcome on a shape, in reporting order: the shape
     criteria, then the divisor recursion reading verdict_oracle.  Every
-    criterion runs, also where PRIME_Q_ONLY, COMPOSITE_Q_ONLY or
+    criterion runs, also where PRIME_Q_ONLY, COMPOSITE_Q_ONLY, ODD_N_ONLY or
     LAST_FIRING_N say it cannot fire, so check prints every row and takes
     its verdict from the rows that fire, and the tests have an ungated
     reference; classify.Verdicts.firings walks only the criteria that can

@@ -6,6 +6,12 @@ Everything here is a pure function of its arguments.  Inputs are capped at
 64 bits, the range on which the Miller-Rabin base set is proven to decide
 primality.  Group orders reach that cap: check accepts every n whose
 q = n(k+ + k-) + 1 fits in 64 bits.
+
+The package no longer calls legendre, quartic_class, QuarticClass or
+sqrt_minus_one: the character criteria read a shape's class table
+(splitting.QuasiCrossShape.class_table).  They serve only the tests, as the
+reference the class table is checked against, and the perfbench replay,
+and go when the benchmark no longer times them (ROADMAP.md).
 """
 
 from __future__ import annotations
@@ -72,8 +78,8 @@ def is_prime(m: int) -> bool:
     twelve bases past 2**64 from J. Sorenson and J. Webster, Math. Comp. 86
     (2017), 985-1003.
 
-    Cached: the criteria re-test the same group orders constantly, and
-    legendre/quartic_class validate their modulus on every call.
+    Cached: the verdict walk, the criteria and the class table each test
+    the same group order.
     """
     _check_range(m)
     if m < 2:

@@ -19,7 +19,7 @@ from itertools import accumulate
 from math import gcd, prod
 from typing import NamedTuple, Sequence
 
-from .numtheory import factorize
+from .numtheory import factorize, is_prime
 
 __all__ = [
     "LatticeBasis",
@@ -52,8 +52,9 @@ class QuasiCrossShape(namedtuple("QuasiCrossShape", "k_plus k_minus n")):
     The shape is the tuple (k_plus, k_minus, n), so equality, hashing and
     repr see only those.  It also carries, in its instance __dict__, the
     facts that several criteria read: arm_sum and group_order are stored
-    once, at construction, and the factorization of q is computed once, on
-    first use.  Assigning any attribute raises AttributeError."""
+    once, at construction, and the factorization of q and, at prime q, the
+    class table of M are each computed once, on first use.  Assigning any
+    attribute raises AttributeError."""
 
     def __new__(cls, k_plus: int, k_minus: int, n: int):
         check_arms(k_plus, k_minus)
@@ -71,6 +72,29 @@ class QuasiCrossShape(namedtuple("QuasiCrossShape", "k_plus k_minus n")):
     def factorization(self) -> tuple[tuple[int, int], ...]:
         """q's (prime, exponent) pairs, primes ascending."""
         return factorize(self.group_order)
+
+    @cached_property
+    def class_table(self) -> tuple[int, ...]:
+        """m**e mod q for each m of M, in M's order (-k_minus..-1, then
+        1..k_plus), with e = (q - 1) / d, d = 4 if q = 1 (mod 4) and else 2.
+        q must be prime, else ValueError.
+
+        Each entry is a d-th root of 1 and names the class of m under the
+        characters of order d.  m is a square exactly when m**((q - 1) / 2)
+        is 1: the entry itself at d = 2, its square at d = 4.  At d = 4 the
+        entries 1, r, q - 1 and q - r, with r the smaller root of -1, are
+        the quartic classes 0 to 3 of numtheory.quartic_class.  One pow per
+        arm length j <= k_plus; -j takes the sign (-1)**e."""
+        q = self.group_order
+        if not is_prime(q):
+            raise ValueError(f"class table needs a prime group order, got q={q}")
+        e = (q - 1) // (4 if q % 4 == 1 else 2)
+        roots: dict[int, int] = {}  # one int object per root, however long M is
+        powers = [roots.setdefault(u, u) for u in (pow(j, e, q) for j in range(1, self.k_plus + 1))]
+        negated = powers[self.k_minus - 1 :: -1]
+        if e % 2:
+            negated = [roots.setdefault(q - u, q - u) for u in negated]
+        return (*negated, *powers)
 
 
 def _check_residues(values: Sequence[int], q: int, what: str) -> None:

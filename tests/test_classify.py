@@ -151,10 +151,12 @@ def outcome_rows(run):
 
 
 def can_fire(cid, shape):
-    """Whether the walk's rules (criteria.PRIME_Q_ONLY, COMPOSITE_Q_ONLY and
-    LAST_FIRING_N) let criterion cid fire at shape."""
+    """Whether the walk's rules (criteria.PRIME_Q_ONLY, COMPOSITE_Q_ONLY,
+    ODD_N_ONLY and LAST_FIRING_N) let criterion cid fire at shape."""
     prime = is_prime(shape.group_order)
     if (cid in criteria.PRIME_Q_ONLY and not prime) or (cid in criteria.COMPOSITE_Q_ONLY and prime):
+        return False
+    if cid in criteria.ODD_N_ONLY and shape.n % 2 == 0:
         return False
     last_n = criteria.LAST_FIRING_N.get(cid)
     return last_n is None or shape.n <= last_n(shape.k_plus, shape.k_minus)
@@ -256,6 +258,16 @@ def test_verdicts_stop_at_the_first_firing_criterion(monkeypatch, counting_crite
     # arm_gcd rules out every prime q of (3,2), so the walk never scans
     # power sums there.
     assert not [shape for cid, shape, _ in walk if cid == "vandermonde" and shape.k_minus == 2]
+    # The character criteria that need n odd run only there, and each shape
+    # calls only the criteria that can fire for its arms; (3,2) calls none
+    # after arm_gcd at prime q.
+    assert not [shape for cid, shape, _ in walk if cid in criteria.ODD_N_ONLY and shape.n % 2 == 0]
+    called = {km: {cid for cid, shape, _ in walk if shape.k_minus == km} for km in (1, 2)}
+    assert called == {
+        1: {"geometry", "quadratic_balance", "char4_literal", "quartic_generic", "power_square", "vandermonde",
+            "psquare", "divisors"},
+        2: {"geometry", "arm_gcd", "psquare", "divisors"},
+    }
     # summarize walks every dimension once, to its end, so it alone calls
     # each criterion exactly once at every n where it can fire.
     del calls[:]
@@ -284,12 +296,13 @@ def test_tiling_evidence_runs_every_criterion(counting_criteria):
     # Each evidence dimension runs every shape criterion that can fire at it.
     calls = counting_criteria()
     run = classify_range(3, 1, 6, registry=[Q25_CERT])
-    assert [cid for cid, shape in calls if shape.n == 1] == [  # q = 5, prime
-        "geometry", "arm_gcd", "quadratic_balance", "char4_literal", "quartic_generic",
-        "odd_prime_order", "power_square", "power_cube", "vandermonde",
+    # Of the others, arm_gcd needs consecutive arms, odd_prime_order an odd
+    # prime k_plus + k_minus, and power_cube arms (4k + 2, 1).
+    assert [cid for cid, shape in calls if shape.n == 1] == [  # q = 5, prime, n odd
+        "geometry", "quadratic_balance", "char4_literal", "quartic_generic", "power_square", "vandermonde",
     ]
-    assert [cid for cid, shape in calls if shape.n == 6] == [  # q = 25, composite
-        "arm_gcd", "power_square", "power_cube", "psquare",
+    assert [cid for cid, shape in calls if shape.n == 6] == [  # q = 25, composite, n even
+        "power_square", "psquare",
     ]
     assert all(o.status is not CriterionStatus.RULED_OUT for o in outcome_rows(run)[6])
 

@@ -23,7 +23,7 @@ from quasicross.criteria import (
     check_vandermonde,
     outcomes,
 )
-from quasicross.numtheory import discrete_log, is_prime
+from quasicross.numtheory import discrete_log, is_prime, legendre, quartic_class
 from quasicross.search import SearchStatus, count_splittings, find_splitting
 from quasicross.splitting import QuasiCrossShape, interval_multipliers, multiplier_set
 
@@ -572,3 +572,63 @@ def test_criterion_order():
         "psquare",
         "divisors",
     )
+
+
+def test_walk_rules_name_only_criteria():
+    # A misspelt id in a rule table would gate nothing.
+    for rules in (criteria.PRIME_Q_ONLY, criteria.COMPOSITE_Q_ONLY, criteria.ODD_N_ONLY, criteria.LAST_FIRING_N):
+        assert set(rules) <= set(CRITERION_ORDER), set(rules) - set(CRITERION_ORDER)
+
+
+def test_class_table_and_its_readers_match_legendre_and_quartic_class():
+    # On every shape with k_plus <= 7 at every prime q < 3000 it meets, at
+    # odd and even n: the class table names each multiplier's classes as
+    # numtheory.legendre and quartic_class do, and the three criteria that
+    # read it give the outcomes those two define, so check prints the same
+    # rows.  At composite q there is no table.
+    primes = 0
+    for k_plus in range(1, 8):
+        for k_minus in range(1, k_plus + 1):
+            for n in range(1, 2999 // (k_plus + k_minus) + 1):
+                sh = shape(k_plus, k_minus, n)
+                q = sh.group_order
+                if not is_prime(q):
+                    with pytest.raises(ValueError, match=rf"^class table needs a prime group order, got q={q}$"):
+                        sh.class_table
+                    continue
+                primes += 1
+                residues = multiplier_set(sh).residues
+                table = sh.class_table
+                symbols = [legendre(r, q) for r in residues]
+                squares = symbols.count(1)
+                assert [1 if t * t % q == 1 and (q % 4 == 1 or t == 1) else -1 for t in table] == symbols
+                balanced = squares == len(residues) - squares
+                assert check_quadratic_balance(sh) == (
+                    "quadratic_balance",
+                    INCONCLUSIVE if n % 2 == 0 or balanced else RULED_OUT,
+                    {"qr": squares, "qnr": len(residues) - squares},
+                )
+                if q % 4 == 1:
+                    classes = [quartic_class(r, q) for r in residues]
+                    assert [0 if t == 1 else 2 if t == q - 1 else 1 if 2 * t < q else 3 for t in table] == classes
+                    counts = tuple(map(classes.count, range(4)))
+                    paired = counts[0] == counts[2] and counts[1] == counts[3]
+                    if n % 2 == 0:
+                        assert check_quartic_generic(sh).status is INAPPLICABLE
+                    elif paired:
+                        assert check_quartic_generic(sh) == ("quartic_generic", INCONCLUSIVE, {"classes": counts})
+                    else:
+                        assert check_quartic_generic(sh) == (
+                            "quartic_generic", RULED_OUT, {"classes": counts, "q": q}
+                        )
+                if (k_plus, k_minus) == (3, 1) and n % 2 == 1:
+                    assert check_char4_literal(sh).witness == {"q": q, "six_pow_n": pow(6, n, q)}
+    assert primes == 3408
+
+
+def test_class_table_holds_each_root_of_one_once():
+    # q = 100003 is prime and 3 mod 4, so the 100002 entries are the two
+    # square roots of 1, each one int object, not one object per entry.
+    table = shape(100001, 1, 1).class_table
+    assert len(table) == 100002 and set(table) == {1, 100002}
+    assert len(set(map(id, table))) == 2
