@@ -13,31 +13,28 @@ accepts certificates, each a Splitting and so verified when it was built,
 and the trivial dimension.
 
 At each dimension Verdicts.firings calls the criteria in reporting order,
-each only where it can fire (criteria.PRIME_Q_ONLY, COMPOSITE_Q_ONLY,
-ODD_N_ONLY and LAST_FIRING_N: the class of q, the parity of n and the shape
-with its last n), and yields the outcomes that fire, each computed only when
-asked for.  A skipped criterion would not have fired, so the firings are
-those of criteria.outcomes.  A verdict needs only the first, so
-Verdicts.verdict calls the criteria only up to that one; a dimension with
-tiling evidence thus runs every criterion that can fire there unless one
-fires, and a firing there aborts the run as a contradiction either way.  summarize counts the
-rest of the same walk after taking its verdict, so each dimension is walked
-once.
+each only where it can fire (criteria.last_firing_n: the arms, the class of
+q and the parity of n give each criterion its last n), and yields the
+outcomes that fire, each computed only when asked for.  A skipped criterion
+would not have fired, so the firings are those of criteria.outcomes.  A
+verdict needs only the first, so Verdicts.verdict calls the criteria only up
+to that one; a dimension with tiling evidence thus runs every criterion that
+can fire there unless one fires, and a firing there aborts the run as a
+contradiction either way.  summarize counts the rest of the same walk after
+taking its verdict, so each dimension is walked once.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from math import inf
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import criteria
-from .criteria import COMPOSITE_Q_ONLY, CRITERION_ORDER, LAST_FIRING_N, ODD_N_ONLY, PRIME_Q_ONLY
-from .criteria import CriterionOutcome, VerdictStatus, check_divisors
+from .criteria import CRITERION_ORDER, CriterionOutcome, VerdictStatus, check_divisors
 from .criteria import _NO_TILING, _RULED_OUT, _TILES, _UNKNOWN
 from .numtheory import is_prime
-from .splitting import QuasiCrossShape, Splitting, check_arms, from_json_line, to_json_line
+from .splitting import QuasiCrossShape, Splitting, from_json_line, to_json_line
 
 __all__ = [
     "ClassificationRun",
@@ -227,21 +224,24 @@ class Verdicts(dict):
 
     The constructor checks the inputs of a classification up to n_max, the
     largest dimension a caller will ask for, before any dimension is
-    classified: k_plus, k_minus and n_max are ints (not bools), the arms
-    satisfy 1 <= k_minus <= k_plus, n_max >= 1 and the group order of n_max
-    fits in 64 bits.
+    classified: k_plus, k_minus and n_max are ints (not bools), they make a
+    QuasiCrossShape (1 <= k_minus <= k_plus and n_max >= 1) and its group
+    order fits in 64 bits.
     Registry and certificate entries are Splittings, verified when they were
     built, and are used as they are; entries for other shapes are ignored.
     Dimension 1 always tiles (S = {1} splits trivially); a registry or
     certificate hit yields Tiles.
 
     It also builds the verdict walk from criteria.SHAPE_CRITERIA as it
-    reads then: each check that can fire for the shape paired with the last
-    n at which it can, in a head of the criteria before the first that needs
-    one class of q or one parity of n, and a tail for each class of q and
-    parity of n, keyed (q prime, n odd), with the rest that can fire there.
-    The tables hold the checks only, not the memo, so no reference cycle
-    keeps a memo alive after its run.
+    reads then and criteria.last_firing_n alone.  Each class of q and
+    parity of n, keyed (q prime, n odd), walks the checks whose last n
+    there is above 0.  The head, the longest prefix of the four class walks
+    that they share, holds each of its checks paired with its last n.  The
+    tails hold the rest of each class walk as bare checks: the one
+    criterion last_firing_n bounds in n comes first in reporting order and
+    can fire in every class, so it always sits in the head.  The tables
+    hold the checks only, not the memo, so no reference cycle keeps a memo
+    alive after its run.
     """
 
     def __init__(
@@ -255,12 +255,9 @@ class Verdicts(dict):
         super().__init__()
         if not all(type(v) is int for v in (k_plus, k_minus, n_max)):
             raise ValueError(f"k_plus, k_minus and n_max must be ints, got {k_plus!r}, {k_minus!r}, {n_max!r}")
-        check_arms(k_plus, k_minus)
-        if n_max < 1:
-            raise ValueError(f"n_max must be >= 1, got {n_max}")
         # numtheory refuses moduli past 64 bits, so a walk to a larger q could
         # never reach its end; refuse it before the first dimension.
-        q_max = n_max * (k_plus + k_minus) + 1
+        q_max = QuasiCrossShape(k_plus, k_minus, n_max).group_order
         if q_max.bit_length() > 64:
             raise ValueError(f"dimensions up to {n_max} reach q={q_max}; group orders must fit in 64 bits")
         self.k_plus = k_plus
@@ -274,18 +271,19 @@ class Verdicts(dict):
             if (cert.k_plus, cert.k_minus) == (k_plus, k_minus)
         }
         self.evidence[1] = TilesSource.TRIVIAL
-        last = {cid: last_n(k_plus, k_minus) for cid, last_n in LAST_FIRING_N.items()}
-        walk = [(cid, (last.get(cid, inf), check)) for cid, check in criteria.SHAPE_CRITERIA
-                if last.get(cid, inf) > 0]
-        gated = PRIME_Q_ONLY | COMPOSITE_Q_ONLY | ODD_N_ONLY
-        split = next(i for i, (cid, _) in enumerate(walk) if cid in gated)
-        self.head = tuple(step for _, step in walk[:split])
-        self.tails = {
-            (prime, odd): tuple(step for cid, step in walk[split:]
-                                if cid not in (COMPOSITE_Q_ONLY if prime else PRIME_Q_ONLY)
-                                and (odd or cid not in ODD_N_ONLY))
-            for prime in (True, False) for odd in (True, False)
-        }
+        walks = {}
+        for prime in (True, False):
+            for odd in (True, False):
+                last = criteria.last_firing_n(k_plus, k_minus, prime, odd)
+                walks[prime, odd] = [(last[cid], check) for cid, check in criteria.SHAPE_CRITERIA
+                                     if last[cid] > 0]
+        # The four walks can agree on all of the shortest, as for arms (1, 1);
+        # the head is then that whole walk.
+        shortest = min(walks.values(), key=len)
+        split = next((i for i, step in enumerate(shortest)
+                      if any(walk[i] != step for walk in walks.values())), len(shortest))
+        self.head = tuple(shortest[:split])
+        self.tails = {key: tuple(check for _, check in walk[split:]) for key, walk in walks.items()}
 
     def __missing__(self, n: int) -> VerdictStatus:
         return self.verdict(QuasiCrossShape(self.k_plus, self.k_minus, n)).status
@@ -294,10 +292,11 @@ class Verdicts(dict):
         """Each outcome that rules shape out, in reporting order, each
         computed only when asked for; shape has this memo's arms.
 
-        The criteria run in reporting order, each only where it can fire:
-        the head, then one primality test of q and the tail for q's class
-        and n's parity, with the divisor recursion last for composite q,
-        reading this memo.
+        The criteria run in reporting order, each only where
+        criteria.last_firing_n lets it fire: the head up to each check's
+        last n, then one primality test of q and the tail for q's class and
+        n's parity, with the divisor recursion last for composite q, reading
+        this memo.
         A skipped criterion cannot fire, so the outcomes are the firing ones
         of criteria.outcomes(shape, self).
         """
@@ -306,8 +305,8 @@ class Verdicts(dict):
             if n <= last and (out := check(shape)).status is _RULED_OUT:
                 yield out
         prime = is_prime(shape.group_order)
-        for last, check in self.tails[prime, n % 2 == 1]:
-            if n <= last and (out := check(shape)).status is _RULED_OUT:
+        for check in self.tails[prime, n % 2 == 1]:
+            if (out := check(shape)).status is _RULED_OUT:
                 yield out
         if not prime and (out := check_divisors(shape, self)).status is _RULED_OUT:
             yield out

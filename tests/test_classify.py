@@ -1,5 +1,6 @@
 import json
 import re
+from math import inf
 
 import pytest
 from hypothesis import example, given, settings
@@ -151,15 +152,25 @@ def outcome_rows(run):
 
 
 def can_fire(cid, shape):
-    """Whether the walk's rules (criteria.PRIME_Q_ONLY, COMPOSITE_Q_ONLY,
-    ODD_N_ONLY and LAST_FIRING_N) let criterion cid fire at shape."""
-    prime = is_prime(shape.group_order)
-    if (cid in criteria.PRIME_Q_ONLY and not prime) or (cid in criteria.COMPOSITE_Q_ONLY and prime):
-        return False
-    if cid in criteria.ODD_N_ONLY and shape.n % 2 == 0:
-        return False
-    last_n = criteria.LAST_FIRING_N.get(cid)
-    return last_n is None or shape.n <= last_n(shape.k_plus, shape.k_minus)
+    """Whether the walk's rule, criteria.last_firing_n, lets criterion cid
+    fire at shape."""
+    last = criteria.last_firing_n(shape.k_plus, shape.k_minus, is_prime(shape.group_order), shape.n % 2 == 1)
+    return shape.n <= last[cid]
+
+
+def test_walk_head_holds_the_only_criterion_bounded_in_n():
+    # The tails call their checks at every n of their class, which is sound
+    # only while geometry, the one criterion whose last n is finite, sits in
+    # the head: geometry, then arm_gcd for consecutive arms.
+    for k_plus in range(1, 8):
+        for k_minus in range(1, k_plus + 1):
+            head = [check for _, check in Verdicts(k_plus, k_minus, 1).head]
+            assert head == [criteria.check_geometry] + [criteria.check_arm_gcd] * (k_minus == k_plus - 1)
+            for prime in (True, False):
+                for odd in (True, False):
+                    last = criteria.last_firing_n(k_plus, k_minus, prime, odd)
+                    assert last.pop("geometry") >= 1
+                    assert not [cid for cid, n in last.items() if 0 < n < inf], (k_plus, k_minus, last)
 
 
 def test_verdicts_independent_of_criterion_order():
@@ -248,21 +259,18 @@ def test_verdicts_stop_at_the_first_firing_criterion(monkeypatch, counting_crite
     n_max = 500
     for kp, km in ((3, 1), (3, 2)):
         classify_range(kp, km, n_max, registry=default_registry(kp, km))
-    walk = [(cid, shape, is_prime(shape.group_order)) for cid, shape in calls]
-    # The walk calls a criterion only where its rule lets it fire.
-    assert not [shape for cid, shape, prime in walk if cid in criteria.PRIME_Q_ONLY and not prime]
-    assert not [shape for cid, shape, prime in walk if cid == "psquare" and prime]
+    # The walk calls a criterion only where its rule lets it fire: the class
+    # of q, the parity of n, the arms and geometry's bound.
+    assert not [(cid, shape) for cid, shape in calls if not can_fire(cid, shape)]
     # geometry's bound is n = 2 for both shapes.
-    geometry = sorted(shape for cid, shape, _ in walk if cid == "geometry")
+    geometry = sorted(shape for cid, shape in calls if cid == "geometry")
     assert geometry == [(3, 1, 1), (3, 1, 2), (3, 2, 1), (3, 2, 2)]
     # arm_gcd rules out every prime q of (3,2), so the walk never scans
     # power sums there.
-    assert not [shape for cid, shape, _ in walk if cid == "vandermonde" and shape.k_minus == 2]
-    # The character criteria that need n odd run only there, and each shape
-    # calls only the criteria that can fire for its arms; (3,2) calls none
-    # after arm_gcd at prime q.
-    assert not [shape for cid, shape, _ in walk if cid in criteria.ODD_N_ONLY and shape.n % 2 == 0]
-    called = {km: {cid for cid, shape, _ in walk if shape.k_minus == km} for km in (1, 2)}
+    assert not [shape for cid, shape in calls if cid == "vandermonde" and shape.k_minus == 2]
+    # Each shape calls only the criteria that can fire for its arms; (3,2)
+    # calls none after arm_gcd at prime q.
+    called = {km: {cid for cid, shape in calls if shape.k_minus == km} for km in (1, 2)}
     assert called == {
         1: {"geometry", "quadratic_balance", "char4_literal", "quartic_generic", "power_square", "vandermonde",
             "psquare", "divisors"},
@@ -335,7 +343,7 @@ def test_classify_range_refuses_q_past_64_bits():
     # 4n + 1 >= 2**64 from n = 2**62 on; refused at once, not after a walk.
     with pytest.raises(ValueError, match="group orders must fit in 64 bits"):
         classify_range(3, 1, 2**62)
-    with pytest.raises(ValueError, match="^n_max must be >= 1, got 0$"):
+    with pytest.raises(ValueError, match="^dimension must be >= 1, got 0$"):
         classify_range(3, 1, 0)
 
 
@@ -947,7 +955,7 @@ def test_report_csv_row_content():
 
 
 def test_summarize_empty_rejected():
-    with pytest.raises(ValueError, match="^n_max must be >= 1, got 0$"):
+    with pytest.raises(ValueError, match="^dimension must be >= 1, got 0$"):
         summarize(3, 1, 0)
     empty = ClassificationRun(3, 1, 0, ())
     # The reports of a run with no verdicts are their header lines.

@@ -774,12 +774,17 @@ def test_readme_commands_run(tmp_path, monkeypatch, capsys):
         assert code == 0, (argv, err)
 
 
-def reproduce_tables():
-    path = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_tables.py"
-    spec = importlib.util.spec_from_file_location("reproduce_tables", path)
+def load_script(name):
+    """The module scripts/<name>.py, loaded from its file."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
     return script
+
+
+def reproduce_tables():
+    return load_script("reproduce_tables")
 
 
 def test_reproduce_tables_prints_both_summaries(capsys):
@@ -802,3 +807,32 @@ def test_reproduce_tables_rejects_nonpositive_max_n(capsys):
             script.main(["--max-n", value])
         assert exc.value.code != 0
         assert "--max-n" in capsys.readouterr().err
+
+
+def test_code_lines_counts_code_not_docstrings_or_comments(tmp_path):
+    # Every code-line figure quoted for the package comes from this count.
+    # A line counts once however many tokens it holds, and a token spanning
+    # lines counts on each; docstrings, lone strings and comments do not.
+    module = tmp_path / "module.py"
+    module.write_text(
+        '''"""Module docstring."""
+
+
+def f(x):
+    """Two-line
+    docstring."""
+    # A comment line.
+    x += 1  # A trailing comment.
+    y = """one
+    two"""
+    return max(
+        x,
+        len(y),
+    )
+
+
+"A lone string statement."
+''',
+        encoding="utf-8",
+    )
+    assert load_script("code_lines").code_lines(module) == 8

@@ -575,9 +575,14 @@ def test_criterion_order():
 
 
 def test_walk_rules_name_only_criteria():
-    # A misspelt id in a rule table would gate nothing.
-    for rules in (criteria.PRIME_Q_ONLY, criteria.COMPOSITE_Q_ONLY, criteria.ODD_N_ONLY, criteria.LAST_FIRING_N):
-        assert set(rules) <= set(CRITERION_ORDER), set(rules) - set(CRITERION_ORDER)
+    # The walk's rule gives every criterion one entry, in reporting order,
+    # and names nothing else, on every shape, class of q and parity of n; a
+    # misspelt id would gate nothing.
+    for k_plus in range(1, 8):
+        for k_minus in range(1, k_plus + 1):
+            for prime in (True, False):
+                for odd in (True, False):
+                    assert tuple(criteria.last_firing_n(k_plus, k_minus, prime, odd)) == CRITERION_ORDER
 
 
 def test_class_table_and_its_readers_match_legendre_and_quartic_class():
