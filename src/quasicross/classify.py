@@ -2,7 +2,7 @@
 packaged copy is the registry of known tilings), summaries and report
 emission.
 
-Every verdict is made by Verdicts.verdict, on a memo that maps n to the
+Every verdict is recorded by Verdicts.verdict, in a memo that maps n to the
 status of each dimension classified so far and is the divisor recursion's
 oracle.  A dimension the recursion reads that the memo does not hold yet is
 classified on that lookup, and every reachable n' satisfies n' < n, so the
@@ -12,26 +12,28 @@ Unknown is the default: the pipeline never guesses existence, it only
 accepts certificates, each a Splitting and so verified when it was built,
 and the trivial dimension.
 
-At each dimension Verdicts.firings calls the criteria in reporting order,
-each only where it can fire (criteria.last_firing_n: the arms, the class of
-q and the parity of n give each criterion its last n), and yields the
-outcomes that fire, each computed only when asked for.  A skipped criterion
-would not have fired, so the firings are those of criteria.outcomes.  A
-verdict needs only the first, so Verdicts.verdict calls the criteria only up
+At each dimension Verdicts.walk calls the criteria in reporting order, each
+only where it can fire (criteria.last_firing_n: the arms, the class of q and
+the parity of n give each criterion its last n), and returns the first
+outcome that fires with the step after it, from which the same walk resumes.
+A skipped criterion would not have fired, so the walk, resumed after each
+outcome it returns, returns the firing outcomes of criteria.outcomes.  A
+verdict needs only the first, so classify_range calls the criteria only up
 to that one; a dimension with tiling evidence thus runs every criterion that
 can fire there unless one fires, and a firing there aborts the run as a
-contradiction either way.  summarize counts the rest of the same walk after
-taking its verdict, so each dimension is walked once.
+contradiction either way.  summarize resumes the walk after the verdict's
+outcome to count the rest, so each dimension is walked once.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
+from weakref import proxy
 
 from . import criteria
-from .criteria import CRITERION_ORDER, CriterionOutcome, VerdictStatus, check_divisors
+from .criteria import CRITERION_ORDER, CriterionOutcome, VerdictStatus
 from .criteria import _NO_TILING, _RULED_OUT, _TILES, _UNKNOWN
 from .numtheory import is_prime
 from .splitting import QuasiCrossShape, Splitting, from_json_line, to_json_line
@@ -233,15 +235,15 @@ class Verdicts(dict):
     certificate hit yields Tiles.
 
     It also builds the verdict walk from criteria.SHAPE_CRITERIA as it
-    reads then and criteria.last_firing_n alone.  Each class of q and
-    parity of n, keyed (q prime, n odd), walks the checks whose last n
-    there is above 0.  The head, the longest prefix of the four class walks
-    that they share, holds each of its checks paired with its last n.  The
-    tails hold the rest of each class walk as bare checks: the one
-    criterion last_firing_n bounds in n comes first in reporting order and
-    can fire in every class, so it always sits in the head.  The tables
-    hold the checks only, not the memo, so no reference cycle keeps a memo
-    alive after its run.
+    reads then, the divisor recursion reading this memo, and
+    criteria.last_firing_n alone.  Each class of q and parity of n, keyed
+    (q prime, n odd), walks the checks whose last n there is above 0.  The
+    head, the longest prefix of the four class walks that they share, holds
+    each of its checks paired with its last n.  The tails hold the rest of
+    each class walk as bare checks: the one criterion last_firing_n bounds
+    in n comes first in reporting order and can fire in every class, so it
+    always sits in the head.  The recursion reads the memo through a weak
+    proxy, so no reference cycle keeps a memo alive after its run.
     """
 
     def __init__(
@@ -271,12 +273,13 @@ class Verdicts(dict):
             if (cert.k_plus, cert.k_minus) == (k_plus, k_minus)
         }
         self.evidence[1] = TilesSource.TRIVIAL
+        oracle, check_divisors = proxy(self), criteria.check_divisors
+        checks = (*criteria.SHAPE_CRITERIA, ("divisors", lambda shape: check_divisors(shape, oracle)))
         walks = {}
         for prime in (True, False):
             for odd in (True, False):
                 last = criteria.last_firing_n(k_plus, k_minus, prime, odd)
-                walks[prime, odd] = [(last[cid], check) for cid, check in criteria.SHAPE_CRITERIA
-                                     if last[cid] > 0]
+                walks[prime, odd] = [(last[cid], check) for cid, check in checks if last[cid] > 0]
         # The four walks can agree on all of the shortest, as for arms (1, 1);
         # the head is then that whole walk.
         shortest = min(walks.values(), key=len)
@@ -286,59 +289,56 @@ class Verdicts(dict):
         self.tails = {key: tuple(check for _, check in walk[split:]) for key, walk in walks.items()}
 
     def __missing__(self, n: int) -> VerdictStatus:
-        return self.verdict(QuasiCrossShape(self.k_plus, self.k_minus, n)).status
+        shape = QuasiCrossShape(self.k_plus, self.k_minus, n)
+        return self.verdict(shape, self.walk(shape)[0]).status
 
-    def firings(self, shape: QuasiCrossShape) -> Iterator[CriterionOutcome]:
-        """Each outcome that rules shape out, in reporting order, each
-        computed only when asked for; shape has this memo's arms.
+    def walk(self, shape: QuasiCrossShape, start: int = 0) -> tuple[CriterionOutcome | None, int]:
+        """The first outcome that rules shape out at step start of shape's
+        walk or after it, and the step after that outcome; None and the
+        walk's length if none does.  shape has this memo's arms.
 
-        The criteria run in reporting order, each only where
+        The walk calls the criteria in reporting order, each only where
         criteria.last_firing_n lets it fire: the head up to each check's
         last n, then one primality test of q and the tail for q's class and
-        n's parity, with the divisor recursion last for composite q, reading
-        this memo.
-        A skipped criterion cannot fire, so the outcomes are the firing ones
-        of criteria.outcomes(shape, self).
+        n's parity, which at composite q ends with the divisor recursion
+        reading this memo.  A skipped criterion cannot fire, so the walk
+        from step 0, resumed after each outcome it returns, returns the
+        firing outcomes of criteria.outcomes(shape, self), in order.
         """
         n = shape.n
-        for last, check in self.head:
+        step = start
+        for last, check in self.head[start:]:
+            step += 1
             if n <= last and (out := check(shape)).status is _RULED_OUT:
-                yield out
-        prime = is_prime(shape.group_order)
-        for check in self.tails[prime, n % 2 == 1]:
+                return out, step
+        tail = self.tails[is_prime(shape.group_order), n % 2 == 1]
+        for check in tail[step - len(self.head):]:
+            step += 1
             if (out := check(shape)).status is _RULED_OUT:
-                yield out
-        if not prime and (out := check_divisors(shape, self)).status is _RULED_OUT:
-            yield out
+                return out, step
+        return None, step
 
-    def verdict(self, shape: QuasiCrossShape, firings: Iterator[CriterionOutcome] | None = None) -> Verdict:
-        """Classify shape's dimension and record its status; shape has this
-        memo's arms, and firings, when given, are its firing outcomes in
-        reporting order, as self.firings(shape) yields them.
+    def verdict(self, shape: QuasiCrossShape, fired: CriterionOutcome | None) -> Verdict:
+        """Record the verdict of shape's dimension and return it; shape has
+        this memo's arms, and fired is its first firing outcome in reporting
+        order, or None if none fires, as self.walk(shape) finds it.
 
-        Tiling evidence yields Tiles; otherwise the first firing outcome
-        yields NoTiling; otherwise Unknown.  Only the first is taken, so
-        the rest of firings is left for the caller.  At a dimension with
-        tiling evidence every criterion that can fire there runs, unless one
-        fires, which raises ContradictionError and records nothing.
+        Tiling evidence yields Tiles; otherwise fired yields NoTiling;
+        otherwise Unknown.  At a dimension with tiling evidence the walk
+        runs every criterion that can fire there, unless one fires, which
+        raises ContradictionError here and records nothing.
         """
-        fired = next(self.firings(shape) if firings is None else firings, None)
-        tiles_source = self.evidence.get(shape.n)
+        n = shape.n
+        tiles_source = self.evidence.get(n)
         if tiles_source is not None:
             if fired is not None:
-                raise ContradictionError(shape.n, tiles_source, fired)
-            verdict = Verdict(shape.n, shape.group_order, _TILES, source=tiles_source)
+                raise ContradictionError(n, tiles_source, fired)
+            verdict = Verdict(n, shape.group_order, _TILES, tiles_source)
         elif fired is not None:
-            verdict = Verdict(
-                shape.n,
-                shape.group_order,
-                _NO_TILING,
-                criterion_id=fired.criterion_id,
-                witness=fired.witness,
-            )
+            verdict = Verdict(n, shape.group_order, _NO_TILING, None, fired.criterion_id, fired.witness)
         else:
-            verdict = Verdict(shape.n, shape.group_order, _UNKNOWN)
-        self[shape.n] = verdict.status
+            verdict = Verdict(n, shape.group_order, _UNKNOWN)
+        self[n] = verdict.status
         return verdict
 
 
@@ -350,11 +350,14 @@ def classify_range(
     certificates: Sequence[Splitting] = (),
 ) -> ClassificationRun:
     """Classify every dimension 1..n_max for one shape, in ascending order,
-    with Verdicts.verdict; the inputs are checked first, as Verdicts
-    describes.  The first contradiction aborts the run."""
+    with Verdicts.walk and Verdicts.verdict; the inputs are checked first,
+    as Verdicts describes.  The first contradiction aborts the run."""
     memo = Verdicts(k_plus, k_minus, n_max, registry, certificates)
-    shapes = (QuasiCrossShape(k_plus, k_minus, n) for n in range(1, n_max + 1))
-    return ClassificationRun(k_plus, k_minus, n_max, tuple(map(memo.verdict, shapes)))
+    verdicts = []
+    for n in range(1, n_max + 1):
+        shape = QuasiCrossShape(k_plus, k_minus, n)
+        verdicts.append(memo.verdict(shape, memo.walk(shape)[0]))
+    return ClassificationRun(k_plus, k_minus, n_max, tuple(verdicts))
 
 
 class Summary(NamedTuple):
@@ -397,23 +400,24 @@ def summarize(
     (independent of the first-fired attribution), and residue-class sanity
     lines.
 
-    Each dimension is walked once, by Verdicts.firings: its verdict takes
-    the first firing outcome and the independent counts take that one and
-    the rest of the same walk, so each criterion runs once at each n where
-    it can fire.  None fires where the verdict is tiles or unknown.
+    Each dimension is walked once, by Verdicts.walk: its verdict takes the
+    first firing outcome, and the independent counts take that one and each
+    one the walk, resumed after it, returns next, so each criterion runs
+    once at each n where it can fire.  None fires where the verdict is tiles
+    or unknown.
     """
     memo = Verdicts(k_plus, k_minus, n_max, registry, certificates)
     first_fired = dict.fromkeys(CRITERION_ORDER, 0)
     independent = dict.fromkeys(CRITERION_ORDER, 0)
     for n in range(1, n_max + 1):
         shape = QuasiCrossShape(k_plus, k_minus, n)
-        walk = memo.firings(shape)
-        cid = memo.verdict(shape, walk).criterion_id
-        if cid is not None:
-            first_fired[cid] += 1
-            independent[cid] += 1
-            for out in walk:
-                independent[out.criterion_id] += 1
+        fired, step = memo.walk(shape)
+        memo.verdict(shape, fired)
+        if fired is not None:
+            first_fired[fired.criterion_id] += 1
+        while fired is not None:
+            independent[fired.criterion_id] += 1
+            fired, step = memo.walk(shape, step)
     # The recursion reads only smaller dimensions, so the memo holds exactly
     # 1..n_max, in ascending order.
     tiles_dims = tuple(n for n, status in memo.items() if status is _TILES)

@@ -127,15 +127,15 @@ def _cmd_classify(args) -> int:
 def _cmd_check(args) -> int:
     memo = Verdicts(args.kplus, args.kminus, args.n, *_evidence(args))
     # classify_range over 1..n stops at the first evidence dimension where a
-    # criterion fires.  Classifying the evidence dimensions below n in
-    # ascending order raises that same contradiction: each reaches only
-    # smaller dimensions, whose evidence is then classified already.
+    # criterion fires.  Reading the evidence dimensions below n in ascending
+    # order classifies each and raises that same contradiction: each reaches
+    # only smaller dimensions, whose evidence is then classified already.
     for m in sorted(m for m in memo.evidence if m < args.n):
-        memo.verdict(QuasiCrossShape(args.kplus, args.kminus, m))
+        memo[m]
     shape = QuasiCrossShape(args.kplus, args.kminus, args.n)
     # Every row is printed, and the verdict is the first that fires.
     rows = tuple(outcomes(shape, memo))
-    verdict = memo.verdict(shape, (out for out in rows if out.fired))
+    verdict = memo.verdict(shape, next((out for out in rows if out.fired), None))
     print(f"shape ({args.kplus},{args.kminus}) n={args.n} q={verdict.q}")
     if verdict.source is not None:
         print(f"verdict: {verdict.status.value} ({verdict.source.value})")

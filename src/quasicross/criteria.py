@@ -218,13 +218,14 @@ def check_power_cube(shape: QuasiCrossShape) -> CriterionOutcome:
 
 # Values of t scanned at a time by _first_zero for three or more terms: the
 # length of the packed rows, built once per class.  The outcome does not
-# depend on it.  Timed as the CPU time of check_vandermonde on the 564
+# depend on it.  Timed as the CPU time of check_vandermonde on the 565
 # dimensions whose scan the classify walk of (3,1) and (3,2) up to n = 4000
 # reaches, best of 25 in three interleaved runs (Python 3.11, shared 2-vCPU
-# Xeon VM): 64 took 0.042-0.050 s, 32 and 128 0.053-0.059 s, 256
-# 0.064-0.071 s.  On all 8000 dimensions of those shapes, best of 7: 64
-# 0.113 s, 128 0.122 s, 32 0.143 s, 256 0.152 s.  Shorter rows cost more
-# blocks, longer ones a longer row build than most scans use.
+# Xeon VM): 64 took 0.028-0.029 s, 32 0.032-0.033 s, 128 0.031-0.033 s, 256
+# 0.037-0.039 s.  On all 8000 dimensions of those shapes, best of 7: 64
+# 0.072-0.077 s, 128 0.078-0.083 s, 32 0.083-0.087 s, 256 0.098-0.103 s.
+# Shorter rows cost more blocks, longer ones a longer row build than most
+# scans use.
 _VANDERMONDE_BLOCK = 64
 
 
@@ -232,6 +233,19 @@ def _geometric_row(first: int, ratio: int, length: int, q: int) -> list[int]:
     """[first * ratio**t % q for t in range(length)]."""
     x = first % q
     return [x] + [x := x * ratio % q for _ in range(length - 1)]
+
+
+@lru_cache(maxsize=None)
+def _lane_words(block: int, stride: int, width: int):
+    """The packer of block lanes of stride bits each (one 64-bit word of
+    value, zero bytes after it), the word with 1 in every lane, the word
+    with the low width bits of every lane set, and the word with bit width
+    of every lane set.  The cache has no bound, but few triples occur: the
+    block is _VANDERMONDE_BLOCK unless the bound is smaller, and stride and
+    width follow from the bit lengths of q and of the row count."""
+    lanes = struct.Struct("<" + ("Q" + "x" * (stride // 8 - 8)) * block)
+    ones = int.from_bytes(lanes.pack(*[1] * block), "little")
+    return lanes.pack, ones, ((1 << width) - 1) * ones, ones << width
 
 
 def _first_zero(terms: list[tuple[int, int]], bound: int, q: int) -> int | None:
@@ -257,25 +271,23 @@ def _first_zero(terms: list[tuple[int, int]], bound: int, q: int) -> int | None:
         return discrete_log(ratios[0], -w_last * pow(heads[0][0], -1, q), q, bound)
     block = min(_VANDERMONDE_BLOCK, bound)
     steps = [pow(r, block, q) for r in ratios]
-    width = ((len(heads) * q + 1) * q).bit_length()  # W: every lane stays below 2**W
-    stride = 64 * -(-2 * width // 64)  # bits per lane: whole words, at least 2W
-    lanes = "<" + ("Q" + "x" * (stride // 8 - 8)) * block
+    spread = len(heads) * q + 1
+    width = (spread * q).bit_length()  # W: every x_j stays below 2**W
+    stride = 64 * -(-(width + spread.bit_length()) // 64)  # bits per lane: whole words
+    pack, ones, low, flags = _lane_words(block, stride, width)
+    top = (1 << width) - 1
+    q_inverse = pow(q, -1, 1 << width)
     rows = [
-        int.from_bytes(struct.pack(lanes, *_geometric_row(w, r, block, q)), "little")
+        int.from_bytes(pack(*_geometric_row(w, r, block, q)), "little") * q_inverse & low
         for (w, _), r in zip(heads, ratios)
     ]
-    ones = int.from_bytes(struct.pack(lanes, *[1] * block), "little")
-    constant = w_last % q * ones
-    top = (1 << width) - 1
-    low = top * ones  # the low W bits of every lane
-    miss = (top - top // q) * ones  # carries a lane x * q^-1 into bit W iff q does not divide x
-    flags = ones << width  # bit W of every lane
-    q_inverse = pow(q, -1, 1 << width)
+    constant = (w_last % q * q_inverse & top) * ones
+    miss = (top - top // q) * ones  # carries a lane into bit W iff q does not divide its x_j
     coeffs = [1] * len(rows)
     for t0 in range(0, bound, block):
-        v = sum(map(mul, coeffs, rows), constant)
-        hits = flags & ~((v * q_inverse & low) + miss)
-        if hits:
+        v = (sum(map(mul, coeffs, rows), constant) & low) + miss
+        if v & flags != flags:
+            hits = flags & ~v
             t = t0 + ((hits & -hits).bit_length() - 1) // stride
             return t if t < bound else None
         coeffs = [c * s % q for c, s in zip(coeffs, steps)]
@@ -318,20 +330,29 @@ def check_vandermonde(shape: QuasiCrossShape) -> CriterionOutcome:
 
     Each row is packed into one integer, one lane per j.  Its entries lie
     below q, and q < 2**64 since is_prime refuses larger moduli, so each
-    packs as one little-endian 64-bit word.  A block then costs a few
-    big-integer operations: v = sum(c_i * R_i for i < m) + w_m * ONES holds
-    in lane j a value x_j < (m - 1) * q**2 + q, and W is chosen with
-    (m - 1) * q**2 + q < 2**W; x_j is 0 mod q exactly when t0 + j solves the
-    equation.  The lane stride is a whole number of 64-bit words and at
-    least 2W bits, so the lanes of v * q^-1 do not overlap, with q^-1 the
-    inverse of q mod 2**W.  Here q is an odd prime, and x_j = 0 (mod q) if
-    and only if x_j * q^-1 mod 2**W is at most floor((2**W - 1) / q):
-    multiplication by q^-1 permutes the residues mod 2**W and maps each
-    multiple k * q below 2**W to k (the exact-division test of T. Granlund
-    and P. L. Montgomery, "Division by invariant integers using
-    multiplication", PLDI 1994).  Adding 2**W - 1 - floor((2**W - 1) / q) to
-    each lane masked to W bits carries into bit W exactly in the lanes that
-    miss, so the lowest lane without that bit is the smallest t of the block.
+    packs as one little-endian 64-bit word.  With c_i, R_i[j] and w_m
+    reduced mod q, x_j = sum(c_i * R_i[j] for i < m) + w_m stays below
+    (m - 1) * q**2 + q, whose bit length is W, so x_j < 2**W; x_j is 0 mod q
+    exactly when t0 + j solves the equation.  Here q is an odd prime, so
+    with q^-1 the inverse of q mod 2**W, x_j = 0 (mod q) if and only if
+    x_j * q^-1 mod 2**W is at most floor((2**W - 1) / q): multiplication by
+    q^-1 permutes the residues mod 2**W and maps each multiple k * q below
+    2**W to k (the exact-division test of T. Granlund and P. L. Montgomery,
+    "Division by invariant integers using multiplication", PLDI 1994).
+
+    That multiplication is linear, so it is done once per class, not once
+    per block: each packed row is multiplied by q^-1 and masked to W bits
+    per lane, and so is the constant.  A block then costs a few
+    big-integer operations: v = sum(c_i * R'_i for i < m) + w'_m * ONES,
+    with R'_i[j] = R_i[j] * q^-1 mod 2**W and w'_m = w_m * q^-1 mod 2**W,
+    holds in lane j a value below ((m - 1) * q + 1) * 2**W and congruent to
+    x_j * q^-1 mod 2**W.  A lane therefore needs
+    W + bits((m - 1) * q + 1) bits, which also holds a packed entry below q
+    times q^-1; the lane stride is the whole number of 64-bit words that
+    covers it.  Masking every lane of v to its low W bits leaves
+    x_j * q^-1 mod 2**W, and adding 2**W - 1 - floor((2**W - 1) / q) carries
+    into bit W exactly in the lanes that miss, so the lowest lane without
+    that bit is the smallest t of the block.
     """
     q = shape.group_order
     if not is_prime(q):
@@ -472,7 +493,7 @@ def outcomes(
     criteria, then the divisor recursion reading verdict_oracle.  Every
     criterion runs, also where last_firing_n says it cannot fire, so check
     prints every row and takes its verdict from the rows that fire, and the
-    tests have an ungated reference; classify.Verdicts.firings walks only
+    tests have an ungated reference; classify.Verdicts.walk calls only
     the criteria that can fire.  Each outcome is computed only when the
     caller asks for it.  SHAPE_CRITERIA is read on every call."""
     for _, check in SHAPE_CRITERIA:

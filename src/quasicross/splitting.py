@@ -57,12 +57,17 @@ class QuasiCrossShape(namedtuple("QuasiCrossShape", "k_plus k_minus n")):
     attribute raises AttributeError."""
 
     def __new__(cls, k_plus: int, k_minus: int, n: int):
-        check_arms(k_plus, k_minus)
+        # A shape is built per dimension walked, so valid arms cost one
+        # chained comparison; check_arms is called only to raise its message.
+        if not 1 <= k_minus <= k_plus:
+            check_arms(k_plus, k_minus)
         if n < 1:
             raise ValueError(f"dimension must be >= 1, got {n}")
-        self = super().__new__(cls, k_plus, k_minus, n)
-        arm_sum = k_plus + k_minus
-        self.__dict__.update(arm_sum=arm_sum, group_order=n * arm_sum + 1)
+        # As the namedtuple's own __new__ does, without one more call.
+        self = tuple.__new__(cls, (k_plus, k_minus, n))
+        facts = self.__dict__
+        facts["arm_sum"] = arm_sum = k_plus + k_minus
+        facts["group_order"] = n * arm_sum + 1
         return self
 
     def __setattr__(self, name, value):

@@ -1,5 +1,7 @@
+import gc
 import json
 import re
+import weakref
 from math import inf
 
 import pytest
@@ -231,6 +233,58 @@ def test_independent_counts_equal_evaluate_all(k_plus, k_minus, registry):
     assert summary.first_fired == first
 
 
+def test_independent_counts_equal_ungated_counts_on_small_arms():
+    # On every shape with k_plus <= 7 to n = 600, summarize's resumed walks
+    # count each criterion's firings as calling every criterion at every n
+    # does.
+    for k_plus in range(1, 8):
+        for k_minus in range(1, k_plus + 1):
+            run = classify_range(k_plus, k_minus, 600)
+            expected = dict.fromkeys(CRITERION_ORDER, 0)
+            for row in outcome_rows(run).values():
+                for out in row:
+                    expected[out.criterion_id] += out.fired
+            assert summarize(k_plus, k_minus, 600).independent_fired == expected, (k_plus, k_minus)
+
+
+def test_a_memo_is_freed_with_its_last_reference():
+    # The walk's divisor step reads its memo through a weak proxy, so no
+    # reference cycle keeps a memo, and every status it holds, alive until
+    # the cycle collector runs.
+    gc.disable()
+    try:
+        memo = Verdicts(3, 1, 6)
+        memo[6]  # q = 25: the divisor recursion reads n' = 1
+        assert list(memo) == [1, 6]
+        ref = weakref.ref(memo)
+        del memo
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_divisor_recursion_runs_where_its_rule_lets_it(monkeypatch):
+    # The walk takes the divisor recursion from criteria.last_firing_n's
+    # divisors entry alone: by default it runs at composite q, at every such
+    # q that no shape criterion rules out first, and with the entry 0 never.
+    calls = []
+
+    def divisors(shape, oracle):
+        calls.append(shape.n)
+        return check_divisors(shape, oracle)
+
+    monkeypatch.setattr(criteria, "check_divisors", divisors)
+    run = classify_range(3, 1, 300)
+    assert calls and all(not is_prime(v.q) for v in run.verdicts if v.n in calls)
+    reached = [v.n for v in run.verdicts if not is_prime(v.q) and v.criterion_id in (None, "divisors")]
+    assert set(reached) <= set(calls)
+    last_firing_n = criteria.last_firing_n
+    monkeypatch.setattr(criteria, "last_firing_n", lambda *args: {**last_firing_n(*args), "divisors": 0})
+    del calls[:]
+    classify_range(3, 1, 300)
+    assert calls == []
+
+
 @pytest.mark.parametrize("k_minus, calls", [(1, 3079), (2, 3437)])
 def test_summarize_factorizes_each_q_once(monkeypatch, k_minus, calls):
     # One walk per dimension on one shape: each q the walk factorizes, it
@@ -255,7 +309,7 @@ def test_verdicts_stop_at_the_first_firing_criterion(monkeypatch, counting_crite
         calls.append(("divisors", shape))
         return check_divisors(shape, oracle)
 
-    monkeypatch.setattr(classify, "check_divisors", divisors)
+    monkeypatch.setattr(criteria, "check_divisors", divisors)
     n_max = 500
     for kp, km in ((3, 1), (3, 2)):
         classify_range(kp, km, n_max, registry=default_registry(kp, km))
@@ -292,14 +346,14 @@ def test_tiling_evidence_runs_every_criterion(counting_criteria):
     memo = Verdicts(3, 1, 25)
     memo.evidence[20] = TilesSource.REGISTRY
     with pytest.raises(ContradictionError) as info:
-        memo.verdict(QuasiCrossShape(3, 1, 20))
+        memo[20]
     assert info.value.n == 20
     assert info.value.outcome.criterion_id == "psquare" == CRITERION_ORDER[9]
     # (3,2) n = 4 is ruled out by the divisor recursion alone.
     memo = Verdicts(3, 2, 6)
     memo.evidence[4] = TilesSource.REGISTRY
     with pytest.raises(ContradictionError) as info:
-        memo.verdict(QuasiCrossShape(3, 2, 4))
+        memo[4]
     assert info.value.n == 4 and info.value.outcome.criterion_id == "divisors"
     # Each evidence dimension runs every shape criterion that can fire at it.
     calls = counting_criteria()
@@ -329,7 +383,7 @@ def test_memo_answers_one_dimension_as_the_walk_does(k_plus, k_minus, registry):
     for v in run.verdicts:
         memo = Verdicts(k_plus, k_minus, v.n, registry)
         sh = QuasiCrossShape(k_plus, k_minus, v.n)
-        assert memo.verdict(sh) == v
+        assert memo.verdict(sh, memo.walk(sh)[0]) == v
         assert tuple(outcomes(sh, memo)) == tuple(outcomes(sh, oracle))
         assert all(oracle[n] is status for n, status in memo.items())
 

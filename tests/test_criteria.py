@@ -149,6 +149,14 @@ def _power_sum_vanishes(sh, i):
     return sum(pow(m, i, q) for m in multiplier_set(sh).residues) % q == 0
 
 
+def _words_per_lane(rows, q):
+    """64-bit words per lane when a class of that many rows is scanned mod q:
+    W + bits(rows * q + 1) bits, with W = bits((rows * q + 1) * q), rounded
+    up to whole words."""
+    spread = rows * q + 1
+    return -(-((spread * q).bit_length() + spread.bit_length()) // 64)
+
+
 def test_vandermonde_matches_power_sum_definition(monkeypatch):
     # The lane labels below are for blocks of 64 values of t; the outcome
     # does not depend on the block length.
@@ -156,15 +164,19 @@ def test_vandermonde_matches_power_sum_definition(monkeypatch):
     sweep = [(kp, km, n) for kp in range(1, 7) for km in range(1, kp + 1) for n in range(1, 301)]
     # The first vanishing sum of these lies at exponent n + 1, just past the range.
     beyond_n = [(7, 3, 3), (7, 3, 27), (5, 3, 527)]
-    # Prime q past 2**16, so that rows * q**2 >= 2**32 and a lane spans two
-    # 64-bit words: zeros at t = 286, 193, 103, 13, 30 and 298, two shapes
-    # with no zero up to n, and classes of 3, 4 and 5 rows.
-    two_words = [
+    # Prime q past 2**16, still with one-word lanes: zeros at t = 286, 193,
+    # 103, 13, 30 and 298, two shapes with no zero up to n, and classes of 3,
+    # 4 and 5 rows.
+    large_q = [
         (3, 1, 12004), (3, 1, 12007), (5, 2, 12118), (5, 1, 12046), (5, 1, 12003),
         (6, 1, 12090), (6, 1, 12964), (6, 4, 13557),
     ]
+    # Prime q past 1.6 * 10**6, so that the lanes of a class of 2 or more
+    # rows span two 64-bit words: even-class zeros at exponents 116, 32, 58
+    # and 20, in classes of 2, 3, 4 and 5 rows.
+    two_words = [(3, 1, 843397), (4, 3, 974544), (5, 1, 395493), (6, 1, 361510)]
     seen = set()
-    for k_plus, k_minus, n in sweep + beyond_n + two_words:
+    for k_plus, k_minus, n in sweep + beyond_n + large_q + two_words:
         sh = shape(k_plus, k_minus, n)
         q = sh.group_order
         out = check_vandermonde(sh)
@@ -178,7 +190,7 @@ def test_vandermonde_matches_power_sum_definition(monkeypatch):
             continue
         # The even class scans k_plus - 1 rows when that is 2 or more, unless
         # a one-row odd class vanishes at exponent 1 and leaves nothing to scan.
-        if k_plus >= 3 and (k_plus - 1) * q * q >= 2**32 and witness != {"first_zero_power": 1}:
+        if k_plus >= 3 and _words_per_lane(k_plus - 1, q) >= 2 and witness != {"first_zero_power": 1}:
             seen.add("two-word lanes")
             if k_plus >= 4:
                 seen.add("three or more rows, two-word lanes")
@@ -239,7 +251,7 @@ def test_first_solution_matches_direct_sums(q):
     # constant term (q - target, 1), once last, where it is the term the
     # solver divides by, and once first.  One term and the constant are a
     # discrete logarithm; two and four terms and the constant are the packed
-    # scan, with lanes of 2, 2, 4 and 5 words.  The bounds are 0, the first
+    # scan, with lanes of 1, 2, 3 and 4 words.  The bounds are 0, the first
     # solution itself, one past it, and 100, which ends inside the second
     # block.
     assert is_prime(q)
@@ -544,9 +556,10 @@ def test_outcomes_are_pure():
     ids=["3-1-11", "3-1-20", "3-2-13", "2-2-9", "5-1-12", "3-1-to-600", "3-2-to-600"],
 )
 def test_firings_are_the_firing_outcomes(k_plus, k_minus, n_max, dims):
-    # The verdict walk skips the criteria that cannot fire; it must yield
-    # every firing outcome of the ungated criteria, in reporting order, on a
-    # memo that classifies the dimensions the divisor recursion reads.
+    # The verdict walk skips the criteria that cannot fire; from step 0 and
+    # resumed after each outcome it returns, it must return every firing
+    # outcome of the ungated criteria, in reporting order, on a memo that
+    # classifies the dimensions the divisor recursion reads.
     registry = default_registry(k_plus, k_minus)
     run = classify_range(k_plus, k_minus, n_max, registry=registry)
     oracle = {v.n: v.status for v in run.verdicts}
@@ -555,7 +568,12 @@ def test_firings_are_the_firing_outcomes(k_plus, k_minus, n_max, dims):
         sh = shape(k_plus, k_minus, n)
         every = tuple(outcomes(sh, oracle))
         assert [o.criterion_id for o in every] == list(CRITERION_ORDER)
-        assert tuple(memo.firings(sh)) == tuple(o for o in every if o.fired), sh
+        walked = []
+        fired, step = memo.walk(sh)
+        while fired is not None:
+            walked.append(fired)
+            fired, step = memo.walk(sh, step)
+        assert tuple(walked) == tuple(o for o in every if o.fired), sh
 
 
 def test_criterion_order():
