@@ -86,19 +86,9 @@ class ContradictionError(RuntimeError):
         )
 
 
-def _data_path(name: str) -> Path:
-    """Path of a file in the package's data directory."""
-    # Imported here, not with the module: on Python 3.12 and later
-    # importlib.resources imports inspect, which importing the package
-    # should not pay for.
-    from importlib import resources
-
-    return Path(str(resources.files("quasicross").joinpath("data", name)))
-
-
 def default_certificates_path() -> Path:
     """Certificate store shipped with the library."""
-    return _data_path("certificates.jsonl")
+    return Path(__file__).parent / "data" / "certificates.jsonl"
 
 
 def default_registry(k_plus: int, k_minus: int) -> tuple[Splitting, ...]:
@@ -224,11 +214,9 @@ class Verdicts(dict):
     classified so far, and the divisor recursion's oracle.  Reading a
     dimension it does not hold classifies that dimension first.
 
-    The constructor checks the inputs of a classification up to n_max, the
-    largest dimension a caller will ask for, before any dimension is
-    classified: k_plus, k_minus and n_max are ints (not bools), they make a
-    QuasiCrossShape (1 <= k_minus <= k_plus and n_max >= 1) and its group
-    order fits in 64 bits.
+    The constructor builds the n_max shape, n_max being the largest
+    dimension a caller will ask for, which refuses every bad run size before
+    any dimension is classified.
     Registry and certificate entries are Splittings, verified when they were
     built, and are used as they are; entries for other shapes are ignored.
     Dimension 1 always tiles (S = {1} splits trivially); a registry or
@@ -255,13 +243,7 @@ class Verdicts(dict):
         certificates: Sequence[Splitting] = (),
     ):
         super().__init__()
-        if not all(type(v) is int for v in (k_plus, k_minus, n_max)):
-            raise ValueError(f"k_plus, k_minus and n_max must be ints, got {k_plus!r}, {k_minus!r}, {n_max!r}")
-        # numtheory refuses moduli past 64 bits, so a walk to a larger q could
-        # never reach its end; refuse it before the first dimension.
-        q_max = QuasiCrossShape(k_plus, k_minus, n_max).group_order
-        if q_max.bit_length() > 64:
-            raise ValueError(f"dimensions up to {n_max} reach q={q_max}; group orders must fit in 64 bits")
+        QuasiCrossShape(k_plus, k_minus, n_max)  # refuses a bad run size before the walk is built
         self.k_plus = k_plus
         self.k_minus = k_minus
         # Tiling evidence per dimension; later entries win, so the precedence

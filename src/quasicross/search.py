@@ -61,9 +61,10 @@ The only budget is a node count (one node per candidate placement attempt;
 a spent budget of B nodes reports B nodes), and the outcomes hold no time,
 so equal arguments give equal outcomes (==, and the same hash), and an
 Exhausted or TimedOut outcome can be reproduced.
-Group orders must be ints (not bools or floats) that fit in 64 bits, as
-everywhere else in the package; any other q is refused before the candidate
-table, which has one list per residue, is built.
+The multiplier set is the place that refuses a group order: its q is an int
+(not a bool or a float) that fits in 64 bits.  The search takes only that
+q, so no other q reaches the candidate table, which has one list per
+residue.
 """
 
 from __future__ import annotations
@@ -130,12 +131,10 @@ def _candidate_table(q: int, residues: tuple[int, ...], symmetric: bool) -> list
 
 
 def _explore(q, multipliers, node_budget, stop_at_first):
-    if multipliers.q != q:
-        raise ValueError(f"multiplier set was built for q={multipliers.q}, search got q={q}")
-    # type(), not isinstance(): a bool is refused too.
-    if type(q) is not int or q.bit_length() > 64:
-        need = "fit in 64 bits" if type(q) is int else "be ints"
-        raise ValueError(f"search got q={q!r}; group orders must {need}")
+    # multipliers.q is an int below 2**64, as MultiplierSet checked; type()
+    # tells it from an equal float or bool.
+    if type(q) is not int or q != multipliers.q:
+        raise ValueError(f"multiplier set was built for q={multipliers.q}, search got q={q!r}")
     if type(node_budget) is not int or node_budget < 0:
         raise ValueError(f"node budget must be an int >= 0, got {node_budget!r}")
     residues = multipliers.residues

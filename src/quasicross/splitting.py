@@ -17,7 +17,7 @@ from collections import namedtuple
 from functools import cached_property
 from itertools import accumulate
 from math import gcd, prod
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .numtheory import factorize, is_prime
 
@@ -39,7 +39,11 @@ __all__ = [
 
 
 def check_arms(k_plus: int, k_minus: int) -> None:
-    """Raise ValueError unless the arm lengths satisfy 1 <= k_minus <= k_plus."""
+    """Raise ValueError unless the arm lengths are ints and satisfy
+    1 <= k_minus <= k_plus.  An int is tested by type(), so a bool is
+    refused too."""
+    if not type(k_plus) is type(k_minus) is int:
+        raise ValueError(f"arms must be ints, got ({k_plus!r}, {k_minus!r})")
     if k_minus < 1 or k_plus < k_minus:
         raise ValueError(f"arms must satisfy 1 <= k_minus <= k_plus, got ({k_plus}, {k_minus})")
 
@@ -49,6 +53,11 @@ class QuasiCrossShape(namedtuple("QuasiCrossShape", "k_plus k_minus n")):
     dimension n.  The cyclic group split by a lattice tiling has order
     q = n*(k_plus + k_minus) + 1.
 
+    Construction refuses, with ValueError, arms that check_arms refuses, a
+    dimension that is not an int (by type(), so a bool too) or is below 1,
+    and any q that does not fit in 64 bits, the range of numtheory's exact
+    arithmetic.  So every shape has int fields and 1 < q < 2**64.
+
     The shape is the tuple (k_plus, k_minus, n), so equality, hashing and
     repr see only those.  It also carries, in its instance __dict__, the
     facts that several criteria read: arm_sum and group_order are stored
@@ -57,17 +66,21 @@ class QuasiCrossShape(namedtuple("QuasiCrossShape", "k_plus k_minus n")):
     attribute raises AttributeError."""
 
     def __new__(cls, k_plus: int, k_minus: int, n: int):
-        # A shape is built per dimension walked, so valid arms cost one
-        # chained comparison; check_arms is called only to raise its message.
-        if not 1 <= k_minus <= k_plus:
+        # A shape is built per dimension walked, so valid input costs one
+        # chained type test, one chained comparison and one shift;
+        # check_arms is called only to raise its message.
+        if not (type(k_plus) is type(k_minus) is type(n) is int and 1 <= k_minus <= k_plus):
             check_arms(k_plus, k_minus)
+            raise ValueError(f"dimension must be an int, got {n!r}")
         if n < 1:
             raise ValueError(f"dimension must be >= 1, got {n}")
         # As the namedtuple's own __new__ does, without one more call.
         self = tuple.__new__(cls, (k_plus, k_minus, n))
         facts = self.__dict__
         facts["arm_sum"] = arm_sum = k_plus + k_minus
-        facts["group_order"] = n * arm_sum + 1
+        facts["group_order"] = q = n * arm_sum + 1
+        if q >> 64:
+            raise ValueError(f"dimensions up to {n} reach q={q}; group orders must fit in 64 bits")
         return self
 
     def __setattr__(self, name, value):
@@ -103,10 +116,13 @@ class QuasiCrossShape(namedtuple("QuasiCrossShape", "k_plus k_minus n")):
 
 
 def _check_residues(values: Sequence[int], q: int, what: str) -> None:
-    """Raise ValueError at the first value outside [1, q - 1] or seen before,
+    """Raise ValueError at the first value that is not an int (by type(), so
+    a bool is refused too), lies outside [1, q - 1] or was seen before,
     calling it a `what`."""
     seen = set()
     for v in values:
+        if type(v) is not int:
+            raise ValueError(f"{what} {v!r} is not an int")
         if not 1 <= v <= q - 1:
             raise ValueError(f"{what} {v} outside [1, {q - 1}]")
         if v in seen:
@@ -115,13 +131,23 @@ def _check_residues(values: Sequence[int], q: int, what: str) -> None:
 
 
 class MultiplierSet(namedtuple("MultiplierSet", "q residues")):
-    """Distinct nonzero residues mod q acting as multipliers."""
+    """Distinct nonzero residues mod q acting as multipliers.
+
+    Construction refuses, with ValueError, a q that is not an int (by
+    type(), so a bool too), is below 2 or does not fit in 64 bits, an empty
+    set, and a residue that is not an int, lies outside [1, q - 1] or
+    repeats.  The search takes its q from here.  residues may be any
+    iterable: it is read into the stored tuple only after q has passed."""
 
     __slots__ = ()
 
-    def __new__(cls, q: int, residues: tuple[int, ...]):
+    def __new__(cls, q: int, residues: Iterable[int]):
+        if type(q) is not int or q >> 64 > 0:
+            need = "fit in 64 bits" if type(q) is int else "be ints"
+            raise ValueError(f"multiplier set got q={q!r}; group orders must {need}")
         if q < 2:
             raise ValueError(f"group order must be >= 2, got {q}")
+        residues = tuple(residues)
         if not residues:
             raise ValueError("multiplier set must not be empty")
         _check_residues(residues, q, "multiplier residue")
@@ -131,14 +157,15 @@ class MultiplierSet(namedtuple("MultiplierSet", "q residues")):
 def interval_multipliers(k_plus: int, k_minus: int, q: int) -> MultiplierSet:
     """Residues of -k_minus..-1, 1..k_plus reduced mod q, in that order.
 
-    Raises ValueError unless 1 <= k_minus <= k_plus, and for q <= k_plus +
-    k_minus, where the residues would not be distinct; Splitting relies on
-    both checks."""
+    Raises ValueError for arms that check_arms refuses, for an int q <=
+    k_plus + k_minus, where the residues would not be distinct, and for any
+    q that MultiplierSet refuses; Splitting relies on all three."""
     check_arms(k_plus, k_minus)
-    if q <= k_plus + k_minus:
+    # Any other q reaches MultiplierSet, which refuses it before it reads
+    # the residues, so none is computed from it.
+    if type(q) is int and q <= k_plus + k_minus:
         raise ValueError(f"q={q} too small for arms ({k_plus}, {k_minus})")
-    res = [q + m for m in range(-k_minus, 0)] + list(range(1, k_plus + 1))
-    return MultiplierSet(q, tuple(res))
+    return MultiplierSet(q, (m % q for m in range(-k_minus, k_plus + 1) if m))
 
 
 def multiplier_set(shape: QuasiCrossShape) -> MultiplierSet:
@@ -237,10 +264,7 @@ class LatticeBasis(NamedTuple):
 
     @property
     def determinant(self) -> int:
-        out = 1
-        for i, row in enumerate(self.rows):
-            out *= row[i]
-        return out
+        return prod(row[i] for i, row in enumerate(self.rows))
 
 
 def phi_kernel_basis(q: int, splitters: Sequence[int]) -> list[list[int]]:

@@ -402,15 +402,25 @@ def test_classify_range_refuses_q_past_64_bits():
 
 
 @pytest.mark.parametrize(
-    "k_plus, k_minus, n_max",
-    [(3, 1, 2.5), (3.0, 1, 5), (3, 1.0, 5), (3, 1, True), (True, 1, 5), (3, 1, "5")],
+    "k_plus, k_minus, n_max, message",
+    [
+        (3, 1, 2.5, "dimension must be an int, got 2.5"),
+        (3.0, 1, 5, "arms must be ints, got (3.0, 1)"),
+        (3, 1.0, 5, "arms must be ints, got (3, 1.0)"),
+        (3, 1, True, "dimension must be an int, got True"),
+        (True, 1, 5, "arms must be ints, got (True, 1)"),
+        (3, 1, "5", "dimension must be an int, got '5'"),
+    ],
+    ids=["3-1-2.5", "3.0-1-5", "3-1.0-5", "3-1-True", "True-1-5", "3-1-5"],
 )
-def test_run_sizes_must_be_ints(k_plus, k_minus, n_max):
-    # Checked once per run, before n_max >= 1 and the 64-bit bound; a bool
-    # is refused too, so summarize cannot report "dimensions 1..True".
+def test_run_sizes_must_be_ints(k_plus, k_minus, n_max, message):
+    # The n_max shape refuses them once per run, before n_max >= 1 and the
+    # 64-bit bound; a bool is refused too, so summarize cannot report
+    # "dimensions 1..True".
     for run in (classify_range, summarize, Verdicts):
-        with pytest.raises(ValueError, match="^k_plus, k_minus and n_max must be ints, got "):
+        with pytest.raises(ValueError) as info:
             run(k_plus, k_minus, n_max)
+        assert str(info.value) == message
 
 
 def test_run_arms_are_checked_before_the_walk():

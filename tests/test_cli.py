@@ -492,13 +492,13 @@ def test_dimensions_past_64_bit_q_exit_2(capsys):
         code, out, err = invoke(capsys, *argv)
         assert (code, out, err) == (2, "", err_line), argv
     # search refuses such a q before it builds its candidate table, one list
-    # per residue; at 10**20 - 1, |M| = 4 does not divide q - 1, which would
-    # otherwise report exhausted.
+    # per residue: the multiplier set refuses it.  At 10**20 - 1, |M| = 4
+    # does not divide q - 1, which would otherwise report exhausted.
     for q in (2**64 + 1, 10**20 - 1):
         argv = ("search", "--kplus", "3", "--kminus", "1", "--q", str(q), "--node-budget", "10")
         code, out, err = invoke(capsys, *argv)
         assert (code, out) == (2, ""), argv
-        assert err == f"error: search got q={q}; group orders must fit in 64 bits\n"
+        assert err == f"error: multiplier set got q={q}; group orders must fit in 64 bits\n"
 
 
 def test_boolean_integer_fields_exit_2(tmp_path, capsys):

@@ -301,11 +301,14 @@ def test_q_past_64_bits_rejected():
 
 
 def test_q_that_is_not_an_int_rejected():
-    # A float q builds a multiplier set of equal q, so only the type tells.
-    multipliers = interval_multipliers(3, 1, 25.0)
-    with pytest.raises(ValueError, match=r"^search got q=25\.0; group orders must be ints$"):
+    # A float q builds no multiplier set, and the search takes no q but its
+    # set's own: 25.0 == 25, so only the type tells them apart.
+    with pytest.raises(ValueError, match=r"^multiplier set got q=25\.0; group orders must be ints$"):
+        interval_multipliers(3, 1, 25.0)
+    multipliers = interval_multipliers(3, 1, 25)
+    with pytest.raises(ValueError, match=r"^multiplier set was built for q=25, search got q=25\.0$"):
         find_splitting(25.0, multipliers)
-    with pytest.raises(ValueError, match=r"^search got q=25\.0; group orders must be ints$"):
+    with pytest.raises(ValueError, match=r"^multiplier set was built for q=25, search got q=25\.0$"):
         count_splittings(25.0, multipliers)
 
 

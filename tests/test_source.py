@@ -69,3 +69,20 @@ def test_every_private_module_level_name_is_used():
                 if name.startswith("_") and not name.startswith("__") and name not in used
             ]
     assert found == []
+
+
+def test_library_never_tests_an_int_with_isinstance():
+    # A bool passes isinstance(v, int), so the library tests an int by
+    # type(v) is int; the value types in splitting.py hold that rule.  This
+    # finds isinstance with int as, or in a tuple that is, its second
+    # argument.
+    found = []
+    for path, tree in _trees().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance":
+                classes = node.args[1:]
+                if classes and isinstance(classes[0], ast.Tuple):
+                    classes = classes[0].elts
+                if any(isinstance(c, ast.Name) and c.id == "int" for c in classes):
+                    found.append(f"{path}:{node.lineno}: isinstance(..., int)")
+    assert found == []

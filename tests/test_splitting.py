@@ -12,7 +12,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from quasicross import splitting
-from quasicross.classify import default_certificates_path, load_certificates
+from quasicross.classify import Verdicts, classify_range, default_certificates_path, load_certificates, summarize
+from quasicross.cli import run
 from quasicross.search import SearchStatus, find_splitting
 from quasicross.splitting import (
     MultiplierSet,
@@ -155,6 +156,106 @@ def test_structural_errors_differ_from_verification_failure():
     # message of its own
     with pytest.raises(ValueError, match=Q13_COLLISION):
         Splitting(13, 3, 1, (1, 2, 3))
+
+
+def _values(ints):
+    """Values of every kind a caller can pass where an int belongs: those of
+    the strategy ints, bools, floats and strings."""
+    return st.one_of(
+        ints,
+        st.booleans(),
+        st.sampled_from([math.nan, math.inf, -math.inf, 3.5, 3.0, 25.0]),
+        st.floats(),
+        st.text(max_size=3),
+    )
+
+
+# Ints below 0, at 0, small, either side of 2**64 and past it.
+ANY_VALUE = _values(st.one_of(st.integers(-3, 40), st.integers(2**64 - 4, 2**64 + 4), st.integers(min_value=2**64)))
+# The same without the valid arms from 41 to 2**64 - 1, whose interval
+# multiplier sets would be too long to build.
+ARM_VALUE = _values(st.one_of(st.integers(-3, 40), st.integers(min_value=2**64)))
+
+
+@settings(deadline=None, max_examples=400)
+@given(ANY_VALUE, ANY_VALUE, ANY_VALUE)
+def test_a_shape_holds_ints_and_a_64_bit_q_or_is_refused(k_plus, k_minus, n):
+    # The one gate: a run of any size is refused exactly as its n_max shape is.
+    try:
+        shape = QuasiCrossShape(k_plus, k_minus, n)
+    except ValueError as exc:
+        for run_size in (Verdicts, classify_range, summarize):
+            with pytest.raises(ValueError) as info:
+                run_size(k_plus, k_minus, n)
+            assert str(info.value) == str(exc)
+        return
+    assert all(type(v) is int for v in (*shape, shape.arm_sum, shape.group_order))
+    assert 1 <= shape.k_minus <= shape.k_plus and shape.n >= 1
+    assert shape.group_order == shape.n * (shape.k_plus + shape.k_minus) + 1 < 2**64
+
+
+def _check_multiplier_set(multipliers):
+    q, residues = multipliers
+    assert type(q) is int and 2 <= q < 2**64
+    assert type(residues) is tuple and residues
+    assert all(type(v) is int and 1 <= v < q for v in residues)
+    assert len(set(residues)) == len(residues)
+
+
+@settings(deadline=None, max_examples=400)
+@given(ANY_VALUE, st.lists(ANY_VALUE, max_size=4))
+def test_a_multiplier_set_holds_ints_and_a_64_bit_q_or_is_refused(q, residues):
+    try:
+        multipliers = MultiplierSet(q, residues)
+    except ValueError:
+        return
+    _check_multiplier_set(multipliers)
+    assert multipliers.residues == tuple(residues)
+
+
+@settings(deadline=None, max_examples=400)
+@given(ARM_VALUE, ARM_VALUE, ANY_VALUE)
+def test_interval_multipliers_hold_ints_and_a_64_bit_q_or_are_refused(k_plus, k_minus, q):
+    try:
+        multipliers = interval_multipliers(k_plus, k_minus, q)
+    except ValueError:
+        return
+    _check_multiplier_set(multipliers)
+    assert multipliers.residues == (*range(q - k_minus, q), *range(1, k_plus + 1))
+
+
+def test_the_gate_at_its_edges():
+    assert QuasiCrossShape(2**64 - 3, 1, 1).group_order == 2**64 - 1
+    with pytest.raises(
+        ValueError, match=r"^dimensions up to 1 reach q=18446744073709551616; group orders must fit in 64 bits$"
+    ):
+        QuasiCrossShape(2**64 - 2, 1, 1)
+    # Each was accepted once: group orders 10.0 and nan, residues True and 2.
+    with pytest.raises(ValueError, match=r"^arms must be ints, got \(3\.5, 1\)$"):
+        QuasiCrossShape(3.5, 1, 2)
+    with pytest.raises(ValueError, match=r"^arms must be ints, got \(3, nan\)$"):
+        QuasiCrossShape(3, math.nan, 1)
+    with pytest.raises(ValueError, match="^multiplier residue True is not an int$"):
+        MultiplierSet(5, (True, 2))
+    # This one raised TypeError from range.
+    with pytest.raises(ValueError, match=r"^arms must be ints, got \(3\.0, 1\)$"):
+        interval_multipliers(3.0, 1, 25)
+    assert MultiplierSet(2**64 - 1, (1,)).q == 2**64 - 1
+    with pytest.raises(ValueError, match="^multiplier set got q=18446744073709551616; group orders must fit in 64 bits$"):
+        MultiplierSet(2**64, (1,))
+
+
+def test_store_line_past_64_bits_is_refused_before_verification(tmp_path, monkeypatch, capsys):
+    q = 2**64 + 1
+    store = tmp_path / "big.jsonl"
+    store.write_text(json.dumps({"q": q, "k_plus": 3, "k_minus": 1, "splitters": [1]}) + "\n")
+    calls, real = [], splitting.verify_cover
+    monkeypatch.setattr(splitting, "verify_cover", lambda *args: calls.append(args) or real(*args))
+    code = run(["verify", "--certificates", str(store)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err == f"error: {store}, line 1: multiplier set got q={q}; group orders must fit in 64 bits\n"
+    assert calls == []
 
 
 def test_splitters_canonically_sorted():
