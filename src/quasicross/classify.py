@@ -222,16 +222,17 @@ class Verdicts(dict):
     Dimension 1 always tiles (S = {1} splits trivially); a registry or
     certificate hit yields Tiles.
 
-    It also builds the verdict walk from criteria.SHAPE_CRITERIA as it
-    reads then, the divisor recursion reading this memo, and
-    criteria.last_firing_n alone.  Each class of q and parity of n, keyed
-    (q prime, n odd), walks the checks whose last n there is above 0.  The
-    head, the longest prefix of the four class walks that they share, holds
-    each of its checks paired with its last n.  The tails hold the rest of
-    each class walk as bare checks: the one criterion last_firing_n bounds
-    in n comes first in reporting order and can fire in every class, so it
-    always sits in the head.  The recursion reads the memo through a weak
-    proxy, so no reference cycle keeps a memo alive after its run.
+    It also builds the verdict walk, once, from three things alone:
+    criteria.SHAPE_CRITERIA as it stands when the memo is built, the divisor
+    recursion, which reads this memo, and criteria.last_firing_n.  Each
+    class of q and parity of n, keyed (q prime, n odd), walks the checks
+    whose last n there is above 0.  The head, the longest prefix of the four
+    class walks that they share, holds each of its checks paired with its
+    last n.  The tails hold the rest of each class walk as bare checks: the
+    one criterion last_firing_n bounds in n comes first in reporting order
+    and can fire in every class, so it always sits in the head.  The
+    recursion reads the memo through a weak proxy, so no reference cycle
+    keeps a memo alive after its run.
     """
 
     def __init__(

@@ -48,7 +48,20 @@ def check_arms(k_plus: int, k_minus: int) -> None:
         raise ValueError(f"arms must satisfy 1 <= k_minus <= k_plus, got ({k_plus}, {k_minus})")
 
 
-class QuasiCrossShape(namedtuple("QuasiCrossShape", "k_plus k_minus n")):
+class _Constructed:
+    """Base of the value types below, which check themselves in __new__.
+    namedtuple's own _make builds through tuple.__new__, past those checks,
+    and its _replace calls _make; this _make calls the constructor, as copy
+    and pickle do, so every way of building a value checks it."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class QuasiCrossShape(_Constructed, namedtuple("QuasiCrossShape", "k_plus k_minus n")):
     """Arm lengths (k_plus forward, k_minus backward along each axis) and
     dimension n.  The cyclic group split by a lattice tiling has order
     q = n*(k_plus + k_minus) + 1.
@@ -56,7 +69,9 @@ class QuasiCrossShape(namedtuple("QuasiCrossShape", "k_plus k_minus n")):
     Construction refuses, with ValueError, arms that check_arms refuses, a
     dimension that is not an int (by type(), so a bool too) or is below 1,
     and any q that does not fit in 64 bits, the range of numtheory's exact
-    arithmetic.  So every shape has int fields and 1 < q < 2**64.
+    arithmetic.  These rules live here and in check_arms only.  _make and
+    _replace build through the constructor, so every shape has int fields,
+    1 < q < 2**64 and its facts.
 
     The shape is the tuple (k_plus, k_minus, n), so equality, hashing and
     repr see only those.  It also carries, in its instance __dict__, the
@@ -130,14 +145,16 @@ def _check_residues(values: Sequence[int], q: int, what: str) -> None:
         seen.add(v)
 
 
-class MultiplierSet(namedtuple("MultiplierSet", "q residues")):
+class MultiplierSet(_Constructed, namedtuple("MultiplierSet", "q residues")):
     """Distinct nonzero residues mod q acting as multipliers.
 
     Construction refuses, with ValueError, a q that is not an int (by
     type(), so a bool too), is below 2 or does not fit in 64 bits, an empty
     set, and a residue that is not an int, lies outside [1, q - 1] or
-    repeats.  The search takes its q from here.  residues may be any
-    iterable: it is read into the stored tuple only after q has passed."""
+    repeats.  The q rules live here, the residue rules in _check_residues,
+    and _make and _replace build through the constructor.  The search takes
+    its q from here.  residues may be any iterable: it is read into the
+    stored tuple only after q has passed."""
 
     __slots__ = ()
 
@@ -173,39 +190,33 @@ def multiplier_set(shape: QuasiCrossShape) -> MultiplierSet:
     return interval_multipliers(shape.k_plus, shape.k_minus, shape.group_order)
 
 
-class Splitting(namedtuple("Splitting", "q k_plus k_minus splitters")):
+class Splitting(_Constructed, namedtuple("Splitting", "q k_plus k_minus splitters")):
     """A splitting of Z_q: a splitter set S for the interval multiplier set
     M of a (k_plus, k_minus) quasi-cross over Z_q, such that the products
     m*s are exactly Z_q minus 0.
 
-    Construction is the one place a certificate is verified.  q, the arms
-    and every splitter must be ints, the splitters distinct and in
-    [1, q - 1], and verify_cover must accept the products; anything else
-    raises ValueError.  _make, and so _replace, builds through the
-    constructor, as copy and pickle do, so every Splitting is a splitting.
-    Splitters are stored sorted, the canonical form used for certificate
-    deduplication.
+    Construction is the one place a certificate is verified, and it states
+    no field rule of its own: interval_multipliers refuses the arms
+    (check_arms) and q (MultiplierSet), then _check_residues refuses, in
+    the order given, a splitter that is not an int, lies outside [1, q - 1]
+    or repeats, and last verify_cover must accept the products.  Each
+    raises ValueError naming the bad field.  _make and _replace build
+    through the constructor, as copy and pickle do, so every Splitting is a
+    splitting.  Splitters are stored sorted, the canonical form used for
+    certificate deduplication.
     """
 
     __slots__ = ()
 
     def __new__(cls, q: int, k_plus: int, k_minus: int, splitters: Sequence[int]):
-        splitters = tuple(splitters)
-        # type() rather than isinstance(): JSON true/false must not pass as
-        # 1/0.  Checked first, so no sort or comparison meets a non-int.
-        if not all(type(v) is int for v in (q, k_plus, k_minus, *splitters)):
-            raise ValueError("certificate fields must be integers and a list of integers")
         multipliers = interval_multipliers(k_plus, k_minus, q)
+        splitters = tuple(splitters)
+        _check_residues(splitters, q, "splitter")
         ordered = tuple(sorted(splitters))
-        _check_residues(ordered, q, "splitter")
         check = verify_cover(q, multipliers.residues, ordered)
         if not check:
             raise ValueError(f"certificate q={q} does not verify: {check.reason}")
         return super().__new__(cls, q, k_plus, k_minus, ordered)
-
-    @classmethod
-    def _make(cls, iterable) -> Splitting:
-        return cls(*iterable)
 
     @property
     def multipliers(self) -> MultiplierSet:
@@ -380,9 +391,11 @@ def to_json_line(splitting: Splitting) -> str:
 
 
 def from_json_line(line: str) -> Splitting:
-    """Parse a certificate line into a Splitting, which checks the field
-    types and verifies the cover; raises ValueError with context on bad
-    input."""
+    """Parse a certificate line into a Splitting; raises ValueError with
+    context on bad input.  This checks only that the line is a JSON object
+    with the four fields and that splitters is a list, which Splitting
+    needs to read it; Splitting checks every field and verifies the
+    cover."""
     try:
         obj = json.loads(line)
     except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nesting too deep
@@ -393,5 +406,5 @@ def from_json_line(line: str) -> Splitting:
     if missing:
         raise ValueError(f"certificate line missing fields: {', '.join(missing)}")
     if not isinstance(obj["splitters"], list):
-        raise ValueError("certificate fields must be integers and a list of integers")
+        raise ValueError("certificate splitters must be a JSON list")
     return Splitting(obj["q"], obj["k_plus"], obj["k_minus"], obj["splitters"])

@@ -495,21 +495,24 @@ def test_store_rejects_unverified(tmp_path):
 def test_certificate_fields_must_be_ints(tmp_path):
     # Neither a bool splitter nor a float q can be stored: the Splitting
     # refuses them, so no line is written that a new process could not load.
-    message = "^certificate fields must be integers and a list of integers$"
-    with pytest.raises(ValueError, match=message):
-        Splitting(5, 3, 1, (True,))
-    with pytest.raises(ValueError, match=message):
-        Splitting(25.0, 3, 1, (1, 5, 6, 11, 16, 21))
     # A string or null field is a ValueError, not a TypeError from a sort
-    # or comparison.
-    for fields in (("25", 3, 1, (1,)), (25, None, 1, (1,)), (25, 3, 1, ("1", 5))):
-        with pytest.raises(ValueError, match=message):
+    # or comparison.  Each message is the one of the type that holds the
+    # field's rule, and names the field.
+    for fields, message in (
+        ((5, 3, 1, (True,)), "splitter True is not an int"),
+        ((25.0, 3, 1, (1, 5, 6, 11, 16, 21)), "multiplier set got q=25.0; group orders must be ints"),
+        (("25", 3, 1, (1,)), "multiplier set got q='25'; group orders must be ints"),
+        ((25, None, 1, (1,)), "arms must be ints, got (None, 1)"),
+        ((25, 3, 1, ("1", 5)), "splitter '1' is not an int"),
+    ):
+        with pytest.raises(ValueError) as info:
             Splitting(*fields)
+        assert str(info.value) == message
     path = tmp_path / "certs.jsonl"
     path.write_text('{"q": 5, "k_plus": 3, "k_minus": 1, "splitters": ["1"]}\n')
     with pytest.raises(ValueError) as info:
         load_certificates(path)
-    assert str(info.value) == f"{path}, line 1: certificate fields must be integers and a list of integers"
+    assert str(info.value) == f"{path}, line 1: splitter '1' is not an int"
 
 
 def test_store_appends_after_a_last_line_without_newline(tmp_path):

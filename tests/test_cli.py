@@ -504,13 +504,28 @@ def test_dimensions_past_64_bit_q_exit_2(capsys):
 def test_boolean_integer_fields_exit_2(tmp_path, capsys):
     store = tmp_path / "certs.jsonl"
     store.write_text('{"q": 25, "k_plus": 3, "k_minus": true, "splitters": [1, 5, 6, 11, 16, 21]}\n')
+    message = f"error: {store}, line 1: arms must be ints, got (3, True)\n"
     code, _, err = invoke(capsys, "verify", "--certificates", str(store))
     assert code == 2
-    assert "integers" in err
+    assert err == message
     code, out, err = invoke(capsys, "classify", "--kplus", "3", "--kminus", "1",
                             "--max-n", "6", "--certificates", str(store))
     assert code == 2 and out == ""
-    assert "integers" in err
+    assert err == message
+
+
+@pytest.mark.parametrize("splitters", ["5", '"1 5 6"', '{"1": 5}', "null"], ids=["number", "string", "object", "null"])
+def test_splitters_that_are_not_a_list_exit_2(tmp_path, monkeypatch, capsys, splitters):
+    # from_json_line refuses them itself: Splitting would meet tuple(5) as a
+    # TypeError, or read a string or an object key by key.
+    calls = []
+    monkeypatch.setattr(splitting, "verify_cover", lambda *args: calls.append(args))
+    store = tmp_path / "certs.jsonl"
+    store.write_text(f'{{"q": 25, "k_plus": 3, "k_minus": 1, "splitters": {splitters}}}\n')
+    code, out, err = invoke(capsys, "verify", "--certificates", str(store))
+    assert (code, out) == (2, "")
+    assert err == f"error: {store}, line 1: certificate splitters must be a JSON list\n"
+    assert calls == []
 
 
 def test_unreadable_registry_names_the_file(tmp_path, monkeypatch, capsys):

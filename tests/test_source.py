@@ -2,6 +2,7 @@
 src/quasicross."""
 
 import ast
+import importlib
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "quasicross"
@@ -85,4 +86,34 @@ def test_library_never_tests_an_int_with_isinstance():
                     classes = classes[0].elts
                 if any(isinstance(c, ast.Name) and c.id == "int" for c in classes):
                     found.append(f"{path}:{node.lineno}: isinstance(..., int)")
+    assert found == []
+
+
+def test_value_types_take_make_from_the_one_shared_definition():
+    # namedtuple's own _make builds through tuple.__new__, past the checks a
+    # value type makes in __new__, and its _replace calls _make.  So every
+    # module-level class that derives from namedtuple(...) and defines
+    # __new__ must take its _make from the package, which defines _make
+    # once: then _make and _replace build through the constructor.
+    trees = _trees()
+    makes = [
+        f"{path}:{node.lineno}"
+        for path, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "_make"
+    ]
+    assert len(makes) == 1, makes
+    found = []
+    for path, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, ast.ClassDef):
+                continue
+            from_namedtuple = any(
+                isinstance(base, ast.Call) and "namedtuple" in (getattr(base.func, "id", None), getattr(base.func, "attr", None))
+                for base in node.bases
+            )
+            if from_namedtuple and any(isinstance(item, ast.FunctionDef) and item.name == "__new__" for item in node.body):
+                module = importlib.import_module(f"{PACKAGE.name}.{path.stem}")
+                if not getattr(module, node.name)._make.__func__.__module__.startswith(f"{PACKAGE.name}."):
+                    found.append(f"{path}:{node.lineno}: {node.name} inherits namedtuple's _make")
     assert found == []

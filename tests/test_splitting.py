@@ -4,6 +4,7 @@ import json
 import math
 import pickle
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -30,7 +31,8 @@ from quasicross.splitting import (
 )
 
 Q25_SPLITTERS = (1, 5, 6, 11, 16, 21)
-Q13_COLLISION = r"^certificate q=13 does not verify: collision at 2: 2\*1 = 1\*2 \(mod 13\)$"
+Q13_COLLISION_TEXT = "certificate q=13 does not verify: collision at 2: 2*1 = 1*2 (mod 13)"
+Q13_COLLISION = f"^{re.escape(Q13_COLLISION_TEXT)}$"
 
 
 def _covers(s):
@@ -143,7 +145,8 @@ def test_structural_errors_differ_from_verification_failure():
         ((0, 2), "splitter 0 outside [1, 12]"),
         ((13,), "splitter 13 outside [1, 12]"),
         ((2, 2), "duplicate splitter 2"),
-        ((7, 2, 7, 2), "duplicate splitter 2"),  # checked in sorted order
+        ((7, 2, 7, 2), "duplicate splitter 7"),  # checked in the order given
+        ((9, 13, 0), "splitter 13 outside [1, 12]"),
     ):
         with pytest.raises(ValueError) as info:
             Splitting(13, 3, 1, splitters)
@@ -557,25 +560,56 @@ def test_json_line_roundtrip():
     assert to_json_line(from_json_line(line)) == line
 
 
-def test_copies_are_built_by_the_constructor():
+@pytest.mark.parametrize(
+    "cls, fields, valid, refused, facts",
+    [
+        (
+            QuasiCrossShape, (3, 1, 2),
+            [({"n": 5}, (3, 1, 5)), ([3, 2, 4], (3, 2, 4))],
+            [({"n": 2.5}, "dimension must be an int, got 2.5"), ((3, 1, True), "dimension must be an int, got True")],
+            ("arm_sum", "group_order", "factorization"),
+        ),
+        (
+            MultiplierSet, (25, (24, 1, 2, 3)),
+            [({"residues": (1, 2)}, (25, (1, 2))), ([7, (6, 1)], (7, (6, 1)))],
+            [({"q": 25.0}, "multiplier set got q=25.0; group orders must be ints"),
+             ((7, (0, 9)), "multiplier residue 0 outside [1, 6]")],
+            (),
+        ),
+        (
+            Splitting, (25, 3, 1, Q25_SPLITTERS),
+            [({"splitters": Q25_SPLITTERS[::-1]}, (25, 3, 1, Q25_SPLITTERS)), ([25, 3, 1, list(Q25_SPLITTERS)], (25, 3, 1, Q25_SPLITTERS))],
+            [({"q": 13, "splitters": (1, 2, 3)}, Q13_COLLISION_TEXT), ((13, 3, 1, (1, 2, 3)), Q13_COLLISION_TEXT)],
+            ("multipliers", "dimension"),
+        ),
+    ],
+    ids=["QuasiCrossShape", "MultiplierSet", "Splitting"],
+)
+def test_copies_are_built_by_the_constructor(cls, fields, valid, refused, facts):
     # _replace and _make build through __new__, as copy and pickle do, so
-    # none of them yields a certificate that does not verify.
-    cert = Splitting(25, 3, 1, Q25_SPLITTERS)
-    assert cert._replace(splitters=Q25_SPLITTERS[::-1]) == cert
-    assert Splitting._make(list(cert)) == cert
-    assert copy.copy(cert) == cert and copy.deepcopy(cert) == cert
-    assert pickle.loads(pickle.dumps(cert)) == cert
-    five = Splitting(5, 3, 1, (1,))
-    with pytest.raises(ValueError, match=Q13_COLLISION):
-        five._replace(q=13, splitters=(1, 2, 3))
-    with pytest.raises(ValueError, match=Q13_COLLISION):
-        Splitting._make((13, 3, 1, (1, 2, 3)))
+    # none of them yields a value that the constructor would refuse or
+    # build without its facts.  A dict is a _replace, a sequence a _make.
+    value = cls(*fields)
+
+    def build(change):
+        return value._replace(**change) if isinstance(change, dict) else cls._make(change)
+
+    for change, expected_fields in valid:
+        built, expected = build(change), cls(*expected_fields)
+        assert built == expected and hash(built) == hash(expected)
+        assert [getattr(built, fact) for fact in facts] == [getattr(expected, fact) for fact in facts]
+    assert copy.copy(value) == value and copy.deepcopy(value) == value
+    assert pickle.loads(pickle.dumps(value)) == value
+    for change, message in refused:
+        with pytest.raises(ValueError) as info:
+            build(change)
+        assert str(info.value) == message
     # A tuple forged past __new__ is refused when it is copied or unpickled.
-    forged = tuple.__new__(Splitting, (13, 3, 1, (1, 2, 3)))
-    with pytest.raises(ValueError, match=Q13_COLLISION):
-        copy.copy(forged)
-    with pytest.raises(ValueError, match=Q13_COLLISION):
-        pickle.loads(pickle.dumps(forged))
+    forged = tuple.__new__(cls, refused[-1][0])  # the fields of a refused _make
+    for rebuild in (copy.copy, lambda forged: pickle.loads(pickle.dumps(forged))):
+        with pytest.raises(ValueError) as info:
+            rebuild(forged)
+        assert str(info.value) == refused[-1][1]
 
 
 def _store_workload_streams(seeds):
@@ -604,13 +638,13 @@ def test_json_line_errors():
         from_json_line("{not json")
     with pytest.raises(ValueError, match="missing fields"):
         from_json_line('{"q": 25}')
-    with pytest.raises(ValueError, match="integers"):
+    with pytest.raises(ValueError, match=r"^splitter '1' is not an int$"):
         from_json_line('{"q": 25, "k_plus": 3, "k_minus": 1, "splitters": ["1"]}')
     with pytest.raises(ValueError):
         from_json_line('[1, 2, 3]')
-    with pytest.raises(ValueError, match="integers"):
+    with pytest.raises(ValueError, match=r"^arms must be ints, got \(3, True\)$"):
         from_json_line('{"q": 25, "k_plus": 3, "k_minus": true, "splitters": [1, 5, 6, 11, 16, 21]}')
-    with pytest.raises(ValueError, match="integers"):
+    with pytest.raises(ValueError, match="^splitter True is not an int$"):
         from_json_line('{"q": 25, "k_plus": 3, "k_minus": 1, "splitters": [true, 5, 6, 11, 16, 21]}')
 
 
