@@ -102,31 +102,31 @@ def default_registry(k_plus: int, k_minus: int) -> tuple[Splitting, ...]:
     )
 
 
-def _certificates(path, lines: Sequence[bytes], lineno: int) -> tuple[Splitting, ...]:
-    """Parse raw store lines into Splittings, each verified as it is built,
-    the first line being line lineno + 1.
+def _certificates(path, before: bytes, lines: Sequence[bytes]) -> tuple[Splitting, ...]:
+    """Parse raw store lines into Splittings, each verified as it is built.
+    The lines follow the store bytes before, whose lines are counted only
+    to number a bad line.
 
     A line is decoded on its own, so text that is not UTF-8 is reported
     with its line too, and any ValueError is raised again naming the file
     and line.
     """
     out = []
-    for lineno, raw in enumerate(lines, start=lineno + 1):
+    for i, raw in enumerate(lines):
         try:
-            line = raw.decode("utf-8").strip()
-            if line:
+            if line := raw.decode("utf-8").strip():
                 out.append(from_json_line(line))
         except ValueError as exc:  # UnicodeDecodeError is a ValueError
+            lineno = before.count(b"\n") + i + 1
             raise ValueError(f"{path}, line {lineno}: {exc}") from exc
     return tuple(out)
 
 
 # The last store read, with the lines this process appended to it since:
-# its bytes up to their last line end, the number of lines in them, and
-# their certificates, in order.  It is one tuple, read and replaced whole, so
-# a reader always sees a consistent entry and at worst parses bytes another
-# reader has just parsed.
-_last_store: tuple[bytes, int, tuple[Splitting, ...]] = (b"", 0, ())
+# its bytes up to their last line end and their certificates, in order.  It
+# is one tuple, read and replaced whole, so a reader always sees a
+# consistent entry and at worst parses bytes another reader has just parsed.
+_last_store: tuple[bytes, tuple[Splitting, ...]] = (b"", ())
 
 
 def _parse_store(path, data: bytes) -> tuple[Splitting, ...]:
@@ -147,14 +147,14 @@ def _parse_store(path, data: bytes) -> tuple[Splitting, ...]:
     then --certificates, once each, and search --store reads one store.
     """
     global _last_store
-    prefix, lineno, certs = _last_store
+    prefix, certs = _last_store
     if not data.startswith(prefix):
-        prefix, lineno, certs = b"", 0, ()
+        prefix, certs = b"", ()
     *lines, tail = data[len(prefix):].split(b"\n")
-    certs += _certificates(path, lines, lineno)
-    lineno += len(lines)
-    _last_store = (data[: len(data) - len(tail)], lineno, certs)
-    return certs + _certificates(path, [tail], lineno)
+    certs += _certificates(path, prefix, lines)
+    prefix = data[: len(data) - len(tail)]
+    _last_store = (prefix, certs)
+    return certs + _certificates(path, prefix, [tail])
 
 
 def load_certificates(path) -> tuple[Splitting, ...]:
@@ -190,11 +190,11 @@ def store_certificate(splitting: Splitting, path) -> bool:
             # The last line lacks its newline; ours must not run into it.
             line = b"\n" + line
         fh.write(line)
-    prefix, lineno, certs = _last_store
+    prefix, certs = _last_store
     if prefix == data:
         # data + line parse to certs + (splitting,), so the next read of
         # this store parses nothing this append wrote.
-        _last_store = (data + line, lineno + 1, certs + (splitting,))
+        _last_store = (data + line, certs + (splitting,))
     return True
 
 

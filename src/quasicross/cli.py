@@ -104,7 +104,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("summarize", help="classification summary and firing statistics")
     add_shape(p)
-    p.add_argument("--max-n", type=_positive_int, required=True)
+    p.add_argument("--max-n", type=_positive_int, required=True, help="largest dimension to summarize")
     add_evidence(p)
 
     return parser

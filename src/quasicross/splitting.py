@@ -51,14 +51,20 @@ def check_arms(k_plus: int, k_minus: int) -> None:
 class _Constructed:
     """Base of the value types below, which check themselves in __new__.
     namedtuple's own _make builds through tuple.__new__, past those checks,
-    and its _replace calls _make; this _make calls the constructor, as copy
-    and pickle do, so every way of building a value checks it."""
+    and its _replace calls _make; copy and pickle would call __new__ and
+    then restore the instance __dict__.  Here _make calls the constructor,
+    and __reduce__ has copy and pickle call it with the fields and nothing
+    else, so every way of building a value checks it and derives its facts
+    again."""
 
     __slots__ = ()
 
     @classmethod
     def _make(cls, iterable):
         return cls(*iterable)
+
+    def __reduce__(self):
+        return type(self), tuple(self)
 
 
 class QuasiCrossShape(_Constructed, namedtuple("QuasiCrossShape", "k_plus k_minus n")):
@@ -69,16 +75,17 @@ class QuasiCrossShape(_Constructed, namedtuple("QuasiCrossShape", "k_plus k_minu
     Construction refuses, with ValueError, arms that check_arms refuses, a
     dimension that is not an int (by type(), so a bool too) or is below 1,
     and any q that does not fit in 64 bits, the range of numtheory's exact
-    arithmetic.  These rules live here and in check_arms only.  _make and
-    _replace build through the constructor, so every shape has int fields,
-    1 < q < 2**64 and its facts.
+    arithmetic.  These rules live here and in check_arms only.  _make,
+    _replace, copy and pickle build through the constructor, so every shape
+    has int fields, 1 < q < 2**64 and its facts.
 
     The shape is the tuple (k_plus, k_minus, n), so equality, hashing and
     repr see only those.  It also carries, in its instance __dict__, the
     facts that several criteria read: arm_sum and group_order are stored
     once, at construction, and the factorization of q and, at prime q, the
-    class table of M are each computed once, on first use.  Assigning any
-    attribute raises AttributeError."""
+    class table of M are each computed once, on first use.  Copies and
+    pickles carry the fields only and derive the facts again.  Assigning
+    any attribute raises AttributeError."""
 
     def __new__(cls, k_plus: int, k_minus: int, n: int):
         # A shape is built per dimension walked, so valid input costs one
@@ -152,9 +159,9 @@ class MultiplierSet(_Constructed, namedtuple("MultiplierSet", "q residues")):
     type(), so a bool too), is below 2 or does not fit in 64 bits, an empty
     set, and a residue that is not an int, lies outside [1, q - 1] or
     repeats.  The q rules live here, the residue rules in _check_residues,
-    and _make and _replace build through the constructor.  The search takes
-    its q from here.  residues may be any iterable: it is read into the
-    stored tuple only after q has passed."""
+    and _make, _replace, copy and pickle build through the constructor.
+    The search takes its q from here.  residues may be any iterable: it is
+    read into the stored tuple only after q has passed."""
 
     __slots__ = ()
 
@@ -200,10 +207,10 @@ class Splitting(_Constructed, namedtuple("Splitting", "q k_plus k_minus splitter
     (check_arms) and q (MultiplierSet), then _check_residues refuses, in
     the order given, a splitter that is not an int, lies outside [1, q - 1]
     or repeats, and last verify_cover must accept the products.  Each
-    raises ValueError naming the bad field.  _make and _replace build
-    through the constructor, as copy and pickle do, so every Splitting is a
-    splitting.  Splitters are stored sorted, the canonical form used for
-    certificate deduplication.
+    raises ValueError naming the bad field.  _make, _replace, copy and
+    pickle build through the constructor from the fields only, so every
+    Splitting is a splitting.  Splitters are stored sorted, the canonical
+    form used for certificate deduplication.
     """
 
     __slots__ = ()
@@ -217,10 +224,6 @@ class Splitting(_Constructed, namedtuple("Splitting", "q k_plus k_minus splitter
         if not check:
             raise ValueError(f"certificate q={q} does not verify: {check.reason}")
         return super().__new__(cls, q, k_plus, k_minus, ordered)
-
-    @property
-    def multipliers(self) -> MultiplierSet:
-        return interval_multipliers(self.k_plus, self.k_minus, self.q)
 
     @property
     def dimension(self) -> int:

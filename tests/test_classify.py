@@ -720,6 +720,22 @@ def test_error_line_numbers_after_a_reread(tmp_path):
     assert path.read_bytes().endswith(BAD_Q13_LINE.encode())
 
 
+def test_error_line_numbers_after_appends(tmp_path, parsed_lines):
+    # The memo holds the lines this process appended; a bad line after them
+    # is numbered by its place in the file all the same.
+    path = tmp_path / "certs.jsonl"
+    path.write_bytes(b"\n" + Q5_LINE + b"\n\n")
+    assert store_certificate(Q25_CERT, path) is True
+    assert store_certificate(Q5_OTHER, path) is True
+    with open(path, "ab") as fh:
+        fh.write(b"\n" + BAD_Q13_LINE.encode())
+    parsed_lines.clear()
+    with pytest.raises(ValueError) as info:
+        load_certificates(path)
+    assert str(info.value).startswith(f"{path}, line 7: certificate q=13 does not verify")
+    assert parsed_lines == [BAD_Q13_LINE.strip()]
+
+
 def test_two_stores_read_in_turn(tmp_path, parsed_lines):
     first, second = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     first.write_bytes(Q5_LINE + b"\n" + Q25_LINE + b"\n")
@@ -744,7 +760,7 @@ def test_a_duplicate_in_another_form_is_still_a_duplicate(tmp_path, monkeypatch)
     path = tmp_path / "certs.jsonl"
     path.write_bytes(b'{ "splitters" : [21, 16, 11, 6, 5, 1],  "k_minus": 1, "q":25, "k_plus" :3 }\n')
     before = path.read_bytes()
-    monkeypatch.setattr(classify, "_last_store", (b"", 0, ()))
+    monkeypatch.setattr(classify, "_last_store", (b"", ()))
     assert store_certificate(Q25_CERT, path) is False  # cold memo
     assert store_certificate(Q25_CERT, path) is False  # warm memo
     assert path.read_bytes() == before
@@ -782,7 +798,7 @@ def test_load_after_appends_equals_a_parse_from_scratch(tmp_path, monkeypatch, p
     for cert in (Q5, Q5_OTHER):
         assert store_certificate(cert, path) is True
     remembered = load_certificates(path)
-    monkeypatch.setattr(classify, "_last_store", (b"", 0, ()))
+    monkeypatch.setattr(classify, "_last_store", (b"", ()))
     parsed_lines.clear()
     assert load_certificates(path) == remembered == (Q25_CERT, Q5, Q5_OTHER)
     assert len(parsed_lines) == 3

@@ -651,6 +651,15 @@ def test_summarize_prints_the_packaged_table(capsys, k_minus, unknown):
     assert f"unknown: {unknown}\n" in out
 
 
+@pytest.mark.parametrize("command", ["classify", "summarize"])
+def test_help_says_what_max_n_bounds(monkeypatch, capsys, command):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal
+    with pytest.raises(SystemExit) as exc:
+        run([command, "-h"])
+    assert exc.value.code == 0
+    assert re.search(rf"\n  --max-n MAX_N +largest dimension to {command}\n", capsys.readouterr().out)
+
+
 @pytest.mark.parametrize(
     "command, k_minus, sha256",
     [

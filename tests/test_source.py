@@ -91,18 +91,22 @@ def test_library_never_tests_an_int_with_isinstance():
 
 def test_value_types_take_make_from_the_one_shared_definition():
     # namedtuple's own _make builds through tuple.__new__, past the checks a
-    # value type makes in __new__, and its _replace calls _make.  So every
-    # module-level class that derives from namedtuple(...) and defines
-    # __new__ must take its _make from the package, which defines _make
-    # once: then _make and _replace build through the constructor.
+    # value type makes in __new__, and its _replace calls _make; copy and
+    # pickle, left to themselves, call __new__ and then restore the instance
+    # __dict__.  So every module-level class that derives from
+    # namedtuple(...) and defines __new__ must take _make and __reduce__ from
+    # the package, which defines each once: then every way of building a
+    # value calls its constructor with the fields and nothing else.
     trees = _trees()
-    makes = [
-        f"{path}:{node.lineno}"
-        for path, tree in trees.items()
-        for node in ast.walk(tree)
-        if isinstance(node, ast.FunctionDef) and node.name == "_make"
-    ]
-    assert len(makes) == 1, makes
+    shared = ("_make", "__reduce__")
+    for name in shared:
+        defined = [
+            f"{path}:{node.lineno}"
+            for path, tree in trees.items()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name == name
+        ]
+        assert len(defined) == 1, (name, defined)
     found = []
     for path, tree in trees.items():
         for node in tree.body:
@@ -113,7 +117,10 @@ def test_value_types_take_make_from_the_one_shared_definition():
                 for base in node.bases
             )
             if from_namedtuple and any(isinstance(item, ast.FunctionDef) and item.name == "__new__" for item in node.body):
-                module = importlib.import_module(f"{PACKAGE.name}.{path.stem}")
-                if not getattr(module, node.name)._make.__func__.__module__.startswith(f"{PACKAGE.name}."):
-                    found.append(f"{path}:{node.lineno}: {node.name} inherits namedtuple's _make")
+                cls = getattr(importlib.import_module(f"{PACKAGE.name}.{path.stem}"), node.name)
+                for name in shared:
+                    method = getattr(cls, name)
+                    module = getattr(getattr(method, "__func__", method), "__module__", None) or ""
+                    if not module.startswith(f"{PACKAGE.name}."):
+                        found.append(f"{path}:{node.lineno}: {node.name} does not take {name} from the package")
     assert found == []

@@ -38,7 +38,7 @@ Q13_COLLISION = f"^{re.escape(Q13_COLLISION_TEXT)}$"
 def _covers(s):
     """verify_cover on a Splitting's own fields, re-checking what its
     construction decided."""
-    return verify_cover(s.q, s.multipliers.residues, s.splitters)
+    return verify_cover(s.q, interval_multipliers(s.k_plus, s.k_minus, s.q).residues, s.splitters)
 
 
 def test_shape_validation():
@@ -102,7 +102,7 @@ def test_verify_q5():
 
 def test_verify_q25_against_exhaustive_products():
     s = Splitting(25, 3, 1, Q25_SPLITTERS)
-    products = {m * t % 25 for m in s.multipliers.residues for t in s.splitters}
+    products = {m * t % 25 for m in interval_multipliers(s.k_plus, s.k_minus, s.q).residues for t in s.splitters}
     assert products == set(range(1, 25))
     assert _covers(s)
 
@@ -274,7 +274,7 @@ def test_splitters_canonically_sorted():
 def test_verified_size_invariant():
     for s in (Splitting(5, 3, 1, (1,)), Splitting(25, 3, 1, Q25_SPLITTERS), Splitting(6, 3, 2, (1,))):
         assert _covers(s)
-        k = len(s.multipliers.residues)
+        k = len(interval_multipliers(s.k_plus, s.k_minus, s.q).residues)
         assert (s.q - 1) % k == 0
         assert len(s.splitters) == (s.q - 1) // k
 
@@ -580,13 +580,13 @@ def test_json_line_roundtrip():
             Splitting, (25, 3, 1, Q25_SPLITTERS),
             [({"splitters": Q25_SPLITTERS[::-1]}, (25, 3, 1, Q25_SPLITTERS)), ([25, 3, 1, list(Q25_SPLITTERS)], (25, 3, 1, Q25_SPLITTERS))],
             [({"q": 13, "splitters": (1, 2, 3)}, Q13_COLLISION_TEXT), ((13, 3, 1, (1, 2, 3)), Q13_COLLISION_TEXT)],
-            ("multipliers", "dimension"),
+            ("dimension",),
         ),
     ],
     ids=["QuasiCrossShape", "MultiplierSet", "Splitting"],
 )
 def test_copies_are_built_by_the_constructor(cls, fields, valid, refused, facts):
-    # _replace and _make build through __new__, as copy and pickle do, so
+    # _replace, _make, copy and pickle build through the constructor, so
     # none of them yields a value that the constructor would refuse or
     # build without its facts.  A dict is a _replace, a sequence a _make.
     value = cls(*fields)
@@ -598,8 +598,18 @@ def test_copies_are_built_by_the_constructor(cls, fields, valid, refused, facts)
         built, expected = build(change), cls(*expected_fields)
         assert built == expected and hash(built) == hash(expected)
         assert [getattr(built, fact) for fact in facts] == [getattr(expected, fact) for fact in facts]
-    assert copy.copy(value) == value and copy.deepcopy(value) == value
-    assert pickle.loads(pickle.dumps(value)) == value
+    # Copies and pickles carry the fields only, so a shape's facts are
+    # derived again, whatever its __dict__ holds.
+    fresh = [getattr(cls(*fields), fact) for fact in facts]
+    if cls is QuasiCrossShape:
+        value.__dict__.update(dict.fromkeys(facts, 7))
+    for rebuilt in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert rebuilt == value
+        assert [getattr(rebuilt, fact) for fact in facts] == fresh
+    if cls is QuasiCrossShape:
+        prime = QuasiCrossShape(50000, 1, 2)  # q = 100 003, prime
+        assert len(prime.class_table) == 50001
+        assert len(pickle.dumps(prime)) <= len(pickle.dumps(QuasiCrossShape(50000, 1, 2)))
     for change, message in refused:
         with pytest.raises(ValueError) as info:
             build(change)
